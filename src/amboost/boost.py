@@ -118,46 +118,59 @@ class BoostPath:
                 writer.writerow(row)
 
 
-class _BlockSolver:
-    """Cached solver for one base learner's penalized least-squares fit.
+def _rank_cutoff(s, shape):
+    """Singular values at or below this count as zero (machine precision)."""
+    return max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
 
-    The system matrix ``X^T X + lam P`` is fixed over a run, only the
-    working response changes, so the factorization is computed once.
-    Unpenalized blocks use an SVD with a machine-precision cutoff and
-    return the min-norm solution when rank deficient.
+
+def _cho_factor(A, lam):
+    try:
+        return scipy.linalg.cho_factor(A)
+    except scipy.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular penalized system (lam={lam:g}): {exc}"
+        ) from exc
+
+
+class _BlockSolver:
+    """Cached parameter-space solver for one base learner.
+
+    The system matrix ``A = X^T X + lam P`` is fixed over a run, so it is
+    factored once. Solves take the block gradient ``g = X^T y_tilde``
+    rather than the working response and never touch the n rows of the
+    design. Penalized blocks keep a Cholesky factor of ``A`` and the Gram
+    matrix ``G = X^T X``; unpenalized blocks keep the singular values
+    ``s`` and right singular vectors ``V`` of ``X`` (from the SVD of its
+    triangular QR factor) and apply ``V s^-2 V^T`` over the singular
+    values above a machine-precision cutoff, the min-norm solution when
+    rank deficient.
     """
 
     def __init__(self, X, P=None, lam=0.0):
-        self.X = X
-        n, p = X.shape
         self.penalized = lam > 0.0 and P is not None and np.any(P != 0)
         if self.penalized:
-            A = X.T @ X + lam * P
-            try:
-                self._chol = scipy.linalg.cho_factor(A)
-            except scipy.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"singular penalized system (lam={lam:g}): {exc}"
-                ) from exc
+            self._gram = X.T @ X
+            self._chol = _cho_factor(self._gram + lam * P, lam)
         else:
-            U, s, Vt = np.linalg.svd(X, full_matrices=False)
-            cutoff = max(n, p) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-            keep = s > cutoff
-            self._U = U[:, keep]
-            self._sinv = 1.0 / s[keep]
+            # X = QR shares s and V with R; the n-row Q is never formed
+            _, self.s, Vt = np.linalg.svd(
+                np.linalg.qr(X, mode="r"), full_matrices=False
+            )
+            keep = self.s > _rank_cutoff(self.s, X.shape)
+            self._sinv2 = (1.0 / self.s[keep]) ** 2
             self._V = Vt[keep].T
-
-    def solve(self, y_tilde):
-        """Coefficients of the block fitted against the working response."""
-        if self.penalized:
-            return scipy.linalg.cho_solve(self._chol, self.X.T @ y_tilde)
-        return self._V @ (self._sinv * (self._U.T @ y_tilde))
 
     def solve_gram(self, g):
         """Apply the inverse system matrix to a gradient-sized vector."""
         if self.penalized:
             return scipy.linalg.cho_solve(self._chol, g)
-        return self._V @ (self._sinv**2 * (self._V.T @ g))
+        return self._V @ (self._sinv2 * (self._V.T @ g))
+
+    def decrease(self, g, inc):
+        """``||r||^2 - ||r - X inc||^2`` for ``inc = solve_gram(g)``, ``g = X^T r``."""
+        if self.penalized:
+            return 2.0 * (inc @ g) - inc @ (self._gram @ inc)
+        return g @ inc
 
 
 def fit_block(block, y_tilde):
@@ -165,7 +178,8 @@ def fit_block(block, y_tilde):
 
     Solves ``(X^T X + lam P) beta = X^T y_tilde`` by a rank-revealing
     decomposition; rank-deficient unpenalized systems return the
-    min-norm solution.
+    min-norm solution. Works in residual space, independently of the
+    engine's parameter-space solver, and serves as its oracle.
 
     Returns
     -------
@@ -177,8 +191,15 @@ def fit_block(block, y_tilde):
     y_tilde = np.asarray(y_tilde, dtype=float)
     if y_tilde.shape != (block.n,):
         raise ValueError("working response length does not match the block")
-    beta = _BlockSolver(block.X, block.P, block.lam).solve(y_tilde)
-    resid = y_tilde - block.X @ beta
+    X = block.X
+    if block.lam > 0.0 and np.any(block.P != 0):
+        chol = _cho_factor(X.T @ X + block.lam * block.P, block.lam)
+        beta = scipy.linalg.cho_solve(chol, X.T @ y_tilde)
+    else:
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        keep = s > _rank_cutoff(s, X.shape)
+        beta = Vt[keep].T @ (1.0 / s[keep] * (U[:, keep].T @ y_tilde))
+    resid = y_tilde - X @ beta
     return beta, float(resid @ resid)
 
 
@@ -200,6 +221,11 @@ class _Stepper:
 
     Owns the coefficient vector and the fitted values' linear part;
     shared by the main engine and the cyclic distributional driver.
+    Every step works in parameter space from the gradient
+    ``g = X^T y_tilde``: greedy mode scores each block by the loss
+    decrease of its fit, ``||r||^2 - SSE_b``, from ``g_b`` alone (the
+    Gauss-Southwell-q rule of greedy block coordinate descent), so one
+    pass over the design per step serves every block.
     """
 
     def __init__(self, partition, config):
@@ -219,26 +245,29 @@ class _Stepper:
                 _BlockSolver(b.X, b.P, b.lam) for b in partition.blocks
             ]
 
-    def step(self, y_tilde):
-        """Advance one iteration; returns the updated block id."""
+    def step(self, g):
+        """Advance one iteration from the gradient ``g = X^T y_tilde``.
+
+        Returns the updated block id.
+        """
         part = self.partition
         if self.mode == "joint":
-            inc = self._joint.solve(y_tilde)
+            inc = self._joint.solve_gram(g)
             self.beta += self.nu * inc
             self.f_lin += self.nu * (part.X @ inc)
             self._k += 1
             return JOINT_SENTINEL
         if self.mode == "greedy":
-            best, best_sse, best_inc = 0, np.inf, None
-            for b, solver in enumerate(self._solvers):
-                inc = solver.solve(y_tilde)
-                resid = y_tilde - part.blocks[b].X @ inc
-                sse = resid @ resid
-                if sse < best_sse:
-                    best, best_sse, best_inc = b, sse, inc
+            best, best_score, best_inc = 0, -np.inf, None
+            for b, (solver, cols) in enumerate(zip(self._solvers, part.column_map)):
+                g_b = g[cols]
+                inc = solver.solve_gram(g_b)
+                score = solver.decrease(g_b, inc)
+                if score > best_score:
+                    best, best_score, best_inc = b, score, inc
         else:  # cyclic
             best = self._k % part.n_blocks
-            best_inc = self._solvers[best].solve(y_tilde)
+            best_inc = self._solvers[best].solve_gram(g[part.column_map[best]])
         cols = part.column_map[best]
         self.beta[cols] += self.nu * best_inc
         self.f_lin += self.nu * (part.blocks[best].X @ best_inc)
@@ -277,11 +306,12 @@ def run_boost(partition, loss, y, config):
     numeric_error = False
 
     ge = losses_mod.evaluate(loss, y, offset + stepper.f_lin)
+    g = X.T @ ge.y_tilde
     loss_vals = [ge.value]
-    grad_norms = [float(np.linalg.norm(X.T @ ge.y_tilde))]
+    grad_norms = [float(np.linalg.norm(g))]
 
     for _ in range(config.max_iter):
-        sel = stepper.step(ge.y_tilde)
+        sel = stepper.step(g)
         try:
             ge = losses_mod.evaluate(loss, y, offset + stepper.f_lin)
         except NumericError:
@@ -295,7 +325,8 @@ def run_boost(partition, loss, y, config):
         betas.append(stepper.beta.copy())
         selected.append(sel)
         loss_vals.append(ge.value)
-        grad_norms.append(float(np.linalg.norm(X.T @ ge.y_tilde)))
+        g = X.T @ ge.y_tilde
+        grad_norms.append(float(np.linalg.norm(g)))
         if config.stop_tol > 0.0 and loss_vals[-2] - loss_vals[-1] < config.stop_tol:
             terminated = "tol"
             break

@@ -3,7 +3,10 @@
 Feature blocks with quadratic penalties, B-spline bases on equidistant
 knots, difference penalties, and block partitions of a global design
 matrix. All constructed objects are immutable after creation and safe to
-share across threads.
+share across threads. A partition holds the caller's design matrix
+without copying it, and a block over a contiguous column range holds a
+read-only view into it, so the design must not be modified while a
+partition built on it is in use.
 """
 
 from __future__ import annotations
@@ -269,7 +272,12 @@ def make_partition(X, specs):
             P = np.eye(cols.size)
         else:
             P = np.zeros((cols.size, cols.size))
-        blocks.append(DesignBlock(b, X[:, cols], P, s.lam, s.kind))
+        if np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
+            Xb = X[:, cols[0] : cols[0] + cols.size]
+        else:
+            Xb = X[:, cols]
+        Xb.flags.writeable = False
+        blocks.append(DesignBlock(b, Xb, P, s.lam, s.kind))
         column_map.append(cols)
     return BlockPartition(tuple(blocks), tuple(column_map), X)
 

@@ -91,7 +91,7 @@ def gauss_ls_eval(model, y):
     """
     eta, sigma2, r = _scale_and_residual(model, y)
     nll = float(0.5 * model.n * LOG_2PI + np.sum(eta + r**2 / (2.0 * sigma2)))
-    grad_beta = -model.X.T @ (r / sigma2)
+    grad_beta = -(model.X.T @ (r / sigma2))
     grad_xi = model.Z.T @ (1.0 - r**2 / sigma2)
     return nll, grad_beta, grad_xi
 
@@ -266,7 +266,7 @@ def cyclic_boost_ls(X, Z, y, config, mean_specs=None, scale_specs=None,
                 raise NumericError("log-scale overflow", index=bad)
             sigma2 = np.exp(2.0 * eta)
             r = y - X @ mean_step.beta
-            sel = mean_step.step(r / sigma2)
+            sel = mean_step.step(mean_part.X.T @ (r / sigma2))
             nll, gb, _ = state()
             mean_sel.append(sel)
             mean_betas.append(mean_step.beta.copy())
@@ -274,7 +274,7 @@ def cyclic_boost_ls(X, Z, y, config, mean_specs=None, scale_specs=None,
             mean_grads.append(float(np.linalg.norm(gb)))
             if update_scale:
                 r = y - X @ mean_step.beta
-                sel = scale_step.step(r**2 / sigma2 - 1.0)
+                sel = scale_step.step(scale_part.X.T @ (r**2 / sigma2 - 1.0))
                 nll, _, gx = state()
                 scale_sel.append(sel)
                 scale_betas.append(scale_step.beta.copy())

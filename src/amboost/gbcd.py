@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
-from .boost import BoostConfig, BoostPath, _BlockSolver, run_boost
+from .boost import (
+    BoostConfig,
+    BoostPath,
+    _BlockSolver,
+    _rank_cutoff,
+    fit_block,
+    run_boost,
+)
 
 H_CHOICES = ("block_gram", "penalized_gram", "lipschitz_scalar")
 GRADIENT_MODES = ("unpenalized", "penalized")
@@ -52,27 +59,20 @@ class _ScaledInverse:
     """Positive-definite scaling matrix H_b with cached inverse apply."""
 
     def __init__(self, block, h_choice):
-        X = block.X
-        n, p = X.shape
+        # an unpenalized block under 'penalized_gram' scales by its Gram matrix
         if h_choice == "penalized_gram":
-            self._solver = _BlockSolver(X, block.P, block.lam)
-            if not self._solver.penalized:
-                h_choice = "block_gram"
-        if h_choice in ("block_gram", "lipschitz_scalar"):
-            s = np.linalg.svd(X, compute_uv=False)
-            cutoff = max(n, p) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-            if s.size == 0 or s[-1] <= cutoff:
+            self._solver = _BlockSolver(block.X, block.P, block.lam)
+        else:
+            self._solver = _BlockSolver(block.X)
+        self._scale = None
+        if not self._solver.penalized:
+            s = self._solver.s
+            if s.size == 0 or s[-1] <= _rank_cutoff(s, block.X.shape):
                 raise np.linalg.LinAlgError(
                     f"block {block.id} scaling matrix is not positive definite"
                 )
             if h_choice == "lipschitz_scalar":
                 self._scale = float(s[0] ** 2)
-                self._solver = None
-            else:
-                self._solver = _BlockSolver(X)
-                self._scale = None
-        else:
-            self._scale = None
 
     def apply_inverse(self, g):
         if self._scale is not None:
@@ -103,7 +103,7 @@ def gbcd_gsq(partition, loss, y, config):
 
     def objective_and_gradient():
         value = losses_mod.loss_value(loss, y, f)
-        grad = -X.T @ losses_mod.neg_functional_gradient(loss, y, f)
+        grad = -(X.T @ losses_mod.neg_functional_gradient(loss, y, f))
         if penalized:
             for block, cols in zip(partition.blocks, partition.column_map):
                 if block.lam > 0.0:
@@ -150,8 +150,9 @@ class EquivalenceReport:
 
     Selection disagreements between blocks whose selection criteria are
     tied within floating-point resolution are not treated as divergences
-    (the argmin over exactly tied scores is numerically undefined); they
-    are counted in ``n_tied_selections`` instead.
+    (the argmin over exactly tied scores is numerically undefined): the
+    comparison stops at the first one, which ``n_tied_selections``
+    counts.
     """
 
     identical: bool
@@ -193,9 +194,6 @@ def equivalence_check(partition, loss, y, nu, n_steps, gradient_of="unpenalized"
 
     tol = 1e-12 * max(1.0, np.abs(boost_path.betas).max())
     n_iter = min(len(boost_path.betas), len(gbcd_path.betas))
-    n_tied = 0
-    from .boost import fit_block
-
     for k in range(n_iter):
         if k >= 1 and boost_path.selected[k - 1] != gbcd_path.selected[k - 1]:
             # a disagreement between tied blocks is a floating artifact,
@@ -213,7 +211,7 @@ def equivalence_check(partition, loss, y, nu, n_steps, gradient_of="unpenalized"
                 return EquivalenceReport(
                     identical=True,
                     n_compared=k,
-                    n_tied_selections=n_tied + 1,
+                    n_tied_selections=1,
                     detail=(
                         f"comparison stopped at iterate {k}: selection "
                         "criteria tied at floating resolution"
@@ -223,7 +221,6 @@ def equivalence_check(partition, loss, y, nu, n_steps, gradient_of="unpenalized"
                 identical=False,
                 first_index=k,
                 n_compared=n_iter,
-                n_tied_selections=n_tied,
                 detail=(
                     f"selected block {boost_path.selected[k - 1]} vs "
                     f"{gbcd_path.selected[k - 1]}"
@@ -235,9 +232,6 @@ def equivalence_check(partition, loss, y, nu, n_steps, gradient_of="unpenalized"
                 identical=False,
                 first_index=k,
                 n_compared=n_iter,
-                n_tied_selections=n_tied,
                 detail=f"max coefficient gap {gap:.3e}",
             )
-    return EquivalenceReport(
-        identical=True, n_compared=n_iter, n_tied_selections=n_tied
-    )
+    return EquivalenceReport(identical=True, n_compared=n_iter)

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amboost.boost import (
     BoostConfig,
@@ -14,7 +16,10 @@ from amboost.boost import (
 from amboost.design import (
     BlockSpec,
     DesignBlock,
+    SplineSpec,
+    bspline_basis,
     make_partition,
+    pspline_block_spec,
     single_block,
     singleton_blocks,
 )
@@ -112,6 +117,12 @@ class TestRunBoost:
         path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=3, mode="greedy"))
         assert path.selected[0] == 0
 
+    def test_greedy_tie_breaks_to_lowest_id(self):
+        col = np.array([[1.0], [2.0], [3.0]])
+        part = make_partition(np.hstack([col, col]), singleton_blocks(2))
+        path = run_boost(part, l2(), np.ones(3), BoostConfig(nu=0.5, max_iter=3))
+        np.testing.assert_array_equal(path.selected, [0, 0, 0])
+
     def test_path_shapes_and_monotone_loss(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 5))
@@ -189,6 +200,63 @@ class TestRunBoost:
         assert len(rows) == 6
         assert rows[1][2] == ""  # no selection at the start iterate
         np.testing.assert_allclose(float(rows[-1][1]), path.losses[-1])
+
+
+def mixed_design(seed, kinds, n=30):
+    """Design and specs with one block of each requested kind.
+
+    ``singleton`` is one linear column, ``ridge`` two ridge-penalized
+    columns, ``pspline`` a penalized cubic B-spline basis and
+    ``deficient`` three unpenalized columns of rank two.
+    """
+    rng = np.random.default_rng(seed)
+    cols, specs = [], []
+    for kind in kinds:
+        start = sum(c.shape[1] for c in cols)
+        if kind == "singleton":
+            cols.append(rng.normal(size=(n, 1)))
+            specs.append(BlockSpec((start,)))
+        elif kind == "ridge":
+            cols.append(rng.normal(size=(n, 2)))
+            specs.append(BlockSpec((start, start + 1), "ridge", rng.uniform(0.1, 10.0)))
+        elif kind == "pspline":
+            spec = SplineSpec(n_knots=4, degree=3)
+            cols.append(bspline_basis(rng.uniform(size=n), spec))
+            idx = range(start, start + spec.n_basis)
+            specs.append(pspline_block_spec(idx, spec, rng.uniform(0.1, 10.0)))
+        else:
+            a, b = rng.normal(size=(2, n))
+            cols.append(np.column_stack([a, b, a - 2.0 * b]))
+            specs.append(BlockSpec((start, start + 1, start + 2)))
+    X = np.hstack(cols)
+    y = X @ rng.normal(size=X.shape[1]) + rng.normal(size=n)
+    return X, specs, y
+
+
+class TestGreedyMatchesResidualOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(
+            st.sampled_from(["singleton", "ridge", "pspline", "deficient"]),
+            min_size=1,
+            max_size=5,
+        ),
+        nu=st.sampled_from([0.1, 0.3, 0.5]),
+    )
+    def test_selection_and_increment(self, seed, kinds, nu):
+        X, specs, y = mixed_design(seed, kinds)
+        part = make_partition(X, specs)
+        path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=8))
+        for k, sel in enumerate(path.selected):
+            y_tilde = y - X @ path.betas[k]
+            sse = np.array([fit_block(b, y_tilde)[1] for b in part.blocks])
+            oracle = select_block(part, y_tilde)
+            assert sel == oracle or sse[sel] - sse[oracle] <= 1e-9 * sse.max()
+            cols = part.column_map[sel]
+            inc = (path.betas[k + 1] - path.betas[k])[cols] / nu
+            ref, _ = fit_block(part.blocks[sel], y_tilde)
+            assert np.abs(inc - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestSmootherBoost:

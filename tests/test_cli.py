@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -127,6 +128,19 @@ class TestExperimentAndReport:
         manifest_path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["report", "--out", str(out / "gsq_equivalence")]) == 3
+
+    def test_gsq_equivalence_full_horizon_at_seed_1(self, tmp_path, capsys):
+        # boosting and descent score blocks identically, so no trial may
+        # stop early on a selection tie at converged-noise scale
+        out = tmp_path / "art"
+        assert main(["experiment", "gsq_equivalence", "--seed", "1",
+                     "--out", str(out)]) == 0
+        with open(out / "gsq_equivalence" / "equivalence.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 20
+        for row in rows:
+            assert row["identical"] == "True"
+            assert int(row["n_compared"]) == 200 + 1
 
     def test_report_on_missing_dir_is_config_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "void")]) == 1

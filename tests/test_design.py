@@ -153,6 +153,23 @@ class TestPartition:
         assert part.n_blocks == 4
         assert all(b.p == 1 for b in part.blocks)
 
+    def test_contiguous_blocks_are_read_only_views(self):
+        X = np.random.default_rng(3).normal(size=(6, 4))
+        part = make_partition(X, singleton_blocks(4))
+        assert part.X is X
+        for j, block in enumerate(part.blocks):
+            assert np.shares_memory(block.X, X)
+            assert not block.X.flags.writeable
+            np.testing.assert_array_equal(block.X, X[:, [j]])
+        assert X.flags.writeable
+
+    def test_non_contiguous_blocks_are_copied(self):
+        X = np.arange(20.0).reshape(5, 4)
+        part = make_partition(X, [((0, 2),), ((3, 1),)])
+        np.testing.assert_array_equal(part.blocks[0].X, X[:, [0, 2]])
+        np.testing.assert_array_equal(part.blocks[1].X, X[:, [3, 1]])
+        assert not np.shares_memory(part.blocks[1].X, X)
+
     def test_penalty_blockdiag(self):
         X = np.ones((4, 3))
         P = np.eye(2)
