@@ -37,7 +37,6 @@ from .design import (
     bspline_basis,
     difference_matrix,
     difference_penalty,
-    export_matrix_csv,
     make_partition,
     pspline_block_spec,
     single_block,

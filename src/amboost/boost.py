@@ -8,7 +8,6 @@ full-rank linear smoothers and a divergence detector for the paths.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,20 +101,55 @@ class BoostPath:
     def final(self):
         return self.betas[-1]
 
-    def to_csv(self, path):
-        """Write the path as CSV: k, loss, selected_block, grad_norm, beta_1..beta_p."""
-        p = self.betas.shape[1]
+    def table(self, index=None):
+        """``(header, rows)`` of the iterates listed in ``index`` (default all).
+
+        Columns: k, loss, selected_block (blank at the start iterate),
+        grad_norm, beta_1..beta_p.
+        """
         header = ["k", "loss", "selected_block", "grad_norm"]
-        header += [f"beta_{j + 1}" for j in range(p)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self.betas)):
-                sel = "" if k == 0 else str(int(self.selected[k - 1]))
-                row = [str(k), repr(float(self.losses[k])), sel,
-                       repr(float(self.grad_norms[k]))]
-                row += [repr(float(v)) for v in self.betas[k]]
-                writer.writerow(row)
+        header += [f"beta_{j + 1}" for j in range(self.betas.shape[1])]
+        if index is None:
+            index = range(len(self.betas))
+        rows = [
+            [int(k), float(self.losses[k]),
+             "" if k == 0 else int(self.selected[k - 1]),
+             float(self.grad_norms[k])] + [float(v) for v in self.betas[k]]
+            for k in index
+        ]
+        return header, rows
+
+
+class _PathRecorder:
+    """Iterate history of one run.
+
+    The only code that constructs a :class:`BoostPath`. Starts from the
+    initial ``(beta, loss, grad)``; every ``record`` appends one step with
+    the block it updated.
+    """
+
+    def __init__(self, beta, loss, grad):
+        self.betas = [beta.copy()]
+        self.losses = [loss]
+        self.grad_norms = [float(np.linalg.norm(grad))]
+        self.selected = []
+
+    def record(self, beta, selected, loss, grad):
+        self.betas.append(beta.copy())
+        self.selected.append(selected)
+        self.losses.append(loss)
+        self.grad_norms.append(float(np.linalg.norm(grad)))
+
+    def path(self, terminated_by="max_iter", offset=0.0, numeric_error=False):
+        return BoostPath(
+            betas=np.asarray(self.betas),
+            losses=np.asarray(self.losses),
+            selected=np.asarray(self.selected, dtype=int),
+            grad_norms=np.asarray(self.grad_norms),
+            terminated_by=terminated_by,
+            offset=offset,
+            numeric_error=numeric_error,
+        )
 
 
 def _rank_cutoff(s, shape):
@@ -300,15 +334,12 @@ def run_boost(partition, loss, y, config):
 
     stepper = _Stepper(partition, config)
     X = partition.X
-    betas = [stepper.beta.copy()]
-    selected = []
     terminated = "max_iter"
     numeric_error = False
 
     ge = losses_mod.evaluate(loss, y, offset + stepper.f_lin)
     g = X.T @ ge.y_tilde
-    loss_vals = [ge.value]
-    grad_norms = [float(np.linalg.norm(g))]
+    rec = _PathRecorder(stepper.beta, ge.value, g)
 
     for _ in range(config.max_iter):
         sel = stepper.step(g)
@@ -317,32 +348,19 @@ def run_boost(partition, loss, y, config):
         except NumericError:
             if not config.divergence_guard:
                 raise
-            # roll the failed iterate back out of the record
-            stepper.beta = betas[-1].copy()
             terminated = "divergence"
             numeric_error = True
             break
-        betas.append(stepper.beta.copy())
-        selected.append(sel)
-        loss_vals.append(ge.value)
         g = X.T @ ge.y_tilde
-        grad_norms.append(float(np.linalg.norm(g)))
-        if config.stop_tol > 0.0 and loss_vals[-2] - loss_vals[-1] < config.stop_tol:
+        rec.record(stepper.beta, sel, ge.value, g)
+        if config.stop_tol > 0.0 and rec.losses[-2] - rec.losses[-1] < config.stop_tol:
             terminated = "tol"
             break
-        if config.divergence_guard and _loss_grew(loss_vals[-1], loss_vals[0]):
+        if config.divergence_guard and _loss_grew(rec.losses[-1], rec.losses[0]):
             terminated = "divergence"
             break
 
-    return BoostPath(
-        betas=np.asarray(betas),
-        losses=np.asarray(loss_vals),
-        selected=np.asarray(selected, dtype=int),
-        grad_norms=np.asarray(grad_norms),
-        terminated_by=terminated,
-        offset=offset,
-        numeric_error=numeric_error,
-    )
+    return rec.path(terminated, offset, numeric_error)
 
 
 @dataclass

@@ -11,8 +11,8 @@ failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +22,15 @@ from .closedform import implicit_penalty, path_points
 from .design import (
     BlockSpec,
     difference_penalty,
-    export_matrix_csv,
     make_partition,
-    single_block,
-    singleton_blocks,
 )
-from .errors import ConfigError, IntegrityError, NumericError
+from .errors import ConfigError, NumericError
 from .experiments import (
     EXPERIMENTS,
-    ExperimentConfig,
-    _parse_value,
+    _as_tuple,
+    _check_keys,
+    _load_ini,
+    _resolve_seed,
     emit_report,
     load_artifact,
     load_config,
@@ -48,30 +47,43 @@ EXIT_NUMERIC = 2
 EXIT_ACCEPTANCE = 3
 
 
-def _read_ini(path):
-    if path is None:
+# Every key ``fit``, ``oracle`` and ``rates`` read, with its default;
+# ``beta_true`` defaults to p ones.
+_CLI_DEFAULTS = {
+    "experiment": {"seed": 0},
+    "data": {"n": 100, "p": 2, "rho": 0.0, "beta_true": None, "family": "gaussian"},
+    "run": {
+        **{f.name: f.default for f in fields(BoostConfig)},
+        "blocks": "singleton",
+        "lam": 0.0,
+        "penalty": "none",
+    },
+    "oracle": {"nu": 0.1, "lam": 0.0, "penalty": "ridge",
+               "ks": (0, 1, 2, 5, 10, 100), "gamma_ks": None},
+}
+
+
+def _load_cli_config(args):
+    """Sections of ``--config`` over :data:`_CLI_DEFAULTS`, and the seed."""
+    if args.config is None:
         raise ConfigError("--config is required for this subcommand")
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    return parser
-
-
-def _section(parser, name):
-    if not parser.has_section(name):
-        return {}
-    return {k: _parse_value(v) for k, v in parser[name].items()}
+    ini = _load_ini(args.config, tuple(_CLI_DEFAULTS))
+    for name, values in ini.items():
+        _check_keys(name, values, _CLI_DEFAULTS[name])
+    config = {
+        name: {**defaults, **ini.get(name, {})}
+        for name, defaults in _CLI_DEFAULTS.items()
+    }
+    return config, _resolve_seed(args.seed, ini)
 
 
 def _data_from_config(data, seed):
-    n = int(data.get("n", 100))
-    p = int(data.get("p", 2))
-    rho = float(data.get("rho", 0.0))
-    beta_true = data.get("beta_true", tuple([1.0] * p))
-    if not isinstance(beta_true, tuple):
-        beta_true = (beta_true,)
-    family = str(data.get("family", "gaussian"))
-    X, y = synth_glm_data(n, p, rho, beta_true, family, seed)
+    p = int(data["p"])
+    beta_true = data["beta_true"] if data["beta_true"] is not None else (1.0,) * p
+    family = str(data["family"])
+    X, y = synth_glm_data(
+        int(data["n"]), p, float(data["rho"]), _as_tuple(beta_true), family, seed
+    )
     return X, y, family
 
 
@@ -86,9 +98,9 @@ def _loss_for(family):
 
 
 def _blocks_from_config(run, p):
-    blocks = str(run.get("blocks", "singleton"))
-    lam = float(run.get("lam", 0.0))
-    penalty = str(run.get("penalty", "none"))
+    blocks = str(run["blocks"])
+    lam = float(run["lam"])
+    penalty = str(run["penalty"])
     if blocks == "singleton":
         sizes = [1] * p
     elif blocks == "joint":
@@ -116,29 +128,22 @@ def _blocks_from_config(run, p):
 
 
 def _boost_config(run):
+    # each value takes the type of the field's default
     return BoostConfig(
-        nu=float(run.get("nu", 0.1)),
-        max_iter=int(run.get("max_iter", 100)),
-        mode=str(run.get("mode", "greedy")),
-        init=str(run.get("init", "zero")),
-        stop_tol=float(run.get("stop_tol", 0.0)),
-        divergence_guard=bool(run.get("divergence_guard", False)),
+        **{f.name: type(f.default)(run[f.name]) for f in fields(BoostConfig)}
     )
 
 
 def _cmd_fit(args):
-    parser = _read_ini(args.config)
-    seed = args.seed if args.seed is not None else int(
-        _section(parser, "experiment").get("seed", 0)
-    )
-    X, y, family = _data_from_config(_section(parser, "data"), seed)
-    run = _section(parser, "run")
+    config, seed = _load_cli_config(args)
+    X, y, family = _data_from_config(config["data"], seed)
+    run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
     path = run_boost(part, _loss_for(family), y, _boost_config(run))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "fit_path.csv"
-    path.to_csv(target)
+    write_csv(target, *path.table())
     print(f"wrote {target} ({path.n_steps} steps, "
           f"terminated by {path.terminated_by}, final loss "
           f"{path.losses[-1]:.6g})")
@@ -146,21 +151,15 @@ def _cmd_fit(args):
 
 
 def _cmd_oracle(args):
-    parser = _read_ini(args.config)
-    seed = args.seed if args.seed is not None else int(
-        _section(parser, "experiment").get("seed", 0)
-    )
-    X, y, family = _data_from_config(_section(parser, "data"), seed)
+    config, seed = _load_cli_config(args)
+    X, y, family = _data_from_config(config["data"], seed)
     if family != "gaussian":
         raise ConfigError("closed-form paths require the gaussian family")
-    oracle = _section(parser, "oracle")
-    nu = float(oracle.get("nu", 0.1))
-    lam = float(oracle.get("lam", 0.0))
-    penalty = str(oracle.get("penalty", "ridge"))
-    ks = oracle.get("ks", (0, 1, 2, 5, 10, 100))
-    if not isinstance(ks, tuple):
-        ks = (ks,)
-    ks = [int(k) for k in ks]
+    oracle = config["oracle"]
+    nu = float(oracle["nu"])
+    lam = float(oracle["lam"])
+    penalty = str(oracle["penalty"])
+    ks = [int(k) for k in _as_tuple(oracle["ks"])]
     p = X.shape[1]
     if lam == 0.0:
         P = None
@@ -180,27 +179,21 @@ def _cmd_oracle(args):
         [[k] + [float(v) for v in row] for k, row in zip(ks, pts)],
     )
     print(f"wrote {target}")
-    gamma_ks = oracle.get("gamma_ks")
-    if gamma_ks is not None:
-        if not isinstance(gamma_ks, tuple):
-            gamma_ks = (gamma_ks,)
-        for k in gamma_ks:
+    if oracle["gamma_ks"] is not None:
+        for k in _as_tuple(oracle["gamma_ks"]):
             ip = implicit_penalty(X, y, P, lam, nu, int(k))
             gpath = out / f"implicit_penalty_k{int(k)}.csv"
-            export_matrix_csv(ip.gamma, gpath)
+            write_csv(gpath, [f"c{j + 1}" for j in range(ip.gamma.shape[1])], ip.gamma)
             print(f"wrote {gpath}")
     return EXIT_OK
 
 
 def _cmd_rates(args):
-    parser = _read_ini(args.config)
-    seed = args.seed if args.seed is not None else int(
-        _section(parser, "experiment").get("seed", 0)
-    )
-    X, y, family = _data_from_config(_section(parser, "data"), seed)
+    config, seed = _load_cli_config(args)
+    X, y, family = _data_from_config(config["data"], seed)
     if family != "gaussian":
         raise ConfigError("rate certificates apply to the gaussian family")
-    run = _section(parser, "run")
+    run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
     cfg = _boost_config(run)
     path = run_boost(part, l2(), y, cfg)
@@ -211,7 +204,7 @@ def _cmd_rates(args):
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "rate_report.csv"
-    report.to_csv(target)
+    write_csv(target, *report.table())
     print(f"gamma = {gamma:.6f}")
     status = "compliant" if report.all_compliant else (
         f"violated first at k={report.first_violation()}"
@@ -222,21 +215,13 @@ def _cmd_rates(args):
 
 
 def _cmd_experiment(args):
-    if args.config:
-        cfg = load_config(
-            args.config,
-            experiment=args.name,
-            seed=args.seed,
-            out_dir=args.out,
-            svg=True if args.svg else None,
-        )
-    else:
-        cfg = ExperimentConfig(
-            experiment=args.name,
-            seed=args.seed if args.seed is not None else 0,
-            out_dir=args.out or ".",
-            svg=bool(args.svg),
-        )
+    cfg = load_config(
+        args.config,
+        experiment=args.name,
+        seed=args.seed,
+        out_dir=args.out,
+        svg=True if args.svg else None,
+    )
     artifact = run_experiment(cfg)
     print(emit_report(artifact))
     return EXIT_OK if artifact.all_passed else EXIT_ACCEPTANCE
@@ -260,7 +245,6 @@ def build_parser():
         p.add_argument("--config", help="INI config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--svg", action="store_true", help="emit SVG charts")
 
     p_fit = sub.add_parser("fit", help="one boosting run from a config file")
     common(p_fit)
@@ -277,6 +261,7 @@ def build_parser():
     p_exp = sub.add_parser("experiment", help="run a named scenario")
     p_exp.add_argument("name", choices=EXPERIMENTS)
     common(p_exp)
+    p_exp.add_argument("--svg", action="store_true", help="emit SVG charts")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_rep = sub.add_parser("report", help="summarize a written artifact")
@@ -290,15 +275,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IntegrityError, configparser.Error, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # LinAlgError subclasses ValueError, so it must be caught first
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # ConfigError and IntegrityError are ValueErrors
+    except (ValueError, KeyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

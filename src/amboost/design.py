@@ -11,7 +11,6 @@ partition built on it is in use.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,17 +295,3 @@ def pspline_block_spec(columns, spec, lam):
     """Spec for a penalized spline block over already-expanded columns."""
     P = difference_penalty(spec.n_basis, spec.diff_order)
     return BlockSpec(tuple(columns), "pspline", lam, P)
-
-
-def export_matrix_csv(M, path, labels=None):
-    """Write a matrix as CSV, row-major, with a header row of column labels."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if labels is None:
-        labels = [f"c{j + 1}" for j in range(M.shape[1])]
-    if len(labels) != M.shape[1]:
-        raise ValueError("one label per column required")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels)
-        for row in M:
-            writer.writerow([repr(float(v)) for v in row])

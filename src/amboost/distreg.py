@@ -9,12 +9,11 @@ that exhibits the step-size divergence of the scale model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BoostPath, _loss_grew, _Stepper, divergence_detector
+from .boost import BoostPath, _loss_grew, _PathRecorder, _Stepper, divergence_detector
 from .design import make_partition, single_block
 from .errors import NumericError
 
@@ -208,20 +207,19 @@ class DistBoostResult:
     mean_verdict: str
     scale_verdict: str
 
-    def to_csv(self, path):
-        """Paired-path CSV: k, model, loss, coefficients."""
+    def table(self):
+        """``(header, rows)`` of both paths: k, model, loss, coefficients.
+
+        The shorter coefficient vector is padded with blanks.
+        """
         p = max(self.mean_path.betas.shape[1], self.scale_path.betas.shape[1])
         header = ["k", "model", "loss"] + [f"coef_{j + 1}" for j in range(p)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for name, rec in (("mean", self.mean_path), ("scale", self.scale_path)):
-                for k in range(len(rec.betas)):
-                    row = [str(k), name, repr(float(rec.losses[k]))]
-                    coefs = rec.betas[k]
-                    row += [repr(float(v)) for v in coefs]
-                    row += [""] * (p - len(coefs))
-                    writer.writerow(row)
+        rows = []
+        for name, rec in (("mean", self.mean_path), ("scale", self.scale_path)):
+            for k, coefs in enumerate(rec.betas):
+                rows.append([k, name, float(rec.losses[k])]
+                            + [float(v) for v in coefs] + [""] * (p - len(coefs)))
+        return header, rows
 
 
 def cyclic_boost_ls(X, Z, y, config, mean_specs=None, scale_specs=None,
@@ -251,10 +249,8 @@ def cyclic_boost_ls(X, Z, y, config, mean_specs=None, scale_specs=None,
         return gauss_ls_eval(model, y)
 
     nll0, gb0, gx0 = state()
-    mean_betas, mean_losses = [mean_step.beta.copy()], [nll0]
-    scale_betas, scale_losses = [scale_step.beta.copy()], [nll0]
-    mean_grads, scale_grads = [float(np.linalg.norm(gb0))], [float(np.linalg.norm(gx0))]
-    mean_sel, scale_sel = [], []
+    mean_rec = _PathRecorder(mean_step.beta, nll0, gb0)
+    scale_rec = _PathRecorder(scale_step.beta, nll0, gx0)
     terminated = "max_iter"
     numeric_error = False
 
@@ -268,40 +264,24 @@ def cyclic_boost_ls(X, Z, y, config, mean_specs=None, scale_specs=None,
             r = y - X @ mean_step.beta
             sel = mean_step.step(mean_part.X.T @ (r / sigma2))
             nll, gb, _ = state()
-            mean_sel.append(sel)
-            mean_betas.append(mean_step.beta.copy())
-            mean_losses.append(nll)
-            mean_grads.append(float(np.linalg.norm(gb)))
+            mean_rec.record(mean_step.beta, sel, nll, gb)
             if update_scale:
                 r = y - X @ mean_step.beta
                 sel = scale_step.step(scale_part.X.T @ (r**2 / sigma2 - 1.0))
                 nll, _, gx = state()
-                scale_sel.append(sel)
-                scale_betas.append(scale_step.beta.copy())
-                scale_losses.append(nll)
-                scale_grads.append(float(np.linalg.norm(gx)))
+                scale_rec.record(scale_step.beta, sel, nll, gx)
         except (NumericError, np.linalg.LinAlgError):
             terminated = "divergence"
             numeric_error = True
             break
         if config.divergence_guard and _loss_grew(
-            max(mean_losses[-1], scale_losses[-1]), nll0
+            max(mean_rec.losses[-1], scale_rec.losses[-1]), nll0
         ):
             terminated = "divergence"
             break
 
-    def build(betas, loss_vals, sel, grads):
-        return BoostPath(
-            betas=np.asarray(betas),
-            losses=np.asarray(loss_vals),
-            selected=np.asarray(sel, dtype=int),
-            grad_norms=np.asarray(grads),
-            terminated_by=terminated,
-            numeric_error=numeric_error,
-        )
-
-    mean_path = build(mean_betas, mean_losses, mean_sel, mean_grads)
-    scale_path = build(scale_betas, scale_losses, scale_sel, scale_grads)
+    mean_path = mean_rec.path(terminated, numeric_error=numeric_error)
+    scale_path = scale_rec.path(terminated, numeric_error=numeric_error)
     return DistBoostResult(
         mean_path=mean_path,
         scale_path=scale_path,

@@ -108,6 +108,9 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {', '.join(EXPERIMENTS)}"
             )
+        for section in ("data", "run"):
+            _check_keys(section, getattr(self, section),
+                        _DEFAULTS[self.experiment][section])
 
     def param(self, section, key):
         merged = dict(_DEFAULTS[self.experiment][section])
@@ -203,22 +206,6 @@ def _thin_indices(n_rows, keep=250):
     return idx
 
 
-def _write_path_csv(out, name, path_rec, keep=250):
-    idx = _thin_indices(len(path_rec.betas), keep)
-    p = path_rec.betas.shape[1]
-    header = ["k", "loss", "selected_block", "grad_norm"]
-    header += [f"beta_{j + 1}" for j in range(p)]
-    rows = []
-    for k in idx:
-        sel = "" if k == 0 else int(path_rec.selected[k - 1])
-        rows.append(
-            [int(k), float(path_rec.losses[k]), sel, float(path_rec.grad_norms[k])]
-            + [float(v) for v in path_rec.betas[k]]
-        )
-    write_csv(out / name, header, rows)
-    return name
-
-
 def _scenario_path_matching(cfg, out):
     files, checks, errors, svgs = {}, [], [], {}
     n = int(cfg.param("data", "n"))
@@ -233,7 +220,8 @@ def _scenario_path_matching(cfg, out):
     path = run_boost(
         part, l2(), y, BoostConfig(nu=nu, max_iter=max_iter, mode="joint")
     )
-    files["boost_path"] = _write_path_csv(out, "boost_path.csv", path, keep=500)
+    write_csv(out / "boost_path.csv", *path.table(_thin_indices(len(path.betas), 500)))
+    files["boost_path"] = "boost_path.csv"
 
     grid = np.logspace(-6, 6, grid_points)
     ridge_path = np.array([ridge_solve(X, y, lam) for lam in grid])
@@ -346,9 +334,9 @@ def _scenario_pspline_unpenalized(cfg, out):
         d_gbcd = float(np.linalg.norm(gbcd_path.final - beta_pls))
         pen_size = lam * float(np.linalg.norm(P @ beta_ols))
         tag = f"lam_{lam:g}"
-        files[f"boost_path_{tag}"] = _write_path_csv(
-            out, f"boost_path_{tag}.csv", path
-        )
+        write_csv(out / f"boost_path_{tag}.csv",
+                  *path.table(_thin_indices(len(path.betas))))
+        files[f"boost_path_{tag}"] = f"boost_path_{tag}.csv"
         summary_rows.append([lam, d_unpen, d_pen, d_gbcd, pen_size])
         checks.append(
             _check(
@@ -597,7 +585,7 @@ def _scenario_distreg_divergence(cfg, out):
         )
         res = cyclic_boost_ls(X, Z, y, run_cfg)
         outcomes[label] = res
-        res.to_csv(out / f"paired_path_{label}.csv")
+        write_csv(out / f"paired_path_{label}.csv", *res.table())
         files[f"paired_path_{label}"] = f"paired_path_{label}.csv"
     checks.append(
         _check(
@@ -824,28 +812,69 @@ def _parse_value(text):
     return text
 
 
+def _check_keys(section, values, allowed):
+    """Reject any key of ``values`` that ``allowed`` does not list."""
+    for key in values:
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown config key {section}.{key}; "
+                f"allowed: {', '.join(sorted(allowed))}"
+            )
+
+
+def _load_ini(path, sections):
+    """Read an INI file into ``{section: {key: parsed value}}``.
+
+    ``None`` reads as an empty file. Every section must be one of
+    ``sections``; an unreadable or malformed file is a
+    :class:`ConfigError`.
+    """
+    if path is None:
+        return {}
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        ini = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    for name in ini:
+        if name not in sections:
+            raise ConfigError(
+                f"unknown config section [{name}]; allowed: {', '.join(sections)}"
+            )
+    return {
+        name: {k: _parse_value(v) for k, v in values.items()}
+        for name, values in ini.items()
+    }
+
+
+def _resolve_seed(seed, ini):
+    """The explicit seed, else the file's ``[experiment] seed``, else 0."""
+    if seed is not None:
+        return seed
+    return int(ini.get("experiment", {}).get("seed", 0))
+
+
 def load_config(path, experiment=None, seed=None, out_dir=None, svg=None):
     """Read an INI-style config file into an :class:`ExperimentConfig`.
 
     Sections: ``[experiment]`` with ``name``, ``seed``, ``out``, ``svg``;
-    ``[data]`` and ``[run]`` hold per-scenario parameter overrides.
-    Keyword arguments override file values.
+    ``[data]`` and ``[run]`` hold per-scenario parameter overrides, whose
+    keys must be parameters of the scenario. Keyword arguments override
+    file values; ``path=None`` reads no file.
     """
-    parser = configparser.ConfigParser()
-    if path is not None:
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-    exp_section = dict(parser["experiment"]) if parser.has_section("experiment") else {}
-    name = experiment or exp_section.get("name")
+    ini = _load_ini(path, ("experiment", "data", "run"))
+    exp = ini.get("experiment", {})
+    _check_keys("experiment", exp, ("name", "out", "seed", "svg"))
+    name = experiment or exp.get("name")
     if not name:
         raise ConfigError("no experiment name given (config [experiment] name=...)")
-    data = {k: _parse_value(v) for k, v in (dict(parser["data"]) if parser.has_section("data") else {}).items()}
-    run = {k: _parse_value(v) for k, v in (dict(parser["run"]) if parser.has_section("run") else {}).items()}
-    cfg_seed = seed if seed is not None else int(exp_section.get("seed", 0))
-    cfg_out = out_dir if out_dir is not None else exp_section.get("out", ".")
-    cfg_svg = svg if svg is not None else _parse_value(exp_section.get("svg", "false"))
     return ExperimentConfig(
-        experiment=name, seed=cfg_seed, out_dir=cfg_out, svg=bool(cfg_svg),
-        data=data, run=run,
+        experiment=name,
+        seed=_resolve_seed(seed, ini),
+        out_dir=out_dir if out_dir is not None else str(exp.get("out", ".")),
+        svg=bool(svg if svg is not None else exp.get("svg", False)),
+        data=ini.get("data", {}),
+        run=ini.get("run", {}),
     )

@@ -17,8 +17,8 @@ import numpy as np
 from . import losses as losses_mod
 from .boost import (
     BoostConfig,
-    BoostPath,
     _BlockSolver,
+    _PathRecorder,
     _rank_cutoff,
     fit_block,
     run_boost,
@@ -113,10 +113,7 @@ def gbcd_gsq(partition, loss, y, config):
         return value, grad
 
     value, grad = objective_and_gradient()
-    betas = [beta.copy()]
-    loss_vals = [value]
-    grad_norms = [float(np.linalg.norm(grad))]
-    selected = []
+    rec = _PathRecorder(beta, value, grad)
 
     for _ in range(config.max_iter):
         best, best_score, best_dir = 0, -np.inf, None
@@ -130,18 +127,9 @@ def gbcd_gsq(partition, loss, y, config):
         beta[cols] -= config.nu * best_dir
         f -= config.nu * (partition.blocks[best].X @ best_dir)
         value, grad = objective_and_gradient()
-        betas.append(beta.copy())
-        selected.append(best)
-        loss_vals.append(value)
-        grad_norms.append(float(np.linalg.norm(grad)))
+        rec.record(beta, best, value, grad)
 
-    return BoostPath(
-        betas=np.asarray(betas),
-        losses=np.asarray(loss_vals),
-        selected=np.asarray(selected, dtype=int),
-        grad_norms=np.asarray(grad_norms),
-        terminated_by="max_iter",
-    )
+    return rec.path()
 
 
 @dataclass

@@ -9,7 +9,6 @@ guarantee rests on. Pure analysis over immutable inputs.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -107,12 +106,13 @@ class RateReport:
         bad = np.flatnonzero(~self.compliant)
         return int(bad[0]) if bad.size else None
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "gap", "bound", "compliant"])
-            for k, (g, b, c) in enumerate(zip(self.gaps, self.bounds, self.compliant)):
-                writer.writerow([str(k), repr(float(g)), repr(float(b)), str(bool(c))])
+    def table(self):
+        """``(header, rows)``: k, gap, bound, compliant."""
+        rows = [
+            [k, float(g), float(b), bool(c)]
+            for k, (g, b, c) in enumerate(zip(self.gaps, self.bounds, self.compliant))
+        ]
+        return ["k", "gap", "bound", "compliant"], rows
 
 
 def check_bound(path, gamma, loss_opt, slack_rel=1e-9, **constants):

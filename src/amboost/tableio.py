@@ -1,28 +1,20 @@
-"""Deterministic CSV helpers for run artifacts.
+"""Deterministic CSV writing for run artifacts.
 
-Floats are written with ``repr`` so identical inputs produce
-byte-identical files.
+The one place that opens a CSV file. Floats (numpy's included) are
+written with ``repr`` so identical inputs produce byte-identical files;
+every other value is written with ``str``.
 """
 
 from __future__ import annotations
 
 import csv
 
+import numpy as np
+
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (int, bool)):
-        return str(v)
-    try:
-        import numpy as np
-
-        if isinstance(v, np.floating):
-            return repr(float(v))
-        if isinstance(v, (np.integer, np.bool_)):
-            return str(v)
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 

@@ -25,6 +25,7 @@ from amboost.design import (
 )
 from amboost.errors import NumericError
 from amboost.losses import binomial, l2, poisson
+from amboost.tableio import write_csv
 
 
 def identity_block(lam=0.0, P=None, kind="linear"):
@@ -193,13 +194,25 @@ class TestRunBoost:
         part = make_partition(X, singleton_blocks(2))
         path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=4))
         out = tmp_path / "path.csv"
-        path.to_csv(out)
+        write_csv(out, *path.table())
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "loss", "selected_block", "grad_norm", "beta_1", "beta_2"]
         assert len(rows) == 6
         assert rows[1][2] == ""  # no selection at the start iterate
         np.testing.assert_allclose(float(rows[-1][1]), path.losses[-1])
+
+    def test_table_index_picks_iterates(self):
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(10, 2))
+        y = rng.normal(size=10)
+        part = make_partition(X, singleton_blocks(2))
+        path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=4))
+        _, full = path.table()
+        _, rows = path.table([0, 2, 4])
+        assert rows == [full[0], full[2], full[4]]
+        assert full[2] == [2, path.losses[2], int(path.selected[1]),
+                           path.grad_norms[2], *path.betas[2]]
 
 
 def mixed_design(seed, kinds, n=30):

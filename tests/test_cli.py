@@ -46,6 +46,43 @@ class TestFit:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 1
 
+    def test_singular_penalized_system_is_exit_two(self, tmp_path, capsys):
+        # LinAlgError is a ValueError; it must still report as numeric
+        cfg = write_ini(
+            tmp_path,
+            "[data]\nn = 1\np = 3\nbeta_true = 1,1,1\n\n"
+            "[run]\nblocks = 3\npenalty = diff2\nlam = 1\n",
+        )
+        code = main(["fit", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "numeric error: singular penalized system" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[run]\nmax_iters = 5\n", "run.max_iters"),
+            ("[data]\nfamilly = poisson\n", "data.familly"),
+            ("[experiment]\nseed = 1\nname = path_matching\n", "experiment.name"),
+            ("[oracle]\nk = 1,2\n", "oracle.k"),
+        ],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, text, key):
+        cfg = write_ini(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+        assert f"unknown config key {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_section_is_config_error(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[runs]\nmax_iter = 5\n")
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config section [runs]" in capsys.readouterr().err
+
+    def test_malformed_file_is_config_error(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "max_iter = 5\n")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "malformed config file" in capsys.readouterr().err
+
     def test_numeric_overflow_is_exit_two(self, tmp_path, capsys):
         # aggressive poisson boosting overflows without the guard
         cfg = write_ini(
@@ -148,3 +185,21 @@ class TestExperimentAndReport:
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["experiment", "not_a_scenario"])
+
+
+@pytest.mark.parametrize("command", ["fit", "oracle", "rates"])
+def test_svg_rejected_outside_experiment(tmp_path, command, capsys):
+    cfg = write_ini(tmp_path, "[data]\nn = 30\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--svg"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+
+
+def test_svg_accepted_by_experiment(tmp_path):
+    cfg = write_ini(tmp_path, "[run]\nn_partitions = 2\nn_steps = 20\n")
+    out = tmp_path / "art"
+    assert main(["experiment", "gsq_equivalence", "--config", cfg,
+                 "--out", str(out), "--svg"]) == 0
+    manifest = json.loads((out / "gsq_equivalence" / "manifest.json").read_text())
+    assert manifest["config"]["svg"] is True

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -12,7 +10,6 @@ from amboost.design import (
     bspline_knots,
     difference_matrix,
     difference_penalty,
-    export_matrix_csv,
     make_partition,
     single_block,
     singleton_blocks,
@@ -191,14 +188,3 @@ class TestPartition:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             DesignBlock(0, np.ones((3, 2)), np.eye(3), lam=1.0, kind="custom")
-
-
-def test_export_matrix_csv(tmp_path):
-    M = difference_penalty(4, 2)
-    out = tmp_path / "penalty.csv"
-    export_matrix_csv(M, out, labels=[f"b{j}" for j in range(4)])
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["b0", "b1", "b2", "b3"]
-    back = np.array([[float(v) for v in row] for row in rows[1:]])
-    np.testing.assert_array_equal(back, M)

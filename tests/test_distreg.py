@@ -14,6 +14,7 @@ from amboost.distreg import (
     reference_indefinite_instance,
 )
 from amboost.errors import NumericError
+from amboost.tableio import write_csv
 
 
 def random_model(rng, n=12, p=3, q=2):
@@ -194,7 +195,7 @@ class TestCyclicBoosting:
         cfg = BoostConfig(nu=0.05, max_iter=10, mode="joint")
         res = cyclic_boost_ls(X, Z, y, cfg)
         out = tmp_path / "paired.csv"
-        res.to_csv(out)
+        write_csv(out, *res.table())
         import csv as csvmod
 
         with open(out) as fh:

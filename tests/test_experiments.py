@@ -94,6 +94,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="unknown experiment"):
             ExperimentConfig(experiment="nope", out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("section", ["data", "run"])
+    def test_unknown_parameter_rejected(self, tmp_path, section):
+        with pytest.raises(ConfigError, match=rf"{section}\.n_steps_typo"):
+            ExperimentConfig(
+                experiment="gsq_equivalence",
+                out_dir=str(tmp_path),
+                **{section: {"n_steps_typo": 5}},
+            )
+
     def test_pspline_scenario_small(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="pspline_unpenalized",
@@ -206,6 +215,36 @@ class TestLoadConfig:
         ini.write_text("[experiment]\nseed = 1\n")
         with pytest.raises(ConfigError, match="no experiment name"):
             load_config(ini)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[experiment]\nname = gsq_equivalence\n\n[run]\nn_step = 5\n",
+             r"run\.n_step"),
+            ("[experiment]\nname = gsq_equivalence\n\n[data]\nbeta_true = 1,2\n",
+             r"data\.beta_true"),
+            ("[experiment]\nname = gsq_equivalence\nsvgs = true\n",
+             r"experiment\.svgs"),
+            ("[experiment]\nname = gsq_equivalence\n\n[oracle]\nnu = 0.5\n",
+             r"section \[oracle\]"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, text, match):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_config(ini)
+
+    def test_malformed_file(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("name = gsq_equivalence\n")
+        with pytest.raises(ConfigError, match="malformed"):
+            load_config(ini)
+
+    def test_no_file_gives_defaults(self):
+        cfg = load_config(None, experiment="rates_sweep")
+        assert (cfg.seed, cfg.out_dir, cfg.svg) == (0, ".", False)
+        assert (cfg.data, cfg.run) == ({}, {})
 
 
 def test_experiment_names_stable():

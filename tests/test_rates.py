@@ -14,6 +14,7 @@ from amboost.rates import (
     rate_general,
     rate_quadratic,
 )
+from amboost.tableio import write_csv
 
 
 def equicorrelated_design(rng, n, p, rho):
@@ -130,7 +131,7 @@ class TestCheckBound:
         path, gamma, loss_opt = self.quadratic_run(seed=7, n_steps=20)
         report = check_bound(path, gamma, loss_opt)
         out = tmp_path / "rates.csv"
-        report.to_csv(out)
+        write_csv(out, *report.table())
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "gap", "bound", "compliant"]
