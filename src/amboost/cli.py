@@ -27,10 +27,8 @@ from .design import (
 from .errors import ConfigError, NumericError
 from .experiments import (
     EXPERIMENTS,
-    _as_tuple,
-    _check_keys,
     _load_ini,
-    _resolve_seed,
+    _typed_section,
     emit_report,
     load_artifact,
     load_config,
@@ -64,27 +62,29 @@ _CLI_DEFAULTS = {
 
 
 def _load_cli_config(args):
-    """Sections of ``--config`` over :data:`_CLI_DEFAULTS`, and the seed."""
+    """Typed sections of ``--config`` over :data:`_CLI_DEFAULTS`, and the seed."""
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
     ini = _load_ini(args.config, tuple(_CLI_DEFAULTS))
-    for name, values in ini.items():
-        _check_keys(name, values, _CLI_DEFAULTS[name])
     config = {
-        name: {**defaults, **ini.get(name, {})}
+        name: _typed_section(name, ini.get(name, {}), defaults)
         for name, defaults in _CLI_DEFAULTS.items()
     }
-    return config, _resolve_seed(args.seed, ini)
+    seed = args.seed if args.seed is not None else config["experiment"]["seed"]
+    return config, seed
+
+
+def _as_tuple(v):
+    return v if isinstance(v, (tuple, list)) else (v,)
 
 
 def _data_from_config(data, seed):
-    p = int(data["p"])
+    p = data["p"]
     beta_true = data["beta_true"] if data["beta_true"] is not None else (1.0,) * p
-    family = str(data["family"])
     X, y = synth_glm_data(
-        int(data["n"]), p, float(data["rho"]), _as_tuple(beta_true), family, seed
+        data["n"], p, data["rho"], _as_tuple(beta_true), data["family"], seed
     )
-    return X, y, family
+    return X, y, data["family"]
 
 
 def _loss_for(family):
@@ -98,15 +98,13 @@ def _loss_for(family):
 
 
 def _blocks_from_config(run, p):
-    blocks = str(run["blocks"])
-    lam = float(run["lam"])
-    penalty = str(run["penalty"])
+    blocks, lam, penalty = run["blocks"], run["lam"], run["penalty"]
     if blocks == "singleton":
         sizes = [1] * p
     elif blocks == "joint":
         sizes = [p]
     else:
-        sizes = [int(s) for s in str(blocks).split("+")]
+        sizes = [int(s) for s in blocks.split("+")]
         if sum(sizes) != p:
             raise ConfigError(f"block sizes {sizes} do not cover p={p}")
     specs = []
@@ -128,10 +126,7 @@ def _blocks_from_config(run, p):
 
 
 def _boost_config(run):
-    # each value takes the type of the field's default
-    return BoostConfig(
-        **{f.name: type(f.default)(run[f.name]) for f in fields(BoostConfig)}
-    )
+    return BoostConfig(**{f.name: run[f.name] for f in fields(BoostConfig)})
 
 
 def _cmd_fit(args):
@@ -156,10 +151,7 @@ def _cmd_oracle(args):
     if family != "gaussian":
         raise ConfigError("closed-form paths require the gaussian family")
     oracle = config["oracle"]
-    nu = float(oracle["nu"])
-    lam = float(oracle["lam"])
-    penalty = str(oracle["penalty"])
-    ks = [int(k) for k in _as_tuple(oracle["ks"])]
+    nu, lam, penalty, ks = oracle["nu"], oracle["lam"], oracle["penalty"], oracle["ks"]
     p = X.shape[1]
     if lam == 0.0:
         P = None
@@ -200,7 +192,7 @@ def _cmd_rates(args):
     beta_star = np.linalg.lstsq(X, y, rcond=None)[0]
     loss_opt = 0.5 * float(np.sum((y - X @ beta_star) ** 2))
     gamma = rate_quadratic(X.T @ X, part.n_blocks, cfg.nu)
-    report = check_bound(path, gamma, loss_opt, n_blocks=part.n_blocks, nu=cfg.nu)
+    report = check_bound(path, gamma, loss_opt)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "rate_report.csv"

@@ -131,7 +131,6 @@ class ImplicitPenalty:
     k: int
     nu: float
     lam: float
-    s_lambda: np.ndarray
     beta_check: np.ndarray
     conditioning_warning: bool = False
 
@@ -163,14 +162,12 @@ def implicit_penalty(X, y, P, lam, nu, k):
     warning = bool(np.any(~np.isfinite(denom)))
     gamma = A_half @ (V @ (g[:, None] * V.T)) @ A_half
     gamma = 0.5 * (gamma + gamma.T)
-    s_lambda = np.linalg.solve(A, G)
     beta_check = np.linalg.solve(G + gamma, X.T @ np.asarray(y, dtype=float))
     return ImplicitPenalty(
         gamma=gamma,
         k=int(k),
         nu=float(nu),
         lam=float(lam),
-        s_lambda=s_lambda,
         beta_check=beta_check,
         conditioning_warning=warning,
     )

@@ -242,12 +242,20 @@ def make_partition(X, specs):
     Raises
     ------
     ValueError
-        If the column sets overlap or fail to cover all columns, or a
-        block violates its own invariants.
+        If the design has no rows or a non-finite entry (named by its
+        row and column), the column sets overlap or fail to cover all
+        columns, or a block violates its own invariants.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("design matrix must be 2-dimensional")
+    if X.shape[0] == 0:
+        raise ValueError("design matrix has no rows")
+    # min and max are non-finite exactly when some entry is, and need no
+    # n x p temporary
+    if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"design matrix entry ({row}, {col}) is not finite")
     p = X.shape[1]
     specs = [_normalize_spec(s) for s in specs]
     seen = np.zeros(p, dtype=bool)

@@ -1,17 +1,28 @@
 """Reproducible synthetic experiments and run artifacts.
 
 Each named scenario generates its own data from a seed, runs the
-relevant procedures, writes CSV tables (and optional SVG charts) into
-its own subdirectory, and records pass/fail checks in a manifest.
-Identical configuration and seed produce byte-identical CSV output; the
-random stream comes from numpy's seeded default generator (PCG64) and
-the algorithm name is pinned in the manifest.
+relevant procedures and returns its tables, pass/fail checks, captured
+numeric errors and charts. :func:`run_experiment` alone writes them:
+one CSV per table (and, on request, one SVG per chart) into the
+scenario's own subdirectory, plus a manifest. Identical configuration
+and seed produce byte-identical CSV output; the random stream comes
+from numpy's seeded default generator (PCG64) and the algorithm name is
+pinned in the manifest.
+
+Every config value takes the type of its default, once, in
+:func:`_typed`: a scalar for a tuple default becomes a 1-tuple, each
+element typed like the default's first; a ``None`` default passes the
+value through; a text default takes any single value as text. A value
+that does not convert exactly (a list for a scalar key, an empty list,
+text for a number, a non-integral number for an integer, anything but
+true/false for a flag) is a :class:`ConfigError` naming ``section.key``.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,8 +68,7 @@ EXPERIMENTS = (
 
 _DEFAULTS = {
     "path_matching": {
-        "data": {"n": 100, "p": 2, "rho": 0.7, "beta_true": (3.0, -2.0),
-                 "family": "gaussian"},
+        "data": {"n": 100, "rho": 0.7, "beta_true": (3.0, -2.0)},
         "run": {"nu": 0.1, "max_iter": 10000, "grid_points": 200,
                 "isotropic_k": 500},
     },
@@ -109,15 +119,16 @@ class ExperimentConfig:
                 f"choose from {', '.join(EXPERIMENTS)}"
             )
         for section in ("data", "run"):
-            _check_keys(section, getattr(self, section),
-                        _DEFAULTS[self.experiment][section])
+            _typed_section(section, getattr(self, section),
+                           _DEFAULTS[self.experiment][section])
 
     def param(self, section, key):
-        merged = dict(_DEFAULTS[self.experiment][section])
-        merged.update(getattr(self, section))
-        if key not in merged:
+        """The override or default of ``section.key``, typed like the default."""
+        defaults = _DEFAULTS[self.experiment][section]
+        if key not in defaults:
             raise ConfigError(f"missing parameter {section}.{key}")
-        return merged[key]
+        value = getattr(self, section).get(key, defaults[key])
+        return _typed(section, key, value, defaults[key])
 
 
 @dataclass
@@ -153,6 +164,8 @@ def synth_glm_data(n, p, rho, beta_true, family, seed):
     and sampled; the gaussian family adds unit-variance noise.
     """
     beta_true = np.asarray(beta_true, dtype=float)
+    if n < 1:
+        raise ConfigError(f"need at least one observation, got n={n}")
     if p != beta_true.size:
         raise ConfigError("beta_true length must equal p")
     if not abs(rho) < 1.0 or (p > 1 and rho <= -1.0 / (p - 1)):
@@ -179,6 +192,8 @@ def synth_glm_data(n, p, rho, beta_true, family, seed):
 def synth_survival_data(n, p, beta_true, seed, censor_rate=0.3):
     """Exponential survival times with proportional hazards in X beta."""
     beta_true = np.asarray(beta_true, dtype=float)
+    if n < 1:
+        raise ConfigError(f"need at least one observation, got n={n}")
     if p != beta_true.size:
         raise ConfigError("beta_true length must equal p")
     rng = np.random.default_rng(seed)
@@ -195,10 +210,6 @@ def _check(name, passed, detail=""):
     return {"name": name, "passed": bool(passed), "detail": str(detail)}
 
 
-def _as_tuple(v):
-    return v if isinstance(v, (tuple, list)) else (v,)
-
-
 def _thin_indices(n_rows, keep=250):
     if n_rows <= keep:
         return np.arange(n_rows)
@@ -206,31 +217,27 @@ def _thin_indices(n_rows, keep=250):
     return idx
 
 
-def _scenario_path_matching(cfg, out):
-    files, checks, errors, svgs = {}, [], [], {}
-    n = int(cfg.param("data", "n"))
-    rho = float(cfg.param("data", "rho"))
-    beta_true = tuple(_as_tuple(cfg.param("data", "beta_true")))
-    nu = float(cfg.param("run", "nu"))
-    max_iter = int(cfg.param("run", "max_iter"))
-    grid_points = int(cfg.param("run", "grid_points"))
+def _scenario_path_matching(cfg):
+    tables, checks, errors, charts = {}, [], [], {}
+    n = cfg.param("data", "n")
+    rho = cfg.param("data", "rho")
+    beta_true = cfg.param("data", "beta_true")
+    nu = cfg.param("run", "nu")
+    max_iter = cfg.param("run", "max_iter")
 
     X, y = synth_glm_data(n, len(beta_true), rho, beta_true, "gaussian", cfg.seed)
     part = make_partition(X, single_block(X.shape[1]))
     path = run_boost(
         part, l2(), y, BoostConfig(nu=nu, max_iter=max_iter, mode="joint")
     )
-    write_csv(out / "boost_path.csv", *path.table(_thin_indices(len(path.betas), 500)))
-    files["boost_path"] = "boost_path.csv"
+    tables["boost_path"] = path.table(_thin_indices(len(path.betas), 500))
 
-    grid = np.logspace(-6, 6, grid_points)
+    grid = np.logspace(-6, 6, cfg.param("run", "grid_points"))
     ridge_path = np.array([ridge_solve(X, y, lam) for lam in grid])
-    write_csv(
-        out / "ridge_path.csv",
+    tables["ridge_path"] = (
         ["lambda"] + [f"beta_{j + 1}" for j in range(X.shape[1])],
         [[float(lam)] + [float(v) for v in row] for lam, row in zip(grid, ridge_path)],
     )
-    files["ridge_path"] = "ridge_path.csv"
 
     # correlated features: some boosting iterate stays away from every
     # ridge solution on the grid
@@ -240,12 +247,10 @@ def _scenario_path_matching(cfg, out):
             for k in range(1, len(path.betas))
         ]
     )
-    write_csv(
-        out / "ridge_mismatch.csv",
+    tables["ridge_mismatch"] = (
         ["k", "min_gap_over_grid"],
         [[k + 1, float(g)] for k, g in enumerate(min_gaps)],
     )
-    files["ridge_mismatch"] = "ridge_mismatch.csv"
     worst = float(min_gaps.max())
     checks.append(
         _check(
@@ -261,7 +266,7 @@ def _scenario_path_matching(cfg, out):
     X_iso = 1.3 * Q
     y_iso = X_iso @ np.asarray(beta_true) + rng.standard_normal(size=n)
     sigma2 = 1.3**2
-    ks = np.arange(1, int(cfg.param("run", "isotropic_k")) + 1)
+    ks = np.arange(1, cfg.param("run", "isotropic_k") + 1)
     worst_rel = 0.0
     rows = []
     for k in ks:
@@ -271,8 +276,7 @@ def _scenario_path_matching(cfg, out):
         rel = float(np.linalg.norm(bO - bR) / (np.linalg.norm(bR) + 1e-300))
         worst_rel = max(worst_rel, rel)
         rows.append([int(k), float(lam_k), rel])
-    write_csv(out / "isotropic_check.csv", ["k", "lambda_tilde", "rel_err"], rows)
-    files["isotropic_check"] = "isotropic_check.csv"
+    tables["isotropic_check"] = (["k", "lambda_tilde", "rel_err"], rows)
     checks.append(
         _check(
             "isotropic_matches_ridge",
@@ -281,42 +285,40 @@ def _scenario_path_matching(cfg, out):
         )
     )
 
-    if cfg.svg:
-        write_line_svg(
-            out / "paths.svg",
-            {
-                "boosting": (path.betas[:, 0], path.betas[:, 1]),
-                "ridge": (ridge_path[:, 0], ridge_path[:, 1]),
-            },
-            title="coefficient paths",
-            xlabel="beta_1",
-            ylabel="beta_2",
-        )
-        svgs["paths"] = "paths.svg"
-    return files, checks, errors, svgs
+    charts["paths"] = dict(
+        series={
+            "boosting": (path.betas[:, 0], path.betas[:, 1]),
+            "ridge": (ridge_path[:, 0], ridge_path[:, 1]),
+        },
+        title="coefficient paths",
+        xlabel="beta_1",
+        ylabel="beta_2",
+    )
+    return tables, checks, errors, charts
 
 
-def _scenario_pspline_unpenalized(cfg, out):
-    files, checks, errors, svgs = {}, [], [], {}
-    n = int(cfg.param("data", "n"))
+def _scenario_pspline_unpenalized(cfg):
+    tables, checks, errors, charts = {}, [], [], {}
+    n = cfg.param("data", "n")
     spec = SplineSpec(
-        n_knots=int(cfg.param("data", "n_knots")),
-        degree=int(cfg.param("data", "degree")),
-        diff_order=int(cfg.param("data", "diff_order")),
+        n_knots=cfg.param("data", "n_knots"),
+        degree=cfg.param("data", "degree"),
+        diff_order=cfg.param("data", "diff_order"),
     )
     rng = np.random.default_rng(cfg.seed)
     x = np.linspace(0.0, 1.0, n)
     X = bspline_basis(x, spec)
-    y = np.sin(2 * np.pi * x) + float(cfg.param("data", "noise")) * rng.standard_normal(n)
+    y = np.sin(2 * np.pi * x) + cfg.param("data", "noise") * rng.standard_normal(n)
     P = difference_penalty(spec.n_basis, spec.diff_order)
     beta_ols = np.linalg.lstsq(X, y, rcond=None)[0]
-    nu = float(cfg.param("run", "nu"))
-    max_iter = int(cfg.param("run", "max_iter"))
+    nu = cfg.param("run", "nu")
+    max_iter = cfg.param("run", "max_iter")
     scale = 1.0 + np.linalg.norm(beta_ols)
+    fit_grid = np.linspace(0.0, 1.0, 200)
+    B = bspline_basis(fit_grid, spec)
 
     summary_rows = []
-    for lam in _as_tuple(cfg.param("run", "lams")):
-        lam = float(lam)
+    for lam in cfg.param("run", "lams"):
         part = make_partition(X, [pspline_block_spec(range(spec.n_basis), spec, lam)])
         path = run_boost(
             part, l2(), y, BoostConfig(nu=nu, max_iter=max_iter, mode="joint")
@@ -334,9 +336,7 @@ def _scenario_pspline_unpenalized(cfg, out):
         d_gbcd = float(np.linalg.norm(gbcd_path.final - beta_pls))
         pen_size = lam * float(np.linalg.norm(P @ beta_ols))
         tag = f"lam_{lam:g}"
-        write_csv(out / f"boost_path_{tag}.csv",
-                  *path.table(_thin_indices(len(path.betas))))
-        files[f"boost_path_{tag}"] = f"boost_path_{tag}.csv"
+        tables[f"boost_path_{tag}"] = path.table(_thin_indices(len(path.betas)))
         summary_rows.append([lam, d_unpen, d_pen, d_gbcd, pen_size])
         checks.append(
             _check(
@@ -359,37 +359,30 @@ def _scenario_pspline_unpenalized(cfg, out):
                 f"|beta_descent - beta_pen| = {d_gbcd:.3e}",
             )
         )
-        if cfg.svg:
-            fit_grid = np.linspace(0.0, 1.0, 200)
-            B = bspline_basis(fit_grid, spec)
-            write_line_svg(
-                out / f"fits_{tag}.svg",
-                {
-                    "boosted": (fit_grid, B @ path.final),
-                    "penalized": (fit_grid, B @ beta_pls),
-                    "unpenalized": (fit_grid, B @ beta_ols),
-                },
-                title=f"fits at lam={lam:g}",
-                xlabel="x",
-                ylabel="fit",
-            )
-            svgs[f"fits_{tag}"] = f"fits_{tag}.svg"
-    write_csv(
-        out / "summary.csv",
+        charts[f"fits_{tag}"] = dict(
+            series={
+                "boosted": (fit_grid, B @ path.final),
+                "penalized": (fit_grid, B @ beta_pls),
+                "unpenalized": (fit_grid, B @ beta_ols),
+            },
+            title=f"fits at lam={lam:g}",
+            xlabel="x",
+            ylabel="fit",
+        )
+    tables["summary"] = (
         ["lam", "dist_unpenalized", "dist_penalized", "dist_descent_penalized",
          "penalty_at_unpenalized"],
         summary_rows,
     )
-    files["summary"] = "summary.csv"
-    return files, checks, errors, svgs
+    return tables, checks, errors, charts
 
 
-def _scenario_rates_sweep(cfg, out):
-    files, checks, errors, svgs = {}, [], [], {}
-    n = int(cfg.param("data", "n"))
-    p_grid = [int(p) for p in _as_tuple(cfg.param("data", "p_grid"))]
-    rho_grid = [float(r) for r in _as_tuple(cfg.param("data", "rho_grid"))]
-    nu = float(cfg.param("run", "nu"))
+def _scenario_rates_sweep(cfg):
+    tables, checks, errors, charts = {}, [], [], {}
+    n = cfg.param("data", "n")
+    p_grid = cfg.param("data", "p_grid")
+    rho_grid = cfg.param("data", "rho_grid")
+    nu = cfg.param("run", "nu")
 
     rows = []
     gammas = {}
@@ -405,12 +398,7 @@ def _scenario_rates_sweep(cfg, out):
             gamma = rate_quadratic(Q, p, nu)
             gammas[(rho, p)] = gamma
             rows.append([p, rho, mu, lmax, gamma])
-    write_csv(
-        out / "rates_grid.csv",
-        ["p", "rho", "lambda_pmin", "lambda_max", "gamma"],
-        rows,
-    )
-    files["rates_grid"] = "rates_grid.csv"
+    tables["rates_grid"] = (["p", "rho", "lambda_pmin", "lambda_max", "gamma"], rows)
 
     in_range = all(0.0 <= g < 1.0 for g in gammas.values())
     checks.append(_check("gamma_in_unit_interval", in_range))
@@ -428,7 +416,7 @@ def _scenario_rates_sweep(cfg, out):
     rng = np.random.default_rng(cfg.seed + 7)
     comp_rows = []
     all_ok = True
-    for trial in range(int(cfg.param("run", "check_instances"))):
+    for trial in range(cfg.param("run", "check_instances")):
         p = int(rng.integers(2, 12))
         rho = float(rng.choice([0.0, 0.5, 0.9]))
         X, y = synth_glm_data(
@@ -438,7 +426,7 @@ def _scenario_rates_sweep(cfg, out):
         part = make_partition(X, singleton_blocks(p))
         path = run_boost(
             part, l2(), y,
-            BoostConfig(nu=nu, max_iter=int(cfg.param("run", "check_iters"))),
+            BoostConfig(nu=nu, max_iter=cfg.param("run", "check_iters")),
         )
         beta_star = np.linalg.lstsq(X, y, rcond=None)[0]
         loss_opt = 0.5 * float(np.sum((y - X @ beta_star) ** 2))
@@ -449,37 +437,34 @@ def _scenario_rates_sweep(cfg, out):
             [trial, p, rho, gamma, report.all_compliant,
              report.first_violation() if report.first_violation() is not None else ""]
         )
-    write_csv(
-        out / "bound_compliance.csv",
+    tables["bound_compliance"] = (
         ["trial", "p", "rho", "gamma", "compliant", "first_violation"],
         comp_rows,
     )
-    files["bound_compliance"] = "bound_compliance.csv"
     checks.append(_check("gap_bound_holds", all_ok))
 
-    if cfg.svg:
-        series = {}
-        for rho in rho_grid:
-            ps = [p for p in p_grid]
-            series[f"rho={rho:g}"] = (ps, [gammas[(rho, p)] for p in ps])
-        write_line_svg(
-            out / "gamma.svg", series, title="rate vs dimension",
-            xlabel="p", ylabel="gamma",
-        )
-        svgs["gamma"] = "gamma.svg"
-    return files, checks, errors, svgs
+    charts["gamma"] = dict(
+        series={
+            f"rho={rho:g}": (list(p_grid), [gammas[(rho, p)] for p in p_grid])
+            for rho in rho_grid
+        },
+        title="rate vs dimension",
+        xlabel="p",
+        ylabel="gamma",
+    )
+    return tables, checks, errors, charts
 
 
-def _scenario_expfam_convergence(cfg, out):
-    files, checks, errors, svgs = {}, [], [], {}
-    n = int(cfg.param("data", "n"))
-    p = int(cfg.param("data", "p"))
-    rho = float(cfg.param("data", "rho"))
-    beta_true = tuple(_as_tuple(cfg.param("data", "beta_true")))
-    nus = [float(v) for v in _as_tuple(cfg.param("run", "nus"))]
-    max_iter = int(cfg.param("run", "max_iter"))
+def _scenario_expfam_convergence(cfg):
+    tables, checks, errors, charts = {}, [], [], {}
+    n = cfg.param("data", "n")
+    p = cfg.param("data", "p")
+    rho = cfg.param("data", "rho")
+    beta_true = cfg.param("data", "beta_true")
+    nus = cfg.param("run", "nus")
+    max_iter = cfg.param("run", "max_iter")
 
-    data_seed = int(cfg.param("data", "seed"))
+    data_seed = cfg.param("data", "seed")
     loss_rows, verdict_rows = [], []
     results = {}
     for family, spec_fn in (("binomial", binomial), ("poisson", poisson)):
@@ -511,15 +496,12 @@ def _scenario_expfam_convergence(cfg, out):
                     path.terminated_by,
                 ]
             )
-    write_csv(out / "loss_paths.csv", ["family", "nu", "k", "loss"], loss_rows)
-    files["loss_paths"] = "loss_paths.csv"
-    write_csv(
-        out / "verdicts.csv",
+    tables["loss_paths"] = (["family", "nu", "k", "loss"], loss_rows)
+    tables["verdicts"] = (
         ["family", "nu", "verdict", "curvature_ok", "first_violation_k",
          "terminated_by"],
         verdict_rows,
     )
-    files["verdicts"] = "verdicts.csv"
 
     binom_ok = all(
         results[("binomial", nu)][0] == "converging" for nu in nus
@@ -546,27 +528,24 @@ def _scenario_expfam_convergence(cfg, out):
         _check("curvature_compliant_rates_converge", compliant_converge)
     )
 
-    if cfg.svg:
-        for family in ("binomial", "poisson"):
-            series = {}
-            for nu in nus:
-                ks = [r[2] for r in loss_rows if r[0] == family and r[1] == nu]
-                ls = [r[3] for r in loss_rows if r[0] == family and r[1] == nu]
-                if ks:
-                    series[f"nu={nu:g}"] = (ks, ls)
-            write_line_svg(
-                out / f"loss_{family}.svg", series,
-                title=f"{family} loss paths", xlabel="k", ylabel="loss",
-            )
-            svgs[f"loss_{family}"] = f"loss_{family}.svg"
-    return files, checks, errors, svgs
+    for family in ("binomial", "poisson"):
+        series = {}
+        for nu in nus:
+            ks = [r[2] for r in loss_rows if r[0] == family and r[1] == nu]
+            ls = [r[3] for r in loss_rows if r[0] == family and r[1] == nu]
+            if ks:
+                series[f"nu={nu:g}"] = (ks, ls)
+        charts[f"loss_{family}"] = dict(
+            series=series, title=f"{family} loss paths", xlabel="k", ylabel="loss",
+        )
+    return tables, checks, errors, charts
 
 
-def _scenario_distreg_divergence(cfg, out):
-    files, checks, errors, svgs = {}, [], [], {}
-    n = int(cfg.param("data", "n"))
-    beta_true = np.asarray(cfg.param("data", "beta_true"), dtype=float)
-    xi_true = np.asarray(cfg.param("data", "xi_true"), dtype=float)
+def _scenario_distreg_divergence(cfg):
+    tables, checks, errors, charts = {}, [], [], {}
+    n = cfg.param("data", "n")
+    beta_true = np.asarray(cfg.param("data", "beta_true"))
+    xi_true = np.asarray(cfg.param("data", "xi_true"))
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(n)
     X = np.column_stack([np.ones(n), x])
@@ -574,19 +553,18 @@ def _scenario_distreg_divergence(cfg, out):
     sigma = np.exp(Z @ xi_true)
     y = X @ beta_true + sigma * rng.standard_normal(n)
 
-    max_iter = int(cfg.param("run", "max_iter"))
+    max_iter = cfg.param("run", "max_iter")
     outcomes = {}
     for label, nu in (
-        ("large", float(cfg.param("run", "nu_large"))),
-        ("small", float(cfg.param("run", "nu_small"))),
+        ("large", cfg.param("run", "nu_large")),
+        ("small", cfg.param("run", "nu_small")),
     ):
         run_cfg = BoostConfig(
             nu=nu, max_iter=max_iter, mode="joint", divergence_guard=True
         )
         res = cyclic_boost_ls(X, Z, y, run_cfg)
         outcomes[label] = res
-        write_csv(out / f"paired_path_{label}.csv", *res.table())
-        files[f"paired_path_{label}"] = f"paired_path_{label}.csv"
+        tables[f"paired_path_{label}"] = res.table()
     checks.append(
         _check(
             "large_step_scale_model_diverges",
@@ -607,17 +585,15 @@ def _scenario_distreg_divergence(cfg, out):
     )
 
     report = biconvexity_check(
-        X, Z, y, trials=int(cfg.param("run", "trials")), seed=cfg.seed
+        X, Z, y, trials=cfg.param("run", "trials"), seed=cfg.seed
     )
-    write_csv(
-        out / "curvature.csv",
+    tables["curvature"] = (
         ["min_eig_mean_block", "min_eig_scale_block", "ray_eig_first",
          "ray_eig_last", "counterexample_indefinite"],
         [[report.min_eig_mean_block, report.min_eig_scale_block,
           float(report.ray_eigs[0]), float(report.ray_eigs[-1]),
           report.counterexample_indefinite]],
     )
-    files["curvature"] = "curvature.csv"
     checks.append(_check("diagonal_blocks_psd", report.diag_blocks_psd))
     checks.append(_check("scale_curvature_unbounded", report.ray_unbounded))
     checks.append(
@@ -625,35 +601,32 @@ def _scenario_distreg_divergence(cfg, out):
                report.counterexample_indefinite)
     )
 
-    if cfg.svg:
-        series = {
-            label: (
-                np.arange(len(res.scale_path.losses)),
-                res.scale_path.losses,
-            )
+    charts["scale_loss"] = dict(
+        series={
+            label: (np.arange(len(res.scale_path.losses)), res.scale_path.losses)
             for label, res in outcomes.items()
-        }
-        write_line_svg(
-            out / "scale_loss.svg", series,
-            title="scale-model loss", xlabel="k", ylabel="nll", log_y=False,
-        )
-        svgs["scale_loss"] = "scale_loss.svg"
-    return files, checks, errors, svgs
+        },
+        title="scale-model loss",
+        xlabel="k",
+        ylabel="nll",
+        log_y=False,
+    )
+    return tables, checks, errors, charts
 
 
-def _scenario_gsq_equivalence(cfg, out):
-    files, checks, errors, svgs = {}, [], [], {}
+def _scenario_gsq_equivalence(cfg):
+    tables, checks, errors, charts = {}, [], [], {}
     rng = np.random.default_rng(cfg.seed)
-    n = int(cfg.param("data", "n"))
-    p_min = int(cfg.param("data", "p_min"))
-    p_max = int(cfg.param("data", "p_max"))
-    nus = [float(v) for v in _as_tuple(cfg.param("run", "nus"))]
-    n_steps = int(cfg.param("run", "n_steps"))
+    n = cfg.param("data", "n")
+    p_min = cfg.param("data", "p_min")
+    p_max = cfg.param("data", "p_max")
+    nus = cfg.param("run", "nus")
+    n_steps = cfg.param("run", "n_steps")
 
-    rho = float(cfg.param("data", "rho"))
+    rho = cfg.param("data", "rho")
     rows = []
     all_identical = True
-    for trial in range(int(cfg.param("run", "n_partitions"))):
+    for trial in range(cfg.param("run", "n_partitions")):
         p = int(rng.integers(p_min, p_max + 1))
         cols = list(range(p))
         specs = []
@@ -667,7 +640,7 @@ def _scenario_gsq_equivalence(cfg, out):
         X = rng.standard_normal(size=(n, p)) @ np.linalg.cholesky(C).T
         y = rng.standard_normal(size=n)
         part = make_partition(X, specs)
-        nu = float(nus[trial % len(nus)])
+        nu = nus[trial % len(nus)]
         report = equivalence_check(part, l2(), y, nu, n_steps)
         full = report.identical and report.n_compared == n_steps + 1
         all_identical = all_identical and full
@@ -675,13 +648,11 @@ def _scenario_gsq_equivalence(cfg, out):
             [trial, p, part.n_blocks, nu, report.identical, report.n_compared,
              report.n_tied_selections]
         )
-    write_csv(
-        out / "equivalence.csv",
+    tables["equivalence"] = (
         ["trial", "p", "n_blocks", "nu", "identical", "n_compared",
          "tied_selections"],
         rows,
     )
-    files["equivalence"] = "equivalence.csv"
     checks.append(
         _check(
             "greedy_boosting_equals_quadratic_norm_descent",
@@ -689,7 +660,7 @@ def _scenario_gsq_equivalence(cfg, out):
             "identical" if all_identical else "some trial differed",
         )
     )
-    return files, checks, errors, svgs
+    return tables, checks, errors, charts
 
 
 _SCENARIOS = {
@@ -705,24 +676,27 @@ _SCENARIOS = {
 def run_experiment(config):
     """Execute a named scenario and write its artifact.
 
-    Creates ``out_dir/<experiment>/`` with CSV tables, optional SVG
-    charts and a ``manifest.json`` echoing the configuration, the
-    library version, the pinned random-stream algorithm, the file
-    inventory with row counts, pass/fail checks and any captured
-    numeric errors (which are recorded rather than raised).
+    A scenario returns its tables, checks, captured numeric errors and
+    charts; this is the only code that writes them. It creates
+    ``out_dir/<experiment>/`` with ``<name>.csv`` for every table,
+    ``<name>.svg`` for every chart when ``config.svg`` is set, and a
+    ``manifest.json`` echoing the configuration, the library version,
+    the pinned random-stream algorithm, the file inventory with row
+    counts, pass/fail checks and any captured numeric errors (which are
+    recorded rather than raised).
     """
     out = Path(config.out_dir) / config.experiment
     out.mkdir(parents=True, exist_ok=True)
-    files, checks, errors, svgs = _SCENARIOS[config.experiment](config, out)
-
-    file_entries = {}
-    for name, rel in files.items():
-        path = out / rel
-        if not path.exists() or path.stat().st_size == 0:
-            raise IntegrityError(f"scenario produced no data for {name}")
-        with open(path) as fh:
-            rows = sum(1 for _ in fh) - 1
-        file_entries[name] = {"path": rel, "rows": rows}
+    tables, checks, errors, charts = _SCENARIOS[config.experiment](config)
+    files = {
+        name: {"path": f"{name}.csv", "rows": write_csv(out / f"{name}.csv", *table)}
+        for name, table in tables.items()
+    }
+    svgs = {}
+    if config.svg:
+        for name, chart in charts.items():
+            write_line_svg(out / f"{name}.svg", **chart)
+            svgs[name] = f"{name}.svg"
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,
@@ -730,10 +704,10 @@ def run_experiment(config):
         "rng": RNG_ALGORITHM,
         "config": {"data": dict(config.data), "run": dict(config.run),
                    "svg": config.svg},
-        "files": file_entries,
-        "svgs": dict(svgs),
+        "files": files,
+        "svgs": svgs,
         "checks": checks,
-        "numeric_errors": list(errors),
+        "numeric_errors": errors,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -812,14 +786,52 @@ def _parse_value(text):
     return text
 
 
-def _check_keys(section, values, allowed):
-    """Reject any key of ``values`` that ``allowed`` does not list."""
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _typed(section, key, value, default):
+    """``value`` as the type of ``default`` (rules in the module docstring)."""
+    if default is None:
+        return value
+    if isinstance(default, tuple):
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if not items:
+            raise ConfigError(f"config key {section}.{key} needs at least one value")
+        return tuple(_typed(section, key, v, default[0]) for v in items)
+    kind = type(default)
+    if isinstance(value, (tuple, list)):
+        raise ConfigError(f"config key {section}.{key} takes one value, got {value!r}")
+    if kind is str:
+        return str(value)
+    if kind is bool or isinstance(value, bool):
+        exact = type(value) is kind
+    elif isinstance(value, numbers.Real):
+        exact = kind is float or float(value).is_integer()
+    else:
+        exact = False
+    if not exact:
+        raise ConfigError(
+            f"config key {section}.{key} must be {_KIND_NAMES[kind]}, got {value!r}"
+        )
+    return kind(value)
+
+
+def _typed_section(section, values, defaults):
+    """``defaults`` overridden by ``values``, every value typed by :func:`_typed`.
+
+    A key of ``values`` that ``defaults`` does not list is a
+    :class:`ConfigError` naming it.
+    """
     for key in values:
-        if key not in allowed:
+        if key not in defaults:
             raise ConfigError(
                 f"unknown config key {section}.{key}; "
-                f"allowed: {', '.join(sorted(allowed))}"
+                f"allowed: {', '.join(sorted(defaults))}"
             )
+    return {
+        key: _typed(section, key, values.get(key, default), default)
+        for key, default in defaults.items()
+    }
 
 
 def _load_ini(path, sections):
@@ -849,11 +861,8 @@ def _load_ini(path, sections):
     }
 
 
-def _resolve_seed(seed, ini):
-    """The explicit seed, else the file's ``[experiment] seed``, else 0."""
-    if seed is not None:
-        return seed
-    return int(ini.get("experiment", {}).get("seed", 0))
+# ``[experiment]`` keys of an experiment config file, with their defaults
+_EXPERIMENT_KEYS = {"name": None, "seed": 0, "out": ".", "svg": False}
 
 
 def load_config(path, experiment=None, seed=None, out_dir=None, svg=None):
@@ -865,16 +874,15 @@ def load_config(path, experiment=None, seed=None, out_dir=None, svg=None):
     file values; ``path=None`` reads no file.
     """
     ini = _load_ini(path, ("experiment", "data", "run"))
-    exp = ini.get("experiment", {})
-    _check_keys("experiment", exp, ("name", "out", "seed", "svg"))
-    name = experiment or exp.get("name")
+    exp = _typed_section("experiment", ini.get("experiment", {}), _EXPERIMENT_KEYS)
+    name = experiment or exp["name"]
     if not name:
         raise ConfigError("no experiment name given (config [experiment] name=...)")
     return ExperimentConfig(
         experiment=name,
-        seed=_resolve_seed(seed, ini),
-        out_dir=out_dir if out_dir is not None else str(exp.get("out", ".")),
-        svg=bool(svg if svg is not None else exp.get("svg", False)),
+        seed=seed if seed is not None else exp["seed"],
+        out_dir=out_dir if out_dir is not None else exp["out"],
+        svg=svg if svg is not None else exp["svg"],
         data=ini.get("data", {}),
         run=ini.get("run", {}),
     )

@@ -95,11 +95,6 @@ class RateReport:
     compliant: np.ndarray
     all_compliant: bool
     note: str = ""
-    mu: float = None
-    lipschitz: float = None
-    block_lipschitz: float = None
-    n_blocks: int = None
-    nu: float = None
 
     def first_violation(self):
         """Index of the first non-compliant iteration, or None."""
@@ -115,7 +110,7 @@ class RateReport:
         return ["k", "gap", "bound", "compliant"], rows
 
 
-def check_bound(path, gamma, loss_opt, slack_rel=1e-9, **constants):
+def check_bound(path, gamma, loss_opt, slack_rel=1e-9):
     """Check ``loss[k] - loss_opt <= gamma^k * (loss[0] - loss_opt)``.
 
     Parameters
@@ -129,9 +124,6 @@ def check_bound(path, gamma, loss_opt, slack_rel=1e-9, **constants):
         reference run otherwise.
     slack_rel : float
         Compliance slack as a fraction of the initial gap.
-    constants : optional
-        ``mu``, ``lipschitz``, ``block_lipschitz``, ``n_blocks``, ``nu``
-        recorded into the report for bookkeeping.
     """
     gaps = np.asarray(path.losses, dtype=float) - float(loss_opt)
     gap0 = gaps[0]
@@ -143,7 +135,6 @@ def check_bound(path, gamma, loss_opt, slack_rel=1e-9, **constants):
             compliant=np.ones(len(gaps), dtype=bool),
             all_compliant=True,
             note="already optimal at the start iterate",
-            **constants,
         )
     ks = np.arange(len(gaps))
     bounds = gamma**ks * gap0
@@ -155,7 +146,6 @@ def check_bound(path, gamma, loss_opt, slack_rel=1e-9, **constants):
         bounds=bounds,
         compliant=compliant,
         all_compliant=bool(compliant.all()),
-        **constants,
     )
 
 

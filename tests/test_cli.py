@@ -73,6 +73,30 @@ class TestFit:
         assert f"unknown config key {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[run]\nnu = 0.1,0.2\n", "run.nu"),
+            ("[run]\nmax_iter = 2.5\n", "run.max_iter"),
+            ("[run]\ndivergence_guard = maybe\n", "run.divergence_guard"),
+            ("[data]\nn = many\n", "data.n"),
+            ("[oracle]\nks = 1,x\n", "oracle.ks"),
+        ],
+    )
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, text, key):
+        cfg = write_ini(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+        assert f"config error: config key {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_data_is_config_error(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[data]\nn = 0\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+        assert "n=0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_section_is_config_error(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, "[runs]\nmax_iter = 5\n")
         assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -178,6 +202,22 @@ class TestExperimentAndReport:
         for row in rows:
             assert row["identical"] == "True"
             assert int(row["n_compared"]) == 200 + 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_steps = 1,2", "config key run.n_steps takes one value"),
+            # an empty list used to crash the scenario with ZeroDivisionError
+            ("nus = ,", "config key run.nus needs at least one value"),
+        ],
+    )
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, line, message):
+        cfg = write_ini(tmp_path, f"[run]\n{line}\n")
+        out = tmp_path / "art"
+        assert main(["experiment", "gsq_equivalence", "--config", cfg,
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_on_missing_dir_is_config_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "void")]) == 1

@@ -144,6 +144,19 @@ class TestPartition:
         with pytest.raises(ValueError, match="overlap"):
             make_partition(X, [((0, 1),), ((1, 2),)])
 
+    def test_empty_design_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            make_partition(np.empty((0, 2)), singleton_blocks(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        # a NaN used to surface only later, as "SVD did not converge"
+        X = np.ones((4, 3))
+        X[2, 1] = bad
+        X[3, 0] = bad
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) is not finite"):
+            make_partition(X, singleton_blocks(3))
+
     def test_singleton_blocks(self):
         X = np.random.default_rng(3).normal(size=(6, 4))
         part = make_partition(X, singleton_blocks(4))

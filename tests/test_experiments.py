@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -45,6 +46,10 @@ class TestSynthData:
             synth_glm_data(10, 2, 0.5, (1.0, 1.0), "gamma", 0)
         with pytest.raises(ConfigError):
             synth_glm_data(10, 3, 0.5, (1.0, 1.0), "gaussian", 0)
+        with pytest.raises(ConfigError, match="n=0"):
+            synth_glm_data(0, 2, 0.5, (1.0, 1.0), "gaussian", 0)
+        with pytest.raises(ConfigError, match="n=0"):
+            synth_survival_data(0, 2, (1.0, 1.0), 0)
 
     def test_binomial_outcomes(self):
         _, y = synth_glm_data(60, 2, 0.5, (1.0, -1.0), "binomial", seed=2)
@@ -102,6 +107,63 @@ class TestRunExperiment:
                 out_dir=str(tmp_path),
                 **{section: {"n_steps_typo": 5}},
             )
+
+    @pytest.mark.parametrize(
+        "section, values, match",
+        [
+            ("run", {"max_iter": 2.5}, r"run\.max_iter must be an integer"),
+            ("run", {"nu": "fast"}, r"run\.nu must be a number"),
+            ("run", {"nu": True}, r"run\.nu must be a number"),
+            ("run", {"nu": (0.1, 0.2)}, r"run\.nu takes one value"),
+            ("data", {"beta_true": ()}, r"data\.beta_true needs at least one value"),
+            ("data", {"beta_true": (1.0, "x")}, r"data\.beta_true must be a number"),
+        ],
+    )
+    def test_mistyped_parameter_rejected(self, tmp_path, section, values, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(
+                experiment="path_matching", out_dir=str(tmp_path), **{section: values}
+            )
+
+    def test_param_takes_the_default_type(self, tmp_path):
+        cfg = ExperimentConfig(
+            experiment="pspline_unpenalized",
+            out_dir=str(tmp_path),
+            data={"n": 50.0, "noise": 1},
+            run={"lams": 2},
+        )
+        n, noise = cfg.param("data", "n"), cfg.param("data", "noise")
+        lams = cfg.param("run", "lams")
+        assert (n, noise, lams) == (50, 1.0, (2.0,))
+        assert (type(n), type(noise), type(lams[0])) == (int, float, float)
+        assert cfg.param("run", "max_iter") == 50000
+        assert cfg.run == {"lams": 2}
+
+    @pytest.mark.parametrize("svg", [True, False])
+    def test_inventory_matches_written_files(self, tmp_path, svg):
+        artifact = run_experiment(
+            ExperimentConfig(
+                experiment="distreg_divergence",
+                out_dir=str(tmp_path),
+                svg=svg,
+                run={"max_iter": 50, "trials": 5},
+            )
+        )
+        manifest = artifact.manifest
+        assert set(manifest["files"]) == {
+            "paired_path_large", "paired_path_small", "curvature"
+        }
+        for name, path in artifact.files.items():
+            with open(path, newline="") as fh:
+                n_data_rows = len(list(csv.reader(fh))) - 1
+            assert manifest["files"][name]["rows"] == n_data_rows
+        if svg:
+            assert manifest["svgs"] == {"scale_loss": "scale_loss.svg"}
+            for rel in manifest["svgs"].values():
+                assert (artifact.out_dir / rel).stat().st_size > 0
+        else:
+            assert manifest["svgs"] == {}
+            assert not list(artifact.out_dir.glob("*.svg"))
 
     def test_pspline_scenario_small(self, tmp_path):
         cfg = ExperimentConfig(
@@ -227,11 +289,29 @@ class TestLoadConfig:
              r"experiment\.svgs"),
             ("[experiment]\nname = gsq_equivalence\n\n[oracle]\nnu = 0.5\n",
              r"section \[oracle\]"),
+            # path_matching draws p from beta_true and is always gaussian
+            ("[experiment]\nname = path_matching\n\n[data]\np = 3\n",
+             r"data\.p;"),
+            ("[experiment]\nname = path_matching\n\n[data]\nfamily = poisson\n",
+             r"data\.family"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, text, match):
         ini = tmp_path / "cfg.ini"
         ini.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_config(ini)
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("svg = maybe", r"experiment\.svg must be true or false"),
+            ("seed = 1.5", r"experiment\.seed must be an integer"),
+        ],
+    )
+    def test_mistyped_value_rejected(self, tmp_path, line, match):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[experiment]\nname = gsq_equivalence\n{line}\n")
         with pytest.raises(ConfigError, match=match):
             load_config(ini)
 

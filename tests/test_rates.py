@@ -106,7 +106,7 @@ class TestCheckBound:
 
     def test_compliant_at_every_iteration(self):
         path, gamma, loss_opt = self.quadratic_run()
-        report = check_bound(path, gamma, loss_opt, nu=1.0)
+        report = check_bound(path, gamma, loss_opt)
         assert report.all_compliant
         assert report.first_violation() is None
 
