@@ -64,7 +64,6 @@ from .losses import (
     loss_value,
     neg_functional_gradient,
     poisson,
-    smoothness_constant,
 )
 from .rates import (
     RateReport,

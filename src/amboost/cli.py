@@ -28,6 +28,7 @@ from .errors import ConfigError, NumericError
 from .experiments import (
     EXPERIMENTS,
     _load_ini,
+    _typed,
     _typed_section,
     emit_report,
     load_artifact,
@@ -45,8 +46,9 @@ EXIT_NUMERIC = 2
 EXIT_ACCEPTANCE = 3
 
 
-# Every key ``fit``, ``oracle`` and ``rates`` read, with its default;
-# ``beta_true`` defaults to p ones.
+# Every key ``fit``, ``oracle`` and ``rates`` read, with its default.
+# ``beta_true`` (p ones) and ``gamma_ks`` (none) are typed where they are
+# read, with float and integer elements.
 _CLI_DEFAULTS = {
     "experiment": {"seed": 0},
     "data": {"n": 100, "p": 2, "rho": 0.0, "beta_true": None, "family": "gaussian"},
@@ -74,16 +76,12 @@ def _load_cli_config(args):
     return config, seed
 
 
-def _as_tuple(v):
-    return v if isinstance(v, (tuple, list)) else (v,)
-
-
 def _data_from_config(data, seed):
     p = data["p"]
-    beta_true = data["beta_true"] if data["beta_true"] is not None else (1.0,) * p
-    X, y = synth_glm_data(
-        data["n"], p, data["rho"], _as_tuple(beta_true), data["family"], seed
-    )
+    beta_true = (1.0,) * p
+    if data["beta_true"] is not None:
+        beta_true = _typed("data", "beta_true", data["beta_true"], (1.0,))
+    X, y = synth_glm_data(data["n"], p, data["rho"], beta_true, data["family"], seed)
     return X, y, data["family"]
 
 
@@ -152,6 +150,9 @@ def _cmd_oracle(args):
         raise ConfigError("closed-form paths require the gaussian family")
     oracle = config["oracle"]
     nu, lam, penalty, ks = oracle["nu"], oracle["lam"], oracle["penalty"], oracle["ks"]
+    gamma_ks = ()
+    if oracle["gamma_ks"] is not None:
+        gamma_ks = _typed("oracle", "gamma_ks", oracle["gamma_ks"], (0,))
     p = X.shape[1]
     if lam == 0.0:
         P = None
@@ -171,12 +172,11 @@ def _cmd_oracle(args):
         [[k] + [float(v) for v in row] for k, row in zip(ks, pts)],
     )
     print(f"wrote {target}")
-    if oracle["gamma_ks"] is not None:
-        for k in _as_tuple(oracle["gamma_ks"]):
-            ip = implicit_penalty(X, y, P, lam, nu, int(k))
-            gpath = out / f"implicit_penalty_k{int(k)}.csv"
-            write_csv(gpath, [f"c{j + 1}" for j in range(ip.gamma.shape[1])], ip.gamma)
-            print(f"wrote {gpath}")
+    for k in gamma_ks:
+        ip = implicit_penalty(X, y, P, lam, nu, k)
+        gpath = out / f"implicit_penalty_k{k}.csv"
+        write_csv(gpath, [f"c{j + 1}" for j in range(ip.gamma.shape[1])], ip.gamma)
+        print(f"wrote {gpath}")
     return EXIT_OK
 
 

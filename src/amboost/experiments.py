@@ -1,8 +1,8 @@
 """Reproducible synthetic experiments and run artifacts.
 
 Each named scenario generates its own data from a seed, runs the
-relevant procedures and returns its tables, pass/fail checks, captured
-numeric errors and charts. :func:`run_experiment` alone writes them:
+relevant procedures and returns its tables, pass/fail checks and
+charts. :func:`run_experiment` alone writes them:
 one CSV per table (and, on request, one SVG per chart) into the
 scenario's own subdirectory, plus a manifest. Identical configuration
 and seed produce byte-identical CSV output; the random stream comes
@@ -46,7 +46,7 @@ from .design import (
     singleton_blocks,
 )
 from .distreg import biconvexity_check, cyclic_boost_ls
-from .errors import ConfigError, IntegrityError, NumericError
+from .errors import ConfigError, IntegrityError
 from .gbcd import GbcdConfig, equivalence_check, gbcd_gsq
 from .losses import binomial, l2, poisson
 from .rates import check_bound, hessian_ub_check, lipschitz_constant, pl_constant, rate_quadratic
@@ -189,8 +189,11 @@ def synth_glm_data(n, p, rho, beta_true, family, seed):
     return X, y
 
 
-def synth_survival_data(n, p, beta_true, seed, censor_rate=0.3):
-    """Exponential survival times with proportional hazards in X beta."""
+def synth_survival_data(n, p, beta_true, seed):
+    """Exponential survival times with proportional hazards in X beta.
+
+    Censoring times are exponential at 0.3 times the mean hazard.
+    """
     beta_true = np.asarray(beta_true, dtype=float)
     if n < 1:
         raise ConfigError(f"need at least one observation, got n={n}")
@@ -200,7 +203,7 @@ def synth_survival_data(n, p, beta_true, seed, censor_rate=0.3):
     X = rng.standard_normal(size=(n, p))
     hazard = np.exp(np.clip(X @ beta_true, -30.0, 30.0))
     t_event = rng.exponential(1.0, size=n) / hazard
-    t_censor = rng.exponential(1.0 / (censor_rate * hazard.mean()), size=n)
+    t_censor = rng.exponential(1.0 / (0.3 * hazard.mean()), size=n)
     events = (t_event <= t_censor).astype(float)
     times = np.minimum(t_event, t_censor)
     return X, times, events
@@ -218,7 +221,7 @@ def _thin_indices(n_rows, keep=250):
 
 
 def _scenario_path_matching(cfg):
-    tables, checks, errors, charts = {}, [], [], {}
+    tables, checks, charts = {}, [], {}
     n = cfg.param("data", "n")
     rho = cfg.param("data", "rho")
     beta_true = cfg.param("data", "beta_true")
@@ -294,11 +297,11 @@ def _scenario_path_matching(cfg):
         xlabel="beta_1",
         ylabel="beta_2",
     )
-    return tables, checks, errors, charts
+    return tables, checks, charts
 
 
 def _scenario_pspline_unpenalized(cfg):
-    tables, checks, errors, charts = {}, [], [], {}
+    tables, checks, charts = {}, [], {}
     n = cfg.param("data", "n")
     spec = SplineSpec(
         n_knots=cfg.param("data", "n_knots"),
@@ -374,11 +377,11 @@ def _scenario_pspline_unpenalized(cfg):
          "penalty_at_unpenalized"],
         summary_rows,
     )
-    return tables, checks, errors, charts
+    return tables, checks, charts
 
 
 def _scenario_rates_sweep(cfg):
-    tables, checks, errors, charts = {}, [], [], {}
+    tables, checks, charts = {}, [], {}
     n = cfg.param("data", "n")
     p_grid = cfg.param("data", "p_grid")
     rho_grid = cfg.param("data", "rho_grid")
@@ -452,11 +455,11 @@ def _scenario_rates_sweep(cfg):
         xlabel="p",
         ylabel="gamma",
     )
-    return tables, checks, errors, charts
+    return tables, checks, charts
 
 
 def _scenario_expfam_convergence(cfg):
-    tables, checks, errors, charts = {}, [], [], {}
+    tables, checks, charts = {}, [], {}
     n = cfg.param("data", "n")
     p = cfg.param("data", "p")
     rho = cfg.param("data", "rho")
@@ -474,11 +477,7 @@ def _scenario_expfam_convergence(cfg):
             cfg_run = BoostConfig(
                 nu=nu, max_iter=max_iter, mode="greedy", divergence_guard=True
             )
-            try:
-                path = run_boost(part, spec_fn(), y, cfg_run)
-            except NumericError as exc:  # pragma: no cover - guard is on
-                errors.append(f"{family} nu={nu}: {exc}")
-                continue
+            path = run_boost(part, spec_fn(), y, cfg_run)
             verdict = divergence_detector(path, window=20)
             curvature = hessian_ub_check(spec_fn(), part, nu, path)
             results[(family, nu)] = (verdict, curvature)
@@ -503,15 +502,9 @@ def _scenario_expfam_convergence(cfg):
         verdict_rows,
     )
 
-    binom_ok = all(
-        results[("binomial", nu)][0] == "converging" for nu in nus
-        if ("binomial", nu) in results
-    )
+    binom_ok = all(results[("binomial", nu)][0] == "converging" for nu in nus)
     checks.append(_check("binomial_converges_at_every_rate", binom_ok))
-    pois_bad = [
-        nu for nu in nus
-        if ("poisson", nu) in results and results[("poisson", nu)][0] != "converging"
-    ]
+    pois_bad = [nu for nu in nus if results[("poisson", nu)][0] != "converging"]
     checks.append(
         _check(
             "poisson_fails_for_some_rate",
@@ -533,16 +526,15 @@ def _scenario_expfam_convergence(cfg):
         for nu in nus:
             ks = [r[2] for r in loss_rows if r[0] == family and r[1] == nu]
             ls = [r[3] for r in loss_rows if r[0] == family and r[1] == nu]
-            if ks:
-                series[f"nu={nu:g}"] = (ks, ls)
+            series[f"nu={nu:g}"] = (ks, ls)
         charts[f"loss_{family}"] = dict(
             series=series, title=f"{family} loss paths", xlabel="k", ylabel="loss",
         )
-    return tables, checks, errors, charts
+    return tables, checks, charts
 
 
 def _scenario_distreg_divergence(cfg):
-    tables, checks, errors, charts = {}, [], [], {}
+    tables, checks, charts = {}, [], {}
     n = cfg.param("data", "n")
     beta_true = np.asarray(cfg.param("data", "beta_true"))
     xi_true = np.asarray(cfg.param("data", "xi_true"))
@@ -611,11 +603,11 @@ def _scenario_distreg_divergence(cfg):
         ylabel="nll",
         log_y=False,
     )
-    return tables, checks, errors, charts
+    return tables, checks, charts
 
 
 def _scenario_gsq_equivalence(cfg):
-    tables, checks, errors, charts = {}, [], [], {}
+    tables, checks, charts = {}, [], {}
     rng = np.random.default_rng(cfg.seed)
     n = cfg.param("data", "n")
     p_min = cfg.param("data", "p_min")
@@ -660,7 +652,7 @@ def _scenario_gsq_equivalence(cfg):
             "identical" if all_identical else "some trial differed",
         )
     )
-    return tables, checks, errors, charts
+    return tables, checks, charts
 
 
 _SCENARIOS = {
@@ -676,18 +668,17 @@ _SCENARIOS = {
 def run_experiment(config):
     """Execute a named scenario and write its artifact.
 
-    A scenario returns its tables, checks, captured numeric errors and
-    charts; this is the only code that writes them. It creates
-    ``out_dir/<experiment>/`` with ``<name>.csv`` for every table,
-    ``<name>.svg`` for every chart when ``config.svg`` is set, and a
-    ``manifest.json`` echoing the configuration, the library version,
-    the pinned random-stream algorithm, the file inventory with row
-    counts, pass/fail checks and any captured numeric errors (which are
-    recorded rather than raised).
+    A scenario returns its tables, checks and charts; this is the only
+    code that writes them. It creates ``out_dir/<experiment>/`` with
+    ``<name>.csv`` for every table, ``<name>.svg`` for every chart when
+    ``config.svg`` is set, and a ``manifest.json`` echoing the
+    configuration (each override typed like its default), the library
+    version, the pinned random-stream algorithm, the file inventory
+    with row counts and the pass/fail checks.
     """
     out = Path(config.out_dir) / config.experiment
     out.mkdir(parents=True, exist_ok=True)
-    tables, checks, errors, charts = _SCENARIOS[config.experiment](config)
+    tables, checks, charts = _SCENARIOS[config.experiment](config)
     files = {
         name: {"path": f"{name}.csv", "rows": write_csv(out / f"{name}.csv", *table)}
         for name, table in tables.items()
@@ -702,12 +693,14 @@ def run_experiment(config):
         "seed": config.seed,
         "version": __version__,
         "rng": RNG_ALGORITHM,
-        "config": {"data": dict(config.data), "run": dict(config.run),
-                   "svg": config.svg},
+        "config": {
+            "data": {key: config.param("data", key) for key in config.data},
+            "run": {key: config.param("run", key) for key in config.run},
+            "svg": config.svg,
+        },
         "files": files,
         "svgs": svgs,
         "checks": checks,
-        "numeric_errors": errors,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -746,11 +739,6 @@ def emit_report(artifact):
         status = "PASS" if c["passed"] else "FAIL"
         detail = f"  ({c['detail']})" if c.get("detail") else ""
         lines.append(f"  [{status}] {c['name']}{detail}")
-    if m.get("numeric_errors"):
-        lines.append("")
-        lines.append("captured numeric errors:")
-        for e in m["numeric_errors"]:
-            lines.append(f"  - {e}")
     lines.append("")
     lines.append("files:")
     for name, entry in sorted(m["files"].items()):

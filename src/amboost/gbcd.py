@@ -24,7 +24,7 @@ from .boost import (
     run_boost,
 )
 
-H_CHOICES = ("block_gram", "penalized_gram", "lipschitz_scalar")
+H_CHOICES = ("block_gram", "penalized_gram")
 GRADIENT_MODES = ("unpenalized", "penalized")
 
 
@@ -33,8 +33,7 @@ class GbcdConfig:
     """Configuration for greedy block coordinate descent.
 
     ``h_choice`` picks the per-block scaling matrix: the block Gram
-    matrix, the penalized Gram matrix, or the scalar block Lipschitz
-    constant (the largest Gram eigenvalue). ``gradient_of`` switches
+    matrix or the penalized Gram matrix. ``gradient_of`` switches
     between the unpenalized squared loss (boosting-equivalent) and the
     penalized objective ``loss + 0.5 * sum_b lam_b beta_b' P_b beta_b``.
     """
@@ -55,29 +54,27 @@ class GbcdConfig:
             raise ValueError(f"unknown gradient_of {self.gradient_of!r}")
 
 
-class _ScaledInverse:
-    """Positive-definite scaling matrix H_b with cached inverse apply."""
+def _scaling_solvers(partition, h_choice):
+    """A solver applying ``H_b^{-1}`` for every block, in block order.
 
-    def __init__(self, block, h_choice):
+    Raises ``LinAlgError`` when an unpenalized scaling matrix is not
+    positive definite.
+    """
+    solvers = []
+    for block in partition.blocks:
         # an unpenalized block under 'penalized_gram' scales by its Gram matrix
         if h_choice == "penalized_gram":
-            self._solver = _BlockSolver(block.X, block.P, block.lam)
+            solver = _BlockSolver(block.X, block.P, block.lam)
         else:
-            self._solver = _BlockSolver(block.X)
-        self._scale = None
-        if not self._solver.penalized:
-            s = self._solver.s
+            solver = _BlockSolver(block.X)
+        if not solver.penalized:
+            s = solver.s
             if s.size == 0 or s[-1] <= _rank_cutoff(s, block.X.shape):
                 raise np.linalg.LinAlgError(
                     f"block {block.id} scaling matrix is not positive definite"
                 )
-            if h_choice == "lipschitz_scalar":
-                self._scale = float(s[0] ** 2)
-
-    def apply_inverse(self, g):
-        if self._scale is not None:
-            return g / self._scale
-        return self._solver.solve_gram(g)
+        solvers.append(solver)
+    return solvers
 
 
 def gbcd_gsq(partition, loss, y, config):
@@ -94,7 +91,7 @@ def gbcd_gsq(partition, loss, y, config):
     y = losses_mod.validate_outcome(loss, y)
     if y.shape != (partition.n,):
         raise ValueError("outcome length does not match the partition")
-    scalers = [_ScaledInverse(b, config.h_choice) for b in partition.blocks]
+    solvers = _scaling_solvers(partition, config.h_choice)
     X = partition.X
     penalized = config.gradient_of == "penalized"
 
@@ -119,7 +116,7 @@ def gbcd_gsq(partition, loss, y, config):
         best, best_score, best_dir = 0, -np.inf, None
         for b, cols in enumerate(partition.column_map):
             g_b = grad[cols]
-            hinv_g = scalers[b].apply_inverse(g_b)
+            hinv_g = solvers[b].solve_gram(g_b)
             score = float(g_b @ hinv_g)
             if score > best_score:
                 best, best_score, best_dir = b, score, hinv_g

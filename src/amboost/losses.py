@@ -194,20 +194,6 @@ def hessian_weights(spec, f):
     return H
 
 
-def smoothness_constant(spec, X):
-    """Global Lipschitz constant of the gradient in beta, if one exists.
-
-    ``lambda_max(X^T X)`` for L2 and a quarter of it for binomial. The
-    poisson and proportional-hazards losses carry no global constant and
-    return None.
-    """
-    if spec.family in ("poisson", "coxph"):
-        return None
-    X = np.asarray(X, dtype=float)
-    lmax = float(np.linalg.eigvalsh(X.T @ X)[-1])
-    return 0.25 * lmax if spec.family == "binomial" else lmax
-
-
 def evaluate(spec, y, f):
     """Loss value, working response and weights in one pass."""
     return GradientEval(

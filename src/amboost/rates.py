@@ -110,8 +110,10 @@ class RateReport:
         return ["k", "gap", "bound", "compliant"], rows
 
 
-def check_bound(path, gamma, loss_opt, slack_rel=1e-9):
+def check_bound(path, gamma, loss_opt):
     """Check ``loss[k] - loss_opt <= gamma^k * (loss[0] - loss_opt)``.
+
+    Compliance allows a slack of ``1e-9`` times the initial gap.
 
     Parameters
     ----------
@@ -122,8 +124,6 @@ def check_bound(path, gamma, loss_opt, slack_rel=1e-9):
     loss_opt : float
         Optimal loss, from an exact solve for quadratics or a long
         reference run otherwise.
-    slack_rel : float
-        Compliance slack as a fraction of the initial gap.
     """
     gaps = np.asarray(path.losses, dtype=float) - float(loss_opt)
     gap0 = gaps[0]
@@ -138,8 +138,7 @@ def check_bound(path, gamma, loss_opt, slack_rel=1e-9):
         )
     ks = np.arange(len(gaps))
     bounds = gamma**ks * gap0
-    slack = slack_rel * gap0
-    compliant = gaps <= bounds + slack
+    compliant = gaps <= bounds + 1e-9 * gap0
     return RateReport(
         gamma=float(gamma),
         gaps=gaps,

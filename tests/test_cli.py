@@ -141,6 +141,22 @@ class TestOracle:
         )
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # a non-integral iteration count used to be truncated to k=2
+            ("[oracle]\ngamma_ks = 2.5\n", "oracle.gamma_ks"),
+            # text among the coefficients used to fail without naming the key
+            ("[data]\np = 4\nbeta_true = 2,x,0.5,0\n", "data.beta_true"),
+        ],
+    )
+    def test_mistyped_list_value_is_config_error(self, tmp_path, capsys, text, key):
+        cfg = write_ini(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 1
+        assert f"config error: config key {key} " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRates:
     def test_compliant_run(self, tmp_path, capsys):

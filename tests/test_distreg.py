@@ -142,6 +142,10 @@ class TestCurvatureStructure:
     def test_biconvexity_check_validation(self):
         with pytest.raises(ValueError):
             biconvexity_check(np.ones((3, 1)), np.ones((3, 1)), np.ones(3), trials=0)
+        # the curvature ray runs along ones, which this scale design maps to zero
+        Z = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, -0.5]])
+        with pytest.raises(ValueError, match="null space"):
+            biconvexity_check(np.ones((3, 1)), Z, np.ones(3), trials=1)
 
 
 class TestCyclicBoosting:

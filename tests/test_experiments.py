@@ -139,6 +139,18 @@ class TestRunExperiment:
         assert cfg.param("run", "max_iter") == 50000
         assert cfg.run == {"lams": 2}
 
+    def test_manifest_echoes_typed_overrides(self, tmp_path):
+        # a numpy integer override used to crash json.dump and leave a
+        # truncated manifest behind the written CSVs
+        overrides = {"n_partitions": np.int64(2), "n_steps": 10}
+        cfg = ExperimentConfig("gsq_equivalence", out_dir=str(tmp_path),
+                               run=dict(overrides))
+        artifact = run_experiment(cfg)
+        with open(artifact.out_dir / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["config"]["run"] == {"n_partitions": 2, "n_steps": 10}
+        assert cfg.run == overrides
+
     @pytest.mark.parametrize("svg", [True, False])
     def test_inventory_matches_written_files(self, tmp_path, svg):
         artifact = run_experiment(

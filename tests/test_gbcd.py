@@ -174,4 +174,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             GbcdConfig(h_choice="hessian")
         with pytest.raises(ValueError):
+            GbcdConfig(h_choice="lipschitz_scalar")
+        with pytest.raises(ValueError):
             GbcdConfig(gradient_of="both")

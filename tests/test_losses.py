@@ -13,7 +13,6 @@ from amboost.losses import (
     loss_value,
     neg_functional_gradient,
     poisson,
-    smoothness_constant,
 )
 
 
@@ -146,19 +145,6 @@ class TestHessianWeights:
         with pytest.raises(NumericError) as err:
             hessian_weights(poisson(), np.array([0.0, 800.0]))
         assert err.value.index == 1
-
-
-class TestSmoothness:
-    def test_l2_identity(self):
-        assert smoothness_constant(l2(), np.eye(3)) == 1.0
-
-    def test_binomial_identity(self):
-        assert smoothness_constant(binomial(), np.eye(3)) == 0.25
-
-    def test_poisson_and_coxph_absent(self):
-        assert smoothness_constant(poisson(), np.eye(3)) is None
-        spec = coxph(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-        assert smoothness_constant(spec, np.eye(2)) is None
 
 
 class TestValidation:
