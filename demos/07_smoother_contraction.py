@@ -9,7 +9,7 @@ running such a model to convergence interpolates the data.
 
 import numpy as np
 
-from amboost import BoostConfig, smoother_boost
+from amboost import smoother_boost
 
 rng = np.random.default_rng(7)
 n = 24
@@ -20,9 +20,8 @@ for _ in range(3):
     smoothers.append(Q @ np.diag(eigs) @ Q.T)
 y = rng.standard_normal(n)
 
-cfg = BoostConfig(nu=1.0, max_iter=200, mode="greedy")
 for rule in ("greedy", "cyclic", "random"):
-    sp = smoother_boost(smoothers, y, cfg, selection=rule, seed=1)
+    sp = smoother_boost(smoothers, y, 200, rule=rule, seed=1)
     bound = sp.contraction ** np.arange(len(sp.residual_norms)) * np.linalg.norm(y)
     print(f"{rule:<7s} selection: contraction factor {sp.contraction:.3f}")
     for k in (0, 25, 100, 200):

@@ -377,14 +377,14 @@ class SmootherPath:
         return len(self.fitted) - 1
 
 
-def smoother_boost(smoothers, y, config, selection=None, seed=0):
+def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
     """Boost with generic full-rank linear smoothers toward the perfect fit.
 
     Each step applies the update ``f <- f + S_m (y - f)`` for one
-    smoother. Every smoother must be symmetric with eigenvalues in
-    (0, 1]; the residual then contracts at least geometrically with
-    factor ``max_m lambda_max(I - S_m)`` regardless of how the smoother
-    is selected.
+    smoother, with no step size. Every smoother must be symmetric with
+    eigenvalues in (0, 1]; the residual then contracts at least
+    geometrically with factor ``max_m lambda_max(I - S_m)`` regardless
+    of how the smoother is selected.
 
     Parameters
     ----------
@@ -392,19 +392,19 @@ def smoother_boost(smoothers, y, config, selection=None, seed=0):
         Symmetric n-by-n matrices with eigenvalues in (0, 1].
     y : array
         Target vector.
-    config : BoostConfig
-        Supplies the iteration count and, through ``mode``, the default
-        selection rule.
-    selection : str, optional
+    n_steps : int
+        Number of updates.
+    rule : str
         ``'greedy'`` (largest residual reduction), ``'cyclic'`` or
-        ``'random'``; defaults to ``config.mode``.
+        ``'random'``.
     seed : int
         Seed for the random selection rule.
     """
     y = np.asarray(y, dtype=float)
-    rule = selection if selection is not None else config.mode
     if rule not in ("greedy", "cyclic", "random"):
         raise ValueError(f"unsupported smoother selection rule {rule!r}")
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
     smoothers = [np.asarray(S, dtype=float) for S in smoothers]
     if not smoothers:
         raise ValueError("need at least one smoother")
@@ -428,7 +428,7 @@ def smoother_boost(smoothers, y, config, selection=None, seed=0):
     fitted = [f.copy()]
     selected = []
     res_norms = [float(np.linalg.norm(y))]
-    for k in range(config.max_iter):
+    for k in range(n_steps):
         r = y - f
         if rule == "greedy":
             norms = [np.linalg.norm(r - S @ r) for S in smoothers]

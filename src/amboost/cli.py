@@ -95,6 +95,15 @@ def _loss_for(family):
     raise ConfigError(f"unsupported family {family!r}")
 
 
+def _penalty_matrix(penalty, size):
+    """The penalty matrix that ``penalty`` names, for ``size`` coefficients."""
+    if penalty == "ridge":
+        return np.eye(size)
+    if penalty == "diff2":
+        return difference_penalty(size, 2)
+    raise ConfigError(f"unknown penalty {penalty!r}")
+
+
 def _blocks_from_config(run, p):
     blocks, lam, penalty = run["blocks"], run["lam"], run["penalty"]
     if blocks == "singleton":
@@ -112,14 +121,10 @@ def _blocks_from_config(run, p):
         start += size
         if penalty == "none" or lam == 0.0:
             specs.append(BlockSpec(cols))
-        elif penalty == "ridge":
-            specs.append(BlockSpec(cols, "ridge", lam))
-        elif penalty == "diff2":
-            if size < 3:
-                raise ConfigError("diff2 penalty needs blocks of at least 3 columns")
-            specs.append(BlockSpec(cols, "pspline", lam, difference_penalty(size, 2)))
+        elif penalty == "diff2" and size < 3:
+            raise ConfigError("diff2 penalty needs blocks of at least 3 columns")
         else:
-            raise ConfigError(f"unknown penalty {penalty!r}")
+            specs.append(BlockSpec(cols, "custom", lam, _penalty_matrix(penalty, size)))
     return specs
 
 
@@ -154,14 +159,7 @@ def _cmd_oracle(args):
     if oracle["gamma_ks"] is not None:
         gamma_ks = _typed("oracle", "gamma_ks", oracle["gamma_ks"], (0,))
     p = X.shape[1]
-    if lam == 0.0:
-        P = None
-    elif penalty == "ridge":
-        P = np.eye(p)
-    elif penalty == "diff2":
-        P = difference_penalty(p, 2)
-    else:
-        raise ConfigError(f"unknown penalty {penalty!r}")
+    P = None if lam == 0.0 else _penalty_matrix(penalty, p)
     pts = path_points(X, y, nu, ks, lam, P)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

@@ -246,24 +246,21 @@ def cyclic_boost_ls(X, Z, y, config, update_scale=True):
         model = GaussianLSModel(X, Z, mean_step.beta, scale_step.beta)
         return gauss_ls_eval(model, y)
 
-    nll0, gb0, gx0 = state()
-    mean_rec = _PathRecorder(mean_step.beta, nll0, gb0)
-    scale_rec = _PathRecorder(scale_step.beta, nll0, gx0)
+    nll0, gb, gx = state()
+    mean_rec = _PathRecorder(mean_step.beta, nll0, gb)
+    scale_rec = _PathRecorder(scale_step.beta, nll0, gx)
     terminated = "max_iter"
     numeric_error = False
 
+    # each half-step moves along the negated gradient of the current state
     for _ in range(config.max_iter):
         try:
-            _, sigma2, r = _scale_and_residual(
-                GaussianLSModel(X, Z, mean_step.beta, scale_step.beta), y
-            )
-            sel = mean_step.step(mean_part.X.T @ (r / sigma2))
-            nll, gb, _ = state()
+            sel = mean_step.step(-gb)
+            nll, gb, gx = state()
             mean_rec.record(mean_step.beta, sel, nll, gb)
             if update_scale:
-                r = y - X @ mean_step.beta
-                sel = scale_step.step(scale_part.X.T @ (r**2 / sigma2 - 1.0))
-                nll, _, gx = state()
+                sel = scale_step.step(-gx)
+                nll, gb, gx = state()
                 scale_rec.record(scale_step.beta, sel, nll, gx)
         except (NumericError, np.linalg.LinAlgError):
             terminated = "divergence"

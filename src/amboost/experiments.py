@@ -100,10 +100,18 @@ _DEFAULTS = {
     },
 }
 
+# ``[experiment]`` keys of an experiment config file, with their defaults
+_EXPERIMENT_KEYS = {"name": None, "seed": 0, "out": ".", "svg": False}
+
 
 @dataclass
 class ExperimentConfig:
-    """Named scenario plus seed, output location and parameter overrides."""
+    """Named scenario plus seed, output location and parameter overrides.
+
+    ``data`` and ``run`` keep the overrides as given. ``params`` holds
+    both sections in full, each override or default typed like the
+    default; ``seed`` and ``svg`` are typed in place.
+    """
 
     experiment: str
     seed: int = 0
@@ -111,6 +119,7 @@ class ExperimentConfig:
     svg: bool = False
     data: dict = field(default_factory=dict)
     run: dict = field(default_factory=dict)
+    params: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -118,17 +127,13 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {', '.join(EXPERIMENTS)}"
             )
-        for section in ("data", "run"):
-            _typed_section(section, getattr(self, section),
-                           _DEFAULTS[self.experiment][section])
-
-    def param(self, section, key):
-        """The override or default of ``section.key``, typed like the default."""
-        defaults = _DEFAULTS[self.experiment][section]
-        if key not in defaults:
-            raise ConfigError(f"missing parameter {section}.{key}")
-        value = getattr(self, section).get(key, defaults[key])
-        return _typed(section, key, value, defaults[key])
+        self.seed = _typed("experiment", "seed", self.seed, _EXPERIMENT_KEYS["seed"])
+        self.svg = _typed("experiment", "svg", self.svg, _EXPERIMENT_KEYS["svg"])
+        self.params = {
+            section: _typed_section(section, getattr(self, section),
+                                    _DEFAULTS[self.experiment][section])
+            for section in ("data", "run")
+        }
 
 
 @dataclass
@@ -222,20 +227,18 @@ def _thin_indices(n_rows, keep=250):
 
 def _scenario_path_matching(cfg):
     tables, checks, charts = {}, [], {}
-    n = cfg.param("data", "n")
-    rho = cfg.param("data", "rho")
-    beta_true = cfg.param("data", "beta_true")
-    nu = cfg.param("run", "nu")
-    max_iter = cfg.param("run", "max_iter")
+    data, run = cfg.params["data"], cfg.params["run"]
+    n, beta_true, nu = data["n"], data["beta_true"], run["nu"]
 
-    X, y = synth_glm_data(n, len(beta_true), rho, beta_true, "gaussian", cfg.seed)
+    X, y = synth_glm_data(n, len(beta_true), data["rho"], beta_true, "gaussian",
+                          cfg.seed)
     part = make_partition(X, single_block(X.shape[1]))
     path = run_boost(
-        part, l2(), y, BoostConfig(nu=nu, max_iter=max_iter, mode="joint")
+        part, l2(), y, BoostConfig(nu=nu, max_iter=run["max_iter"], mode="joint")
     )
     tables["boost_path"] = path.table(_thin_indices(len(path.betas), 500))
 
-    grid = np.logspace(-6, 6, cfg.param("run", "grid_points"))
+    grid = np.logspace(-6, 6, run["grid_points"])
     ridge_path = np.array([ridge_solve(X, y, lam) for lam in grid])
     tables["ridge_path"] = (
         ["lambda"] + [f"beta_{j + 1}" for j in range(X.shape[1])],
@@ -269,7 +272,7 @@ def _scenario_path_matching(cfg):
     X_iso = 1.3 * Q
     y_iso = X_iso @ np.asarray(beta_true) + rng.standard_normal(size=n)
     sigma2 = 1.3**2
-    ks = np.arange(1, cfg.param("run", "isotropic_k") + 1)
+    ks = np.arange(1, run["isotropic_k"] + 1)
     worst_rel = 0.0
     rows = []
     for k in ks:
@@ -302,37 +305,36 @@ def _scenario_path_matching(cfg):
 
 def _scenario_pspline_unpenalized(cfg):
     tables, checks, charts = {}, [], {}
-    n = cfg.param("data", "n")
+    data, run = cfg.params["data"], cfg.params["run"]
+    n = data["n"]
     spec = SplineSpec(
-        n_knots=cfg.param("data", "n_knots"),
-        degree=cfg.param("data", "degree"),
-        diff_order=cfg.param("data", "diff_order"),
+        n_knots=data["n_knots"],
+        degree=data["degree"],
+        diff_order=data["diff_order"],
     )
     rng = np.random.default_rng(cfg.seed)
     x = np.linspace(0.0, 1.0, n)
     X = bspline_basis(x, spec)
-    y = np.sin(2 * np.pi * x) + cfg.param("data", "noise") * rng.standard_normal(n)
+    y = np.sin(2 * np.pi * x) + data["noise"] * rng.standard_normal(n)
     P = difference_penalty(spec.n_basis, spec.diff_order)
     beta_ols = np.linalg.lstsq(X, y, rcond=None)[0]
-    nu = cfg.param("run", "nu")
-    max_iter = cfg.param("run", "max_iter")
     scale = 1.0 + np.linalg.norm(beta_ols)
     fit_grid = np.linspace(0.0, 1.0, 200)
     B = bspline_basis(fit_grid, spec)
 
     summary_rows = []
-    for lam in cfg.param("run", "lams"):
+    for lam in run["lams"]:
         part = make_partition(X, [pspline_block_spec(range(spec.n_basis), spec, lam)])
         path = run_boost(
-            part, l2(), y, BoostConfig(nu=nu, max_iter=max_iter, mode="joint")
+            part, l2(), y,
+            BoostConfig(nu=run["nu"], max_iter=run["max_iter"], mode="joint"),
         )
         beta_pls = np.linalg.solve(X.T @ X + lam * P, X.T @ y)
         gbcd_path = gbcd_gsq(
             part,
             l2(),
             y,
-            GbcdConfig(nu=1.0, max_iter=200, h_choice="penalized_gram",
-                       gradient_of="penalized"),
+            GbcdConfig(nu=1.0, max_iter=200, gradient_of="penalized"),
         )
         d_unpen = float(np.linalg.norm(path.final - beta_ols))
         d_pen = float(np.linalg.norm(path.final - beta_pls))
@@ -382,10 +384,8 @@ def _scenario_pspline_unpenalized(cfg):
 
 def _scenario_rates_sweep(cfg):
     tables, checks, charts = {}, [], {}
-    n = cfg.param("data", "n")
-    p_grid = cfg.param("data", "p_grid")
-    rho_grid = cfg.param("data", "rho_grid")
-    nu = cfg.param("run", "nu")
+    data, run = cfg.params["data"], cfg.params["run"]
+    n, p_grid, rho_grid, nu = data["n"], data["p_grid"], data["rho_grid"], run["nu"]
 
     rows = []
     gammas = {}
@@ -419,7 +419,7 @@ def _scenario_rates_sweep(cfg):
     rng = np.random.default_rng(cfg.seed + 7)
     comp_rows = []
     all_ok = True
-    for trial in range(cfg.param("run", "check_instances")):
+    for trial in range(run["check_instances"]):
         p = int(rng.integers(2, 12))
         rho = float(rng.choice([0.0, 0.5, 0.9]))
         X, y = synth_glm_data(
@@ -429,7 +429,7 @@ def _scenario_rates_sweep(cfg):
         part = make_partition(X, singleton_blocks(p))
         path = run_boost(
             part, l2(), y,
-            BoostConfig(nu=nu, max_iter=cfg.param("run", "check_iters")),
+            BoostConfig(nu=nu, max_iter=run["check_iters"]),
         )
         beta_star = np.linalg.lstsq(X, y, rcond=None)[0]
         loss_opt = 0.5 * float(np.sum((y - X @ beta_star) ** 2))
@@ -460,22 +460,17 @@ def _scenario_rates_sweep(cfg):
 
 def _scenario_expfam_convergence(cfg):
     tables, checks, charts = {}, [], {}
-    n = cfg.param("data", "n")
-    p = cfg.param("data", "p")
-    rho = cfg.param("data", "rho")
-    beta_true = cfg.param("data", "beta_true")
-    nus = cfg.param("run", "nus")
-    max_iter = cfg.param("run", "max_iter")
-
-    data_seed = cfg.param("data", "seed")
+    data, run = cfg.params["data"], cfg.params["run"]
+    p, nus = data["p"], run["nus"]
     loss_rows, verdict_rows = [], []
     results = {}
     for family, spec_fn in (("binomial", binomial), ("poisson", poisson)):
-        X, y = synth_glm_data(n, p, rho, beta_true, family, data_seed)
+        X, y = synth_glm_data(data["n"], p, data["rho"], data["beta_true"], family,
+                              data["seed"])
         part = make_partition(X, singleton_blocks(p))
         for nu in nus:
             cfg_run = BoostConfig(
-                nu=nu, max_iter=max_iter, mode="greedy", divergence_guard=True
+                nu=nu, max_iter=run["max_iter"], mode="greedy", divergence_guard=True
             )
             path = run_boost(part, spec_fn(), y, cfg_run)
             verdict = divergence_detector(path, window=20)
@@ -535,24 +530,22 @@ def _scenario_expfam_convergence(cfg):
 
 def _scenario_distreg_divergence(cfg):
     tables, checks, charts = {}, [], {}
-    n = cfg.param("data", "n")
-    beta_true = np.asarray(cfg.param("data", "beta_true"))
-    xi_true = np.asarray(cfg.param("data", "xi_true"))
+    data, run = cfg.params["data"], cfg.params["run"]
+    n = data["n"]
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(n)
     X = np.column_stack([np.ones(n), x])
     Z = np.column_stack([np.ones(n), x])
-    sigma = np.exp(Z @ xi_true)
-    y = X @ beta_true + sigma * rng.standard_normal(n)
+    sigma = np.exp(Z @ np.asarray(data["xi_true"]))
+    y = X @ np.asarray(data["beta_true"]) + sigma * rng.standard_normal(n)
 
-    max_iter = cfg.param("run", "max_iter")
     outcomes = {}
     for label, nu in (
-        ("large", cfg.param("run", "nu_large")),
-        ("small", cfg.param("run", "nu_small")),
+        ("large", run["nu_large"]),
+        ("small", run["nu_small"]),
     ):
         run_cfg = BoostConfig(
-            nu=nu, max_iter=max_iter, mode="joint", divergence_guard=True
+            nu=nu, max_iter=run["max_iter"], mode="joint", divergence_guard=True
         )
         res = cyclic_boost_ls(X, Z, y, run_cfg)
         outcomes[label] = res
@@ -577,7 +570,7 @@ def _scenario_distreg_divergence(cfg):
     )
 
     report = biconvexity_check(
-        X, Z, y, trials=cfg.param("run", "trials"), seed=cfg.seed
+        X, Z, y, trials=run["trials"], seed=cfg.seed
     )
     tables["curvature"] = (
         ["min_eig_mean_block", "min_eig_scale_block", "ray_eig_first",
@@ -608,18 +601,13 @@ def _scenario_distreg_divergence(cfg):
 
 def _scenario_gsq_equivalence(cfg):
     tables, checks, charts = {}, [], {}
+    data, run = cfg.params["data"], cfg.params["run"]
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.param("data", "n")
-    p_min = cfg.param("data", "p_min")
-    p_max = cfg.param("data", "p_max")
-    nus = cfg.param("run", "nus")
-    n_steps = cfg.param("run", "n_steps")
-
-    rho = cfg.param("data", "rho")
+    n, rho, nus, n_steps = data["n"], data["rho"], run["nus"], run["n_steps"]
     rows = []
     all_identical = True
-    for trial in range(cfg.param("run", "n_partitions")):
-        p = int(rng.integers(p_min, p_max + 1))
+    for trial in range(run["n_partitions"]):
+        p = int(rng.integers(data["p_min"], data["p_max"] + 1))
         cols = list(range(p))
         specs = []
         while cols:
@@ -694,8 +682,8 @@ def run_experiment(config):
         "version": __version__,
         "rng": RNG_ALGORITHM,
         "config": {
-            "data": {key: config.param("data", key) for key in config.data},
-            "run": {key: config.param("run", key) for key in config.run},
+            "data": {key: config.params["data"][key] for key in config.data},
+            "run": {key: config.params["run"][key] for key in config.run},
             "svg": config.svg,
         },
         "files": files,
@@ -847,10 +835,6 @@ def _load_ini(path, sections):
         name: {k: _parse_value(v) for k, v in values.items()}
         for name, values in ini.items()
     }
-
-
-# ``[experiment]`` keys of an experiment config file, with their defaults
-_EXPERIMENT_KEYS = {"name": None, "seed": 0, "out": ".", "svg": False}
 
 
 def load_config(path, experiment=None, seed=None, out_dir=None, svg=None):

@@ -24,7 +24,6 @@ from .boost import (
     run_boost,
 )
 
-H_CHOICES = ("block_gram", "penalized_gram")
 GRADIENT_MODES = ("unpenalized", "penalized")
 
 
@@ -32,15 +31,15 @@ GRADIENT_MODES = ("unpenalized", "penalized")
 class GbcdConfig:
     """Configuration for greedy block coordinate descent.
 
-    ``h_choice`` picks the per-block scaling matrix: the block Gram
-    matrix or the penalized Gram matrix. ``gradient_of`` switches
-    between the unpenalized squared loss (boosting-equivalent) and the
-    penalized objective ``loss + 0.5 * sum_b lam_b beta_b' P_b beta_b``.
+    Each block scales by its base learner's own system matrix
+    ``X_b' X_b + lam_b P_b``, the matrix under which greedy descent
+    reproduces boosting. ``gradient_of`` switches between the
+    unpenalized squared loss (boosting-equivalent) and the penalized
+    objective ``loss + 0.5 * sum_b lam_b beta_b' P_b beta_b``.
     """
 
     nu: float = 1.0
     max_iter: int = 100
-    h_choice: str = "block_gram"
     gradient_of: str = "unpenalized"
 
     def __post_init__(self):
@@ -48,13 +47,11 @@ class GbcdConfig:
             raise ValueError("step size must be in (0, 1]")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.h_choice not in H_CHOICES:
-            raise ValueError(f"unknown h_choice {self.h_choice!r}")
         if self.gradient_of not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_of {self.gradient_of!r}")
 
 
-def _scaling_solvers(partition, h_choice):
+def _scaling_solvers(partition):
     """A solver applying ``H_b^{-1}`` for every block, in block order.
 
     Raises ``LinAlgError`` when an unpenalized scaling matrix is not
@@ -62,11 +59,7 @@ def _scaling_solvers(partition, h_choice):
     """
     solvers = []
     for block in partition.blocks:
-        # an unpenalized block under 'penalized_gram' scales by its Gram matrix
-        if h_choice == "penalized_gram":
-            solver = _BlockSolver(block.X, block.P, block.lam)
-        else:
-            solver = _BlockSolver(block.X)
+        solver = _BlockSolver(block.X, block.P, block.lam)
         if not solver.penalized:
             s = solver.s
             if s.size == 0 or s[-1] <= _rank_cutoff(s, block.X.shape):
@@ -91,7 +84,7 @@ def gbcd_gsq(partition, loss, y, config):
     y = losses_mod.validate_outcome(loss, y)
     if y.shape != (partition.n,):
         raise ValueError("outcome length does not match the partition")
-    solvers = _scaling_solvers(partition, config.h_choice)
+    solvers = _scaling_solvers(partition)
     X = partition.X
     penalized = config.gradient_of == "penalized"
 
@@ -168,13 +161,7 @@ def equivalence_check(partition, loss, y, nu, n_steps, gradient_of="unpenalized"
         return EquivalenceReport(identical=True, n_compared=0)
     boost_cfg = BoostConfig(nu=nu, max_iter=n_steps, mode="greedy")
     boost_path = run_boost(partition, loss, y, boost_cfg)
-    any_pen = any(b.lam > 0.0 and np.any(b.P) for b in partition.blocks)
-    gbcd_cfg = GbcdConfig(
-        nu=nu,
-        max_iter=n_steps,
-        h_choice="penalized_gram" if any_pen else "block_gram",
-        gradient_of=gradient_of,
-    )
+    gbcd_cfg = GbcdConfig(nu=nu, max_iter=n_steps, gradient_of=gradient_of)
     gbcd_path = gbcd_gsq(partition, loss, y, gbcd_cfg)
 
     tol = 1e-12 * max(1.0, np.abs(boost_path.betas).max())

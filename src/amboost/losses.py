@@ -94,7 +94,8 @@ def validate_outcome(spec, y):
     if y.ndim != 1:
         raise ValueError("outcome must be a vector")
     if not np.isfinite(y).all():
-        raise ValueError("outcome contains non-finite values")
+        bad = int(np.argmax(~np.isfinite(y)))
+        raise ValueError(f"outcome contains a non-finite value at index {bad}")
     if spec.family == "binomial" and not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("binomial outcomes must be 0 or 1")
     if spec.family == "poisson":

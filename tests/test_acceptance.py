@@ -294,10 +294,7 @@ def test_08_smoother_contraction():
     ok = True
     detail = f"contraction factor {bound_rate:.3f}"
     for rule in ("greedy", "cyclic", "random"):
-        sp = smoother_boost(
-            smoothers, y, BoostConfig(nu=1.0, max_iter=400, mode="greedy"),
-            selection=rule, seed=9,
-        )
+        sp = smoother_boost(smoothers, y, 400, rule=rule, seed=9)
         bound = bound_rate ** np.arange(401) * np.linalg.norm(y)
         if not np.all(sp.residual_norms <= bound * (1 + 1e-9) + 1e-12):
             ok = False

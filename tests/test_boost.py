@@ -275,14 +275,12 @@ class TestGreedyMatchesResidualOracle:
 class TestSmootherBoost:
     def test_identity_smoother_one_step(self):
         y = np.array([1.0, -2.0, 0.5])
-        cfg = BoostConfig(nu=1.0, max_iter=1, mode="greedy")
-        sp = smoother_boost([np.eye(3)], y, cfg)
+        sp = smoother_boost([np.eye(3)], y, 1)
         np.testing.assert_allclose(sp.fitted[1], y)
 
     def test_half_identity_geometric_residual(self):
         y = np.array([4.0, 0.0, -3.0, 1.0])
-        cfg = BoostConfig(nu=1.0, max_iter=12, mode="greedy")
-        sp = smoother_boost([0.5 * np.eye(4)], y, cfg)
+        sp = smoother_boost([0.5 * np.eye(4)], y, 12)
         expected = 0.5 ** np.arange(13) * np.linalg.norm(y)
         np.testing.assert_allclose(sp.residual_norms, expected, rtol=1e-12)
 
@@ -298,19 +296,21 @@ class TestSmootherBoost:
             smoothers.append(Q @ np.diag(e) @ Q.T)
             eig_bound = max(eig_bound, 1.0 - e.min())
         y = rng.normal(size=n)
-        cfg = BoostConfig(nu=1.0, max_iter=60, mode="greedy")
-        sp = smoother_boost(smoothers, y, cfg, selection=rule, seed=5)
+        sp = smoother_boost(smoothers, y, 60, rule=rule, seed=5)
         assert sp.contraction == pytest.approx(eig_bound, rel=1e-9)
         bound = eig_bound ** np.arange(61) * np.linalg.norm(y)
         assert np.all(sp.residual_norms <= bound * (1 + 1e-9) + 1e-12)
 
     def test_invalid_smoother_rejected(self):
         y = np.zeros(3)
-        cfg = BoostConfig(nu=1.0, max_iter=1, mode="greedy")
         with pytest.raises(ValueError, match="eigenvalues"):
-            smoother_boost([1.5 * np.eye(3)], y, cfg)
+            smoother_boost([1.5 * np.eye(3)], y, 1)
         with pytest.raises(ValueError, match="eigenvalues"):
-            smoother_boost([np.zeros((3, 3))], y, cfg)
+            smoother_boost([np.zeros((3, 3))], y, 1)
+        with pytest.raises(ValueError, match="n_steps"):
+            smoother_boost([np.eye(3)], y, -1)
+        with pytest.raises(ValueError, match="selection rule"):
+            smoother_boost([np.eye(3)], y, 1, rule="joint")
 
 
 class TestDivergenceDetector:

@@ -259,3 +259,10 @@ def test_svg_accepted_by_experiment(tmp_path):
                  "--out", str(out), "--svg"]) == 0
     manifest = json.loads((out / "gsq_equivalence" / "manifest.json").read_text())
     assert manifest["config"]["svg"] is True
+
+
+@pytest.mark.parametrize("command, section", [("fit", "run"), ("oracle", "oracle")])
+def test_unknown_penalty_is_config_error(tmp_path, capsys, command, section):
+    cfg = write_ini(tmp_path, f"[{section}]\npenalty = lasso\nlam = 1\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown penalty 'lasso'" in capsys.readouterr().err

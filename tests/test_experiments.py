@@ -132,12 +132,25 @@ class TestRunExperiment:
             data={"n": 50.0, "noise": 1},
             run={"lams": 2},
         )
-        n, noise = cfg.param("data", "n"), cfg.param("data", "noise")
-        lams = cfg.param("run", "lams")
+        n, noise = cfg.params["data"]["n"], cfg.params["data"]["noise"]
+        lams = cfg.params["run"]["lams"]
         assert (n, noise, lams) == (50, 1.0, (2.0,))
         assert (type(n), type(noise), type(lams[0])) == (int, float, float)
-        assert cfg.param("run", "max_iter") == 50000
+        assert cfg.params["run"]["max_iter"] == 50000
         assert cfg.run == {"lams": 2}
+
+    def test_seed_and_svg_are_typed(self, tmp_path):
+        # a numpy integer seed used to crash json.dump and leave a
+        # truncated manifest behind the written CSVs
+        cfg = ExperimentConfig("gsq_equivalence", seed=np.int64(1),
+                               out_dir=str(tmp_path),
+                               run={"n_partitions": 2, "n_steps": 10})
+        assert type(cfg.seed) is int
+        artifact = run_experiment(cfg)
+        with open(artifact.out_dir / "manifest.json") as fh:
+            assert json.load(fh)["seed"] == 1
+        with pytest.raises(ConfigError, match=r"experiment\.svg must be true or false"):
+            ExperimentConfig("gsq_equivalence", svg="yes")
 
     def test_manifest_echoes_typed_overrides(self, tmp_path):
         # a numpy integer override used to crash json.dump and leave a

@@ -56,7 +56,7 @@ class TestBoostingEquivalence:
         X = rng.normal(size=(50, 6)) * rng.uniform(0.5, 3.0, size=6)
         y = rng.normal(size=50)
         part = make_partition(X, singleton_blocks(6))
-        cfg = GbcdConfig(nu=0.4, max_iter=40, h_choice="block_gram")
+        cfg = GbcdConfig(nu=0.4, max_iter=40)
         path = gbcd_gsq(part, l2(), y, cfg)
         L = np.sum(X**2, axis=0)
         beta = np.zeros(6)
@@ -101,9 +101,7 @@ class TestPenalizedObjective:
 
     def test_penalized_gradient_reaches_pls(self):
         part, X, y, P, lam, pls = self.pspline_problem()
-        cfg = GbcdConfig(
-            nu=1.0, max_iter=50, h_choice="penalized_gram", gradient_of="penalized"
-        )
+        cfg = GbcdConfig(nu=1.0, max_iter=50, gradient_of="penalized")
         path = gbcd_gsq(part, l2(), y, cfg)
         assert np.linalg.norm(path.final - pls) < 1e-6
         stat = X.T @ (X @ path.final - y) + lam * P @ path.final
@@ -119,9 +117,7 @@ class TestPenalizedObjective:
         ]
         part = make_partition(X, specs)
         y = rng.normal(size=50)
-        cfg = GbcdConfig(
-            nu=1.0, max_iter=400, h_choice="penalized_gram", gradient_of="penalized"
-        )
+        cfg = GbcdConfig(nu=1.0, max_iter=400, gradient_of="penalized")
         path = gbcd_gsq(part, l2(), y, cfg)
         assert np.all(np.diff(path.losses) <= 1e-12)
         # stationarity of the penalized objective at the limit point
@@ -142,8 +138,7 @@ class TestPenalizedObjective:
             part,
             l2(),
             y,
-            GbcdConfig(nu=1.0, max_iter=50, h_choice="penalized_gram",
-                       gradient_of="penalized"),
+            GbcdConfig(nu=1.0, max_iter=50, gradient_of="penalized"),
         )
         assert np.linalg.norm(boost_path.final - unpen) < 1e-6
         assert np.linalg.norm(gbcd_path.final - pls) < 1e-6
@@ -171,9 +166,5 @@ class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GbcdConfig(nu=0.0)
-        with pytest.raises(ValueError):
-            GbcdConfig(h_choice="hessian")
-        with pytest.raises(ValueError):
-            GbcdConfig(h_choice="lipschitz_scalar")
         with pytest.raises(ValueError):
             GbcdConfig(gradient_of="both")

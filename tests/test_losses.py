@@ -158,6 +158,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             loss_value(poisson(), np.array([0.5, 2.0]), np.zeros(2))
 
+    def test_nonfinite_outcome_names_first_index(self):
+        y = np.array([0.0, 1.0, np.nan, np.inf])
+        with pytest.raises(ValueError, match="non-finite value at index 2$"):
+            loss_value(l2(), y, np.zeros(4))
+
     def test_cox_metadata(self):
         with pytest.raises(ValueError):
             coxph(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
