@@ -30,6 +30,7 @@ from .experiments import (
     _load_ini,
     _typed,
     _typed_section,
+    _typed_seed,
     emit_report,
     load_artifact,
     load_config,
@@ -72,7 +73,7 @@ def _load_cli_config(args):
         name: _typed_section(name, ini.get(name, {}), defaults)
         for name, defaults in _CLI_DEFAULTS.items()
     }
-    seed = args.seed if args.seed is not None else config["experiment"]["seed"]
+    seed = _typed_seed(args.seed if args.seed is not None else config["experiment"]["seed"])
     return config, seed
 
 

@@ -141,13 +141,24 @@ def _check_penalty(P, p, eps_scale=1e-10):
     return P
 
 
+def _check_finite(X, what):
+    """Raise naming the first non-finite entry of the non-empty matrix ``X``."""
+    # min and max are non-finite exactly when some entry is, and need no
+    # n x p temporary
+    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"{what} entry ({row}, {col}) is not finite")
+
+
 @dataclass(frozen=True)
 class DesignBlock:
     """One base learner: feature matrix, penalty matrix and penalty weight.
 
-    Invariants checked on construction: the penalty is symmetric PSD, its
-    dimension matches the number of columns, the penalty weight is
-    nonnegative, and ``kind='linear'`` implies an unpenalized block.
+    Invariants checked on construction: the feature matrix is non-empty
+    and finite (a non-finite entry is named by its row and column), the
+    penalty is symmetric PSD, its dimension matches the number of
+    columns, the penalty weight is nonnegative, and ``kind='linear'``
+    implies an unpenalized block.
     """
 
     id: int
@@ -160,6 +171,9 @@ class DesignBlock:
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2:
             raise ValueError("block feature matrix must be 2-dimensional")
+        if X.size == 0:
+            raise ValueError(f"block feature matrix is empty, shape {X.shape}")
+        _check_finite(X, "block feature matrix")
         object.__setattr__(self, "X", X)
         if self.kind not in BLOCK_KINDS:
             raise ValueError(f"unknown block kind {self.kind!r}")
@@ -251,11 +265,8 @@ def make_partition(X, specs):
         raise ValueError("design matrix must be 2-dimensional")
     if X.shape[0] == 0:
         raise ValueError("design matrix has no rows")
-    # min and max are non-finite exactly when some entry is, and need no
-    # n x p temporary
-    if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"design matrix entry ({row}, {col}) is not finite")
+    if X.size:
+        _check_finite(X, "design matrix")
     p = X.shape[1]
     specs = [_normalize_spec(s) for s in specs]
     seen = np.zeros(p, dtype=bool)

@@ -127,7 +127,7 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {', '.join(EXPERIMENTS)}"
             )
-        self.seed = _typed("experiment", "seed", self.seed, _EXPERIMENT_KEYS["seed"])
+        self.seed = _typed_seed(self.seed)
         self.svg = _typed("experiment", "svg", self.svg, _EXPERIMENT_KEYS["svg"])
         self.params = {
             section: _typed_section(section, getattr(self, section),
@@ -790,6 +790,14 @@ def _typed(section, key, value, default):
             f"config key {section}.{key} must be {_KIND_NAMES[kind]}, got {value!r}"
         )
     return kind(value)
+
+
+def _typed_seed(value):
+    """``experiment.seed`` as an integer; numpy's generators take no negative seed."""
+    seed = _typed("experiment", "seed", value, _EXPERIMENT_KEYS["seed"])
+    if seed < 0:
+        raise ConfigError(f"config key experiment.seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _typed_section(section, values, defaults):

@@ -7,10 +7,10 @@ pure and safe for concurrent invocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, gammaln, logsumexp
+from scipy.special import expit, gammaln
 
 from .errors import NumericError
 
@@ -33,11 +33,20 @@ class LossSpec:
         Observed times, strictly positive. Required for ``'coxph'``.
     events : array, optional
         Event indicators in {0, 1}. Required for ``'coxph'``.
+
+    For ``'coxph'`` the ascending stable time order is kept too, and in
+    that order the event mask and the first and last position of every
+    subject's tie group; the times are fixed, so every evaluation reuses
+    them.
     """
 
     family: str
     times: np.ndarray = None
     events: np.ndarray = None
+    _order: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _first: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _last: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _event_asc: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -49,12 +58,21 @@ class LossSpec:
             c = np.asarray(self.events, dtype=float)
             if t.shape != c.shape or t.ndim != 1:
                 raise ValueError("times and events must be 1-d of equal length")
+            if not np.isfinite(t).all():
+                bad = int(np.argmax(~np.isfinite(t)))
+                raise ValueError(f"observed times contain a non-finite value at index {bad}")
             if np.any(t <= 0):
                 raise ValueError("observed times must be strictly positive")
             if not np.isin(c, (0.0, 1.0)).all():
                 raise ValueError("event indicators must be 0 or 1")
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "events", c)
+            order = np.argsort(t, kind="stable")
+            t_asc = t[order]
+            object.__setattr__(self, "_order", order)
+            object.__setattr__(self, "_first", np.searchsorted(t_asc, t_asc, side="left"))
+            object.__setattr__(self, "_last", np.searchsorted(t_asc, t_asc, side="right") - 1)
+            object.__setattr__(self, "_event_asc", c[order] == 1.0)
         elif self.times is not None or self.events is not None:
             raise ValueError("times/events only apply to the coxph family")
 
@@ -122,19 +140,28 @@ def _check_predictor(f):
     return f
 
 
-def _risk_matrix(spec):
-    # rows: events in input order; columns: subjects at risk (t_j >= t_i)
-    t = spec.times
-    ev = spec.events.astype(bool)
-    return t[None, :] >= t[ev, None]
+def _cox_log_risk(spec, f):
+    """Log of the summed ``exp(f)`` over each subject's risk set, in time order.
+
+    Walking back from the latest time, ``logaddexp.accumulate`` sums every
+    subject seen so far; a subject reads the value at the first member of
+    its tie group, so its risk set holds the whole group (Breslow ties).
+    """
+    return np.logaddexp.accumulate(f[spec._order][::-1])[::-1][spec._first]
 
 
-def _cox_softmax(spec, f):
-    """Per-event softmax weights over the risk sets, shape (n_events, n)."""
-    R = _risk_matrix(spec)
-    scores = np.where(R, f[None, :], -np.inf)
-    W = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
-    return W
+def _cox_event_share(spec, f, log_risk):
+    """Each subject's summed softmax weight over the risk sets it is in.
+
+    That is ``exp(f_k)`` times the summed ``exp(-log_risk)`` of the events
+    at or before ``t_k``, one cumulative sum in time order; the result is
+    in input order.
+    """
+    collected = np.empty_like(f)
+    collected[spec._order] = np.cumsum(
+        np.where(spec._event_asc, np.exp(-log_risk), 0.0)
+    )[spec._last]
+    return np.exp(f) * collected
 
 
 def loss_value(spec, y, f):
@@ -148,10 +175,8 @@ def loss_value(spec, y, f):
     if spec.family == "poisson":
         return float(np.sum(np.exp(f) - y * f + gammaln(y + 1.0)))
     # coxph: negative log partial likelihood with Breslow tie handling
-    R = _risk_matrix(spec)
-    scores = np.where(R, f[None, :], -np.inf)
-    ev = spec.events.astype(bool)
-    return float(np.sum(logsumexp(scores, axis=1) - f[ev]))
+    ev = spec._event_asc
+    return float(np.sum(_cox_log_risk(spec, f)[ev] - f[spec._order][ev]))
 
 
 def neg_functional_gradient(spec, y, f):
@@ -160,7 +185,10 @@ def neg_functional_gradient(spec, y, f):
     Returns the working response the base learners are fitted against:
     residuals for L2, ``y - sigmoid(f)`` for binomial, ``y - exp(f)`` for
     poisson, and the event indicator minus accumulated risk-set softmax
-    weights for proportional hazards.
+    weights for proportional hazards. The latter come from time-sorted
+    data in O(n log n): one reversed ``logaddexp.accumulate`` gives every
+    risk set's log sum, and one cumulative sum over the events of
+    ``exp(-log_risk)`` gives each subject's accumulated weight.
     """
     y = validate_outcome(spec, y)
     f = _check_predictor(f)
@@ -170,8 +198,7 @@ def neg_functional_gradient(spec, y, f):
         return y - expit(f)
     if spec.family == "poisson":
         return y - np.exp(f)
-    W = _cox_softmax(spec, f)
-    return spec.events - W.sum(axis=0)
+    return spec.events - _cox_event_share(spec, f, _cox_log_risk(spec, f))
 
 
 def hessian_weights(spec, f):
@@ -179,7 +206,15 @@ def hessian_weights(spec, f):
 
     Returns the diagonal weight vector for the scalar families; for
     proportional hazards the Hessian in ``f`` is dense and the full
-    matrix ``sum_e diag(w_e) - w_e w_e^T`` is returned instead.
+    matrix ``sum_e diag(w_e) - w_e w_e^T`` is returned instead, where
+    ``w_e`` is event e's softmax of ``f`` over its risk set. It is built
+    in O(n^2) in one n x n buffer, as
+    ``H_jk = diag(d) - exp(f_j + f_k + min(L_j, L_k))``: ``d`` is the
+    event share of the working response, and ``L`` is the log of the
+    cumulative sum over the events of ``exp(-2 log_risk)`` in time order,
+    so the smaller of ``L_j``, ``L_k`` belongs to the earlier time. Every
+    exponent is at most ``log n``, so nothing overflows for ``|f|`` up
+    to :data:`MAX_PREDICTOR`.
     """
     f = _check_predictor(f)
     if spec.family == "l2":
@@ -189,9 +224,17 @@ def hessian_weights(spec, f):
         return s * (1.0 - s)
     if spec.family == "poisson":
         return np.exp(f)
-    W = _cox_softmax(spec, f)
-    H = -W.T @ W
-    H[np.diag_indices_from(H)] += W.sum(axis=0)
+    log_risk = _cox_log_risk(spec, f)
+    L = np.empty_like(f)
+    L[spec._order] = np.logaddexp.accumulate(
+        np.where(spec._event_asc, -2.0 * log_risk, -np.inf)
+    )[spec._last]
+    H = np.minimum.outer(L, L)
+    H += f[:, None]
+    H += f[None, :]
+    np.exp(H, out=H)
+    np.negative(H, out=H)
+    H[np.diag_indices_from(H)] += _cox_event_share(spec, f, log_risk)
     return H
 
 

@@ -43,6 +43,15 @@ class TestFit:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, text", [(["--seed", "-1"], ""),
+                                            ([], "[experiment]\nseed = -2\n")])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, args, text):
+        cfg = write_ini(tmp_path, text + "[data]\nn = 30\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out), *args]) == 1
+        assert "config key experiment.seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 1
 
@@ -233,6 +242,15 @@ class TestExperimentAndReport:
         assert main(["experiment", "gsq_equivalence", "--config", cfg,
                      "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "art"
+        assert main(["experiment", "gsq_equivalence", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert "config key experiment.seed must be nonnegative, got -1" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_report_on_missing_dir_is_config_error(self, tmp_path):

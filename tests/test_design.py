@@ -198,6 +198,19 @@ class TestPartition:
         with pytest.raises(ValueError, match="PSD"):
             DesignBlock(0, np.ones((3, 2)), -np.eye(2), lam=1.0, kind="custom")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_block_non_finite_entry_named(self, bad):
+        X = np.ones((4, 2))
+        X[3, 0] = bad
+        X[1, 1] = bad
+        with pytest.raises(ValueError, match=r"block feature matrix entry \(1, 1\) is not finite"):
+            DesignBlock(0, X, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_empty_block_rejected(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            DesignBlock(0, np.ones(shape), np.zeros((shape[1], shape[1])))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             DesignBlock(0, np.ones((3, 2)), np.eye(3), lam=1.0, kind="custom")

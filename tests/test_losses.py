@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from amboost.errors import NumericError
 from amboost.losses import (
+    MAX_PREDICTOR,
     LossSpec,
     binomial,
     coxph,
@@ -31,6 +37,37 @@ def random_cox_spec(rng, n):
     events = (rng.uniform(size=n) < 0.7).astype(float)
     events[rng.integers(n)] = 1.0  # at least one event
     return coxph(times, events)
+
+
+# Dense proportional-hazards oracle: one row per event over all subjects,
+# O(n_events * n) memory, kept independent of the sorted code it checks.
+
+
+def _risk_matrix(spec):
+    # rows: events in input order; columns: subjects at risk (t_j >= t_i)
+    t = spec.times
+    ev = spec.events.astype(bool)
+    return t[None, :] >= t[ev, None]
+
+
+def _cox_softmax(spec, f):
+    """Per-event softmax weights over the risk sets, shape (n_events, n)."""
+    R = _risk_matrix(spec)
+    scores = np.where(R, f[None, :], -np.inf)
+    W = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+    return W
+
+
+def dense_cox(spec, f):
+    """Loss, working response and Hessian of the Breslow partial likelihood."""
+    R = _risk_matrix(spec)
+    scores = np.where(R, f[None, :], -np.inf)
+    ev = spec.events.astype(bool)
+    loss = float(np.sum(logsumexp(scores, axis=1) - f[ev]))
+    W = _cox_softmax(spec, f)
+    H = -W.T @ W
+    H[np.diag_indices_from(H)] += W.sum(axis=0)
+    return loss, spec.events - W.sum(axis=0), H
 
 
 def random_instance(family, rng, n=8):
@@ -133,9 +170,20 @@ class TestHessianWeights:
             fd[:, i] = (gp - gm) / (2 * h)
         np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-7)
 
-    def test_cox_softmax_rows_sum_to_one(self):
-        from amboost.losses import _cox_softmax
+    def test_coxph_hessian_holds_one_n_by_n_buffer(self):
+        # the dense construction also held the n_events x n risk-set weights
+        rng = np.random.default_rng(17)
+        spec = random_cox_spec(rng, 600)
+        f = rng.normal(size=600)
+        tracemalloc.start()
+        try:
+            H = hessian_weights(spec, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * H.nbytes
 
+    def test_cox_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(13)
         spec = random_cox_spec(rng, 9)
         W = _cox_softmax(spec, rng.normal(size=9))
@@ -145,6 +193,38 @@ class TestHessianWeights:
         with pytest.raises(NumericError) as err:
             hessian_weights(poisson(), np.array([0.0, 800.0]))
         assert err.value.index == 1
+
+
+@st.composite
+def cox_instances(draw):
+    """Tied and censored times with at least one event, |f| up to the guard."""
+    n = draw(st.integers(1, 25))
+    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    events[draw(st.integers(0, n - 1))] = True
+    f = draw(st.lists(st.floats(-MAX_PREDICTOR, MAX_PREDICTOR), min_size=n, max_size=n))
+    return coxph(np.array(times, float), np.array(events, float)), np.array(f)
+
+
+class TestSortedCoxAgainstDenseOracle:
+    # Each quantity is a difference of larger terms, and rounding is
+    # relative to those terms, in the oracle as in the sorted code: a loss
+    # of 7e-8 at |f| ~ 10 carries absolute error ~1e-15, and the Hessian's
+    # diagonal cancels to 0 when one subject carries a risk set (n = 1).
+    # So each tolerance is 1e-12 of the terms' size: the events' |f| for
+    # the loss, and the largest event share -- the largest diagonal entry
+    # of sum_e diag(w_e) -- for the working response and the Hessian.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(cox_instances())
+    def test_loss_response_and_hessian(self, instance):
+        spec, f = instance
+        loss, y_tilde, H = dense_cox(spec, f)
+        share = np.max(spec.events - y_tilde)
+        loss_scale = loss + np.sum(np.abs(f[spec.events == 1.0]))
+        assert abs(loss_value(spec, spec.times, f) - loss) <= 1e-12 * loss_scale
+        gap = np.max(np.abs(neg_functional_gradient(spec, spec.times, f) - y_tilde))
+        assert gap <= 1e-12 * max(1.0, share)
+        assert np.max(np.abs(hessian_weights(spec, f) - H)) <= 1e-12 * share
 
 
 class TestValidation:
@@ -170,6 +250,12 @@ class TestValidation:
             coxph(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             LossSpec("coxph")
+
+    def test_nonfinite_cox_times_name_first_index(self):
+        with pytest.raises(ValueError, match="non-finite value at index 0$"):
+            coxph([np.nan, 1.0, 2.0], [1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite value at index 1$"):
+            coxph([1.0, np.inf, np.nan], [1.0, 0.0, 1.0])
 
     def test_times_only_for_cox(self):
         with pytest.raises(ValueError):
