@@ -8,6 +8,7 @@ full-rank linear smoothers and a divergence detector for the paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,20 +126,21 @@ class _PathRecorder:
 
     The only code that constructs a :class:`BoostPath`. Starts from the
     initial ``(beta, loss, grad)``; every ``record`` appends one step with
-    the block it updated.
+    the block it updated. The gradient norm is ``sqrt(grad @ grad)``, the
+    same sum of squares ``np.linalg.norm`` takes for a 1-d float vector.
     """
 
     def __init__(self, beta, loss, grad):
         self.betas = [beta.copy()]
         self.losses = [loss]
-        self.grad_norms = [float(np.linalg.norm(grad))]
+        self.grad_norms = [math.sqrt(grad @ grad)]
         self.selected = []
 
     def record(self, beta, selected, loss, grad):
         self.betas.append(beta.copy())
         self.selected.append(selected)
         self.losses.append(loss)
-        self.grad_norms.append(float(np.linalg.norm(grad)))
+        self.grad_norms.append(math.sqrt(grad @ grad))
 
     def path(self, terminated_by="max_iter", offset=0.0, numeric_error=False):
         return BoostPath(
@@ -177,14 +179,18 @@ class _BlockSolver:
     ``s`` and right singular vectors ``V`` of ``X`` (from the SVD of its
     triangular QR factor) and apply ``V s^-2 V^T`` over the singular
     values above a machine-precision cutoff, the min-norm solution when
-    rank deficient.
+    rank deficient. Penalized solves call LAPACK ``potrs``, the routine
+    ``scipy.linalg.cho_solve`` wraps, directly: the same bits without the
+    wrapper's per-call cost, which dominates at the block sizes boosting
+    uses.
     """
 
     def __init__(self, X, P=None, lam=0.0):
         self.penalized = lam > 0.0 and P is not None and np.any(P != 0)
         if self.penalized:
             self._gram = X.T @ X
-            self._chol = _cho_factor(self._gram + lam * P, lam)
+            self._chol, self._lower = _cho_factor(self._gram + lam * P, lam)
+            (self._potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (self._chol,))
         else:
             # X = QR shares s and V with R; the n-row Q is never formed
             _, self.s, Vt = np.linalg.svd(
@@ -197,7 +203,13 @@ class _BlockSolver:
     def solve_gram(self, g):
         """Apply the inverse system matrix to a gradient-sized vector."""
         if self.penalized:
-            return scipy.linalg.cho_solve(self._chol, g)
+            # cho_solve's guard: a non-finite g raises its ValueError
+            x, info = self._potrs(
+                self._chol, np.asarray_chkfinite(g), lower=self._lower
+            )
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of potrs")
+            return x
         return self._V @ (self._sinv2 * (self._V.T @ g))
 
     def decrease(self, g, inc):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import BoostPath, _loss_grew, _PathRecorder, _Stepper, divergence_detector
-from .design import make_partition, single_block
+from .design import _check_finite, make_partition, single_block
 from .errors import NumericError
 
 # exp(2 * eta) must stay inside double range
@@ -28,7 +28,10 @@ class GaussianLSModel:
     """Linear mean model plus log-linear scale model.
 
     The observation standard deviations are ``exp(Z @ xi)``, positive by
-    construction; residuals are taken against ``X @ beta``.
+    construction; residuals are taken against ``X @ beta``. Both designs
+    must be non-empty, finite matrices; a non-finite entry is named by its
+    row and column. The coefficients are not checked, so a diverging
+    iterate surfaces as :class:`NumericError` when the model is evaluated.
     """
 
     X: np.ndarray
@@ -41,6 +44,10 @@ class GaussianLSModel:
         self.Z = np.asarray(self.Z, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
+        for what, M in (("mean design", self.X), ("scale design", self.Z)):
+            if M.ndim != 2 or M.size == 0:
+                raise ValueError(f"{what} must be a non-empty matrix, shape {M.shape}")
+            _check_finite(M, what)
         if self.X.shape[0] != self.Z.shape[0]:
             raise ValueError("mean and scale designs must share observations")
         if self.beta.shape != (self.X.shape[1],):

@@ -37,7 +37,8 @@ class LossSpec:
     For ``'coxph'`` the ascending stable time order is kept too, and in
     that order the event mask and the first and last position of every
     subject's tie group; the times are fixed, so every evaluation reuses
-    them.
+    them. Two specs are equal when their families are and, for
+    ``'coxph'``, their times and events hold equal values.
     """
 
     family: str
@@ -75,6 +76,22 @@ class LossSpec:
             object.__setattr__(self, "_event_asc", c[order] == 1.0)
         elif self.times is not None or self.events is not None:
             raise ValueError("times/events only apply to the coxph family")
+
+    def __eq__(self, other):
+        if not isinstance(other, LossSpec):
+            return NotImplemented
+        if self.family != other.family:
+            return False
+        return self.times is None or (
+            np.array_equal(self.times, other.times)
+            and np.array_equal(self.events, other.events)
+        )
+
+    def __hash__(self):
+        if self.times is None:
+            return hash(self.family)
+        # the event mask's bytes, so that events of 0.0 and -0.0 hash alike
+        return hash((self.family, self.times.tobytes(), (self.events == 1.0).tobytes()))
 
 
 def l2():
@@ -114,7 +131,7 @@ def validate_outcome(spec, y):
     if not np.isfinite(y).all():
         bad = int(np.argmax(~np.isfinite(y)))
         raise ValueError(f"outcome contains a non-finite value at index {bad}")
-    if spec.family == "binomial" and not np.isin(y, (0.0, 1.0)).all():
+    if spec.family == "binomial" and not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("binomial outcomes must be 0 or 1")
     if spec.family == "poisson":
         if np.any(y < 0) or np.any(y != np.round(y)):
@@ -126,6 +143,10 @@ def validate_outcome(spec, y):
 
 def _check_predictor(f):
     f = np.asarray(f, dtype=float)
+    # one reduction clears every admissible predictor; NaN fails the
+    # comparison, so every bad value takes the path that names it
+    if f.size and np.abs(f).max() <= MAX_PREDICTOR:
+        return f
     if not np.isfinite(f).all():
         bad = int(np.argmax(~np.isfinite(f)))
         raise NumericError(f"non-finite predictor at index {bad}", index=bad)
@@ -169,14 +190,14 @@ def loss_value(spec, y, f):
     y = validate_outcome(spec, y)
     f = _check_predictor(f)
     if spec.family == "l2":
-        return 0.5 * float(np.sum((y - f) ** 2))
+        return 0.5 * float(((y - f) ** 2).sum())
     if spec.family == "binomial":
-        return float(np.sum(np.logaddexp(0.0, f) - y * f))
+        return float((np.logaddexp(0.0, f) - y * f).sum())
     if spec.family == "poisson":
-        return float(np.sum(np.exp(f) - y * f + gammaln(y + 1.0)))
+        return float((np.exp(f) - y * f + gammaln(y + 1.0)).sum())
     # coxph: negative log partial likelihood with Breslow tie handling
     ev = spec._event_asc
-    return float(np.sum(_cox_log_risk(spec, f)[ev] - f[spec._order][ev]))
+    return float((_cox_log_risk(spec, f)[ev] - f[spec._order][ev]).sum())
 
 
 def neg_functional_gradient(spec, y, f):

@@ -2,11 +2,14 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amboost.boost import (
     BoostConfig,
+    _BlockSolver,
+    _PathRecorder,
     divergence_detector,
     fit_block,
     run_boost,
@@ -65,6 +68,38 @@ class TestFitBlock:
         block = DesignBlock(0, X, P_sing, lam=0.5, kind="custom")
         with pytest.raises(np.linalg.LinAlgError):
             fit_block(block, np.zeros(3))
+
+
+class TestBlockSolver:
+    """The engine's direct LAPACK solve against ``scipy.linalg.cho_solve``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        extra_rows=st.integers(0, 20),
+        lam=st.floats(1e-3, 1e3),
+    )
+    def test_penalized_solve_matches_cho_solve_bitwise(self, seed, p, extra_rows, lam):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(p + extra_rows, p))
+        M = rng.normal(size=(p, p))
+        solver = _BlockSolver(X, M @ M.T, lam)
+        assert solver.penalized
+        g = rng.normal(size=p) * 10.0 ** rng.integers(-3, 4)
+        ref = scipy.linalg.cho_solve((solver._chol, solver._lower), g)
+        x = solver.solve_gram(g)
+        np.testing.assert_array_equal(x, ref)
+        # and it solves the system (backward-stable residual scale)
+        A = X.T @ X + lam * (M @ M.T)
+        assert np.abs(A @ x - g).max() <= 1e-10 * np.abs(A).max() * np.abs(x).max()
+        for bad in (np.nan, np.inf, -np.inf):
+            g_bad = g.copy()
+            g_bad[rng.integers(p)] = bad
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                scipy.linalg.cho_solve((solver._chol, solver._lower), g_bad)
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                solver.solve_gram(g_bad)
 
 
 class TestSelectBlock:
@@ -213,6 +248,33 @@ class TestRunBoost:
         assert rows == [full[0], full[2], full[4]]
         assert full[2] == [2, path.losses[2], int(path.selected[1]),
                            path.grad_norms[2], *path.betas[2]]
+
+
+class TestGradNorms:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        grads=st.lists(
+            st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=40),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_recorder_matches_linalg_norm_bitwise(self, grads):
+        grads = [np.array(g) for g in grads]
+        rec = _PathRecorder(np.zeros(1), 0.0, grads[0])
+        for g in grads[1:]:
+            rec.record(np.zeros(1), 0, 0.0, g)
+        norms = rec.path().grad_norms
+        np.testing.assert_array_equal(norms, [np.linalg.norm(g) for g in grads])
+
+    def test_start_norm_is_linalg_norm_of_design_gradient(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(25, 4))
+        y = rng.normal(size=25)
+        part = make_partition(X, singleton_blocks(4))
+        path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=2))
+        # from a zero fit the L2 working response is y itself
+        assert path.grad_norms[0] == np.linalg.norm(X.T @ y)
 
 
 def mixed_design(seed, kinds, n=30):

@@ -107,6 +107,37 @@ class TestDerivatives:
             gauss_ls_nll(model, np.zeros(2))
         assert err.value.index == 1
 
+    def test_diverging_mean_iterate_is_numeric_error(self):
+        # coefficients are not boundary input: a blown-up iterate is a finding
+        model = GaussianLSModel(
+            np.ones((2, 1)), np.ones((2, 1)), np.array([np.inf]), np.zeros(1)
+        )
+        with pytest.raises(NumericError, match="non-finite residual at index 0"):
+            gauss_ls_nll(model, np.zeros(2))
+
+
+class TestModelBoundary:
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (3,)])
+    @pytest.mark.parametrize("which", ["mean", "scale"])
+    def test_empty_or_non_matrix_design_rejected(self, shape, which):
+        designs = {"mean": np.ones((3, 2)), "scale": np.ones((3, 2))}
+        designs[which] = np.ones(shape)
+        with pytest.raises(ValueError, match=f"{which} design must be a non-empty matrix"):
+            GaussianLSModel(designs["mean"], designs["scale"], np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["mean", "scale"])
+    def test_non_finite_design_entry_named(self, bad, which):
+        designs = {"mean": np.ones((5, 3)), "scale": np.ones((5, 3))}
+        designs[which][1, 0] = np.nan
+        designs[which][3, 2] = bad
+        designs[which][4, 1] = bad
+        with pytest.raises(ValueError, match=rf"^{which} design entry \(1, 0\) is not finite$"):
+            GaussianLSModel(designs["mean"], designs["scale"], np.zeros(3), np.zeros(3))
+        designs[which][1, 0] = 1.0
+        with pytest.raises(ValueError, match=rf"^{which} design entry \(3, 2\) is not finite$"):
+            GaussianLSModel(designs["mean"], designs["scale"], np.zeros(3), np.zeros(3))
+
 
 class TestCurvatureStructure:
     def test_diagonal_blocks_psd(self):

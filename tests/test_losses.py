@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from amboost.errors import NumericError
 from amboost.losses import (
     MAX_PREDICTOR,
     LossSpec,
+    _check_predictor,
     binomial,
     coxph,
     evaluate,
@@ -19,6 +21,7 @@ from amboost.losses import (
     loss_value,
     neg_functional_gradient,
     poisson,
+    validate_outcome,
 )
 
 
@@ -109,6 +112,41 @@ class TestLossValues:
     def test_nonfinite_predictor(self):
         with pytest.raises(NumericError):
             loss_value(l2(), np.zeros(2), np.array([0.0, np.nan]))
+
+
+class TestPredictorGuard:
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "non-finite predictor at index {i}"),
+            (np.inf, "non-finite predictor at index {i}"),
+            (-np.inf, "non-finite predictor at index {i}"),
+            (700.5, "predictor magnitude 700 at index {i} exceeds the overflow guard 700"),
+            (-1e5, "predictor magnitude 1e+05 at index {i} exceeds the overflow guard 700"),
+        ],
+    )
+    def test_message_and_index(self, bad, message, index):
+        f = np.linspace(-MAX_PREDICTOR, MAX_PREDICTOR, 7)
+        f[index] = bad
+        with pytest.raises(NumericError) as err:
+            _check_predictor(f)
+        assert str(err.value) == message.format(i=index)
+        assert err.value.index == index
+
+    def test_non_finite_is_named_before_an_earlier_overflow(self):
+        with pytest.raises(NumericError) as err:
+            _check_predictor(np.array([0.0, 800.0, np.nan]))
+        assert str(err.value) == "non-finite predictor at index 2"
+        assert err.value.index == 2
+
+    def test_admissible_and_empty_predictors_pass_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = np.array([-MAX_PREDICTOR, 0.0, MAX_PREDICTOR])
+            np.testing.assert_array_equal(_check_predictor(f), f)
+            assert _check_predictor(np.array([])).shape == (0,)
+            assert loss_value(l2(), np.array([]), np.array([])) == 0.0
 
 
 class TestGradients:
@@ -229,8 +267,12 @@ class TestSortedCoxAgainstDenseOracle:
 
 class TestValidation:
     def test_binomial_outcome(self):
-        with pytest.raises(ValueError):
-            loss_value(binomial(), np.array([0.0, 2.0]), np.zeros(2))
+        for bad in (0.5, 2.0, -1.0):
+            with pytest.raises(ValueError, match="binomial outcomes must be 0 or 1"):
+                loss_value(binomial(), np.array([0.0, bad]), np.zeros(2))
+        np.testing.assert_array_equal(
+            validate_outcome(binomial(), [1.0, -0.0, 0.0]), [1.0, 0.0, 0.0]
+        )
 
     def test_poisson_outcome(self):
         with pytest.raises(ValueError):
@@ -260,6 +302,26 @@ class TestValidation:
     def test_times_only_for_cox(self):
         with pytest.raises(ValueError):
             LossSpec("l2", times=np.array([1.0]))
+
+
+class TestSpecEquality:
+    def test_equal_specs_compare_and_hash_equal(self):
+        a = coxph([1.0, 2.0, 2.0], [1.0, 0.0, 1.0])
+        b = coxph(np.array([1, 2, 2]), [True, False, True])
+        assert a == b and hash(a) == hash(b)
+        # -0.0 is an admissible no-event indicator and equals 0.0
+        c = coxph([1.0, 2.0, 2.0], [1.0, -0.0, 1.0])
+        assert a == c and hash(a) == hash(c)
+        assert len({a, b, c}) == 1
+        assert l2() == l2() and hash(l2()) == hash(l2())
+
+    def test_different_specs_compare_unequal(self):
+        a = coxph([1.0, 2.0], [1.0, 0.0])
+        assert a != coxph([1.0, 3.0], [1.0, 0.0])
+        assert a != coxph([1.0, 2.0], [1.0, 1.0])
+        assert a != coxph([1.0, 2.0, 3.0], [1.0, 0.0, 0.0])
+        assert a != l2() and l2() != binomial()
+        assert a != "coxph"
 
 
 class TestEvaluateAndOffset:
