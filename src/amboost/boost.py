@@ -9,6 +9,7 @@ full-rank linear smoothers and a divergence detector for the paths.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ from .errors import NumericError
 
 MODES = ("joint", "greedy", "cyclic")
 INITS = ("zero", "offset")
-TERMINATIONS = ("max_iter", "tol", "divergence")
 
 JOINT_SENTINEL = -1
 
@@ -30,6 +30,16 @@ GUARD_GROWTH = 10.0
 def _loss_grew(current, reference):
     """Growth beyond 10x the reference, robust to nonpositive losses."""
     return current - reference > (GUARD_GROWTH - 1.0) * max(abs(reference), 1e-12)
+
+
+def _check_schedule(nu, max_iter, min_iter):
+    """Reject ``nu`` NaN or outside (0, 1], and a non-integer or too small ``max_iter``."""
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"step size nu must be in (0, 1], got {nu!r}")
+    if not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < min_iter:
+        raise ValueError(f"max_iter must be at least {min_iter}, got {max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -65,16 +75,13 @@ class BoostConfig:
     divergence_guard: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError("step size must be in (0, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_schedule(self.nu, self.max_iter, 1)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
-        if self.stop_tol < 0.0:
-            raise ValueError("stop_tol must be nonnegative")
+        if not 0.0 <= self.stop_tol < math.inf:
+            raise ValueError(f"stop_tol must be finite and >= 0, got {self.stop_tol!r}")
 
 
 @dataclass
@@ -274,14 +281,14 @@ class _Stepper:
     pass over the design per step serves every block.
     """
 
-    def __init__(self, partition, config):
+    def __init__(self, partition, nu, mode):
         self.partition = partition
-        self.nu = config.nu
-        self.mode = config.mode
+        self.nu = nu
+        self.mode = mode
         self.beta = np.zeros(partition.p)
         self.f_lin = np.zeros(partition.n)
         self._k = 0
-        if config.mode == "joint":
+        if mode == "joint":
             Pjoint = partition.penalty_blockdiag()
             self._joint = _BlockSolver(
                 partition.X, Pjoint, 1.0 if np.any(Pjoint) else 0.0
@@ -344,7 +351,7 @@ def run_boost(partition, loss, y, config):
         raise ValueError("outcome length does not match the partition")
     offset = losses_mod.link_offset(loss, y) if config.init == "offset" else 0.0
 
-    stepper = _Stepper(partition, config)
+    stepper = _Stepper(partition, config.nu, config.mode)
     X = partition.X
     terminated = "max_iter"
     numeric_error = False

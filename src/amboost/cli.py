@@ -125,7 +125,7 @@ def _blocks_from_config(run, p):
         elif penalty == "diff2" and size < 3:
             raise ConfigError("diff2 penalty needs blocks of at least 3 columns")
         else:
-            specs.append(BlockSpec(cols, "custom", lam, _penalty_matrix(penalty, size)))
+            specs.append(BlockSpec(cols, lam, _penalty_matrix(penalty, size)))
     return specs
 
 

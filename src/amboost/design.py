@@ -11,11 +11,10 @@ partition built on it is in use.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-
-BLOCK_KINDS = ("linear", "ridge", "pspline", "custom")
 
 
 @dataclass(frozen=True)
@@ -157,15 +156,13 @@ class DesignBlock:
     Invariants checked on construction: the feature matrix is non-empty
     and finite (a non-finite entry is named by its row and column), the
     penalty is symmetric PSD, its dimension matches the number of
-    columns, the penalty weight is nonnegative, and ``kind='linear'``
-    implies an unpenalized block.
+    columns, and the penalty weight is finite and nonnegative. A block with
+    ``lam == 0`` is unpenalized whatever its penalty matrix.
     """
 
-    id: int
     X: np.ndarray
     P: np.ndarray
     lam: float = 0.0
-    kind: str = "linear"
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -175,14 +172,9 @@ class DesignBlock:
             raise ValueError(f"block feature matrix is empty, shape {X.shape}")
         _check_finite(X, "block feature matrix")
         object.__setattr__(self, "X", X)
-        if self.kind not in BLOCK_KINDS:
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("penalty weight must be nonnegative")
-        P = _check_penalty(self.P, X.shape[1])
-        if self.kind == "linear" and (self.lam != 0 or np.any(P != 0)):
-            raise ValueError("linear blocks must be unpenalized")
-        object.__setattr__(self, "P", P)
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"penalty weight {self.lam!r} is not finite and nonnegative")
+        object.__setattr__(self, "P", _check_penalty(self.P, X.shape[1]))
 
     @property
     def n(self):
@@ -195,10 +187,12 @@ class DesignBlock:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Column set, kind, penalty weight and penalty matrix for one block."""
+    """Column set, penalty weight and penalty matrix for one block.
+
+    A missing penalty is the identity when ``lam > 0``, else zero.
+    """
 
     columns: tuple
-    kind: str = "linear"
     lam: float = 0.0
     penalty: np.ndarray = None
 
@@ -231,15 +225,6 @@ class BlockPartition:
         return P
 
 
-def _normalize_spec(spec):
-    if isinstance(spec, BlockSpec):
-        return spec
-    cols, kind = tuple(spec[0]), spec[1] if len(spec) > 1 else "linear"
-    lam = spec[2] if len(spec) > 2 else 0.0
-    penalty = spec[3] if len(spec) > 3 else None
-    return BlockSpec(cols, kind, lam, penalty)
-
-
 def make_partition(X, specs):
     """Build a :class:`BlockPartition` from per-block column specs.
 
@@ -247,46 +232,46 @@ def make_partition(X, specs):
     ----------
     X : ndarray, shape (n, p)
         Global design matrix.
-    specs : sequence of BlockSpec or tuple
-        Tuples are interpreted as ``(columns, kind, lam, penalty)`` with
-        trailing entries optional. A missing penalty defaults to the zero
-        matrix, or to the identity for ``kind='ridge'``. A single spec
-        covering all columns yields the joint-update case of one block.
+    specs : sequence of BlockSpec
+        One spec per block, in block order. A single spec covering all
+        columns yields the joint-update case of one block.
 
     Raises
     ------
+    TypeError
+        If a spec is not a :class:`BlockSpec` (named by its position).
     ValueError
-        If the design has no rows or a non-finite entry (named by its
-        row and column), the column sets overlap or fail to cover all
-        columns, or a block violates its own invariants.
+        If the design has no rows, no columns or a non-finite entry
+        (named by its row and column), a column index is not an integer,
+        the column sets overlap or fail to cover all columns, or a block
+        violates its own invariants.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("design matrix must be 2-dimensional")
     if X.shape[0] == 0:
         raise ValueError("design matrix has no rows")
-    if X.size:
-        _check_finite(X, "design matrix")
+    if X.shape[1] == 0:
+        raise ValueError("design matrix has no columns")
+    _check_finite(X, "design matrix")
     p = X.shape[1]
-    specs = [_normalize_spec(s) for s in specs]
     seen = np.zeros(p, dtype=bool)
-    for s in specs:
+    blocks, column_map = [], []
+    for b, s in enumerate(specs):
+        if not isinstance(s, BlockSpec):
+            raise TypeError(f"block spec {b} is a {type(s).__name__}, not a BlockSpec")
+        bad = [c for c in s.columns if not isinstance(c, numbers.Integral)]
+        if bad:
+            raise ValueError(f"block spec {b} column {bad[0]!r} is not an integer")
         cols = np.asarray(s.columns, dtype=int)
         if cols.size == 0 or cols.min() < 0 or cols.max() >= p:
             raise ValueError(f"column set {s.columns!r} out of range for p={p}")
         if seen[cols].any():
             raise ValueError("block column sets overlap")
         seen[cols] = True
-    if not seen.all():
-        missing = np.flatnonzero(~seen)
-        raise ValueError(f"columns {missing.tolist()} not covered by any block")
-
-    blocks, column_map = [], []
-    for b, s in enumerate(specs):
-        cols = np.asarray(s.columns, dtype=int)
         if s.penalty is not None:
             P = np.asarray(s.penalty, dtype=float)
-        elif s.kind == "ridge":
+        elif s.lam > 0:
             P = np.eye(cols.size)
         else:
             P = np.zeros((cols.size, cols.size))
@@ -295,8 +280,11 @@ def make_partition(X, specs):
         else:
             Xb = X[:, cols]
         Xb.flags.writeable = False
-        blocks.append(DesignBlock(b, Xb, P, s.lam, s.kind))
+        blocks.append(DesignBlock(Xb, P, s.lam))
         column_map.append(cols)
+    if not seen.all():
+        missing = np.flatnonzero(~seen)
+        raise ValueError(f"columns {missing.tolist()} not covered by any block")
     return BlockPartition(tuple(blocks), tuple(column_map), X)
 
 
@@ -305,12 +293,12 @@ def singleton_blocks(p):
     return [BlockSpec((j,)) for j in range(p)]
 
 
-def single_block(p, kind="linear", lam=0.0, penalty=None):
+def single_block(p, lam=0.0, penalty=None):
     """Spec list for joint updates: one block over all columns."""
-    return [BlockSpec(tuple(range(p)), kind, lam, penalty)]
+    return [BlockSpec(tuple(range(p)), lam, penalty)]
 
 
 def pspline_block_spec(columns, spec, lam):
     """Spec for a penalized spline block over already-expanded columns."""
     P = difference_penalty(spec.n_basis, spec.diff_order)
-    return BlockSpec(tuple(columns), "pspline", lam, P)
+    return BlockSpec(tuple(columns), lam, P)

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BoostPath, _loss_grew, _PathRecorder, _Stepper, divergence_detector
+from .boost import (
+    BoostPath,
+    _check_schedule,
+    _loss_grew,
+    _PathRecorder,
+    _Stepper,
+    divergence_detector,
+)
 from .design import _check_finite, make_partition, single_block
 from .errors import NumericError
 
@@ -228,26 +235,28 @@ class DistBoostResult:
         return header, rows
 
 
-def cyclic_boost_ls(X, Z, y, config, update_scale=True):
+def cyclic_boost_ls(X, Z, y, nu, max_iter, update_scale=True):
     """Boost mean and scale models in alternation, mean first.
 
-    Each cycle applies one boosting update to the mean model against the
-    working response ``r / sigma^2`` and, unless disabled, one update to
-    the scale model against ``r^2 / sigma^2 - 1`` (the negative gradient
-    in the scale model's linear predictor). Numeric blow-ups are always
-    captured and recorded as a divergence termination rather than
-    raised; both returned paths carry detector verdicts.
+    Each of at most ``max_iter`` cycles applies one update of step size
+    ``nu`` to the mean model against the working response ``r / sigma^2``
+    and, unless disabled, one to the scale model against
+    ``r^2 / sigma^2 - 1`` (the negative gradient in the scale model's
+    linear predictor). Numeric blow-ups and tenfold loss growth are
+    recorded as a divergence termination rather than raised; both
+    returned paths carry detector verdicts.
 
     With the scale updates disabled the run reduces to plain squared-loss
     boosting of the mean model at unit variance.
     """
+    _check_schedule(nu, max_iter, 1)
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     mean_part = make_partition(X, single_block(X.shape[1]))
     scale_part = make_partition(Z, single_block(Z.shape[1]))
-    mean_step = _Stepper(mean_part, config)
-    scale_step = _Stepper(scale_part, config)
+    mean_step = _Stepper(mean_part, nu, "joint")
+    scale_step = _Stepper(scale_part, nu, "joint")
 
     def state():
         model = GaussianLSModel(X, Z, mean_step.beta, scale_step.beta)
@@ -260,7 +269,7 @@ def cyclic_boost_ls(X, Z, y, config, update_scale=True):
     numeric_error = False
 
     # each half-step moves along the negated gradient of the current state
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         try:
             sel = mean_step.step(-gb)
             nll, gb, gx = state()
@@ -273,9 +282,7 @@ def cyclic_boost_ls(X, Z, y, config, update_scale=True):
             terminated = "divergence"
             numeric_error = True
             break
-        if config.divergence_guard and _loss_grew(
-            max(mean_rec.losses[-1], scale_rec.losses[-1]), nll0
-        ):
+        if _loss_grew(max(mean_rec.losses[-1], scale_rec.losses[-1]), nll0):
             terminated = "divergence"
             break
 

@@ -37,6 +37,7 @@ from .closedform import (
     ridge_solve,
 )
 from .design import (
+    BlockSpec,
     SplineSpec,
     bspline_basis,
     difference_penalty,
@@ -544,10 +545,7 @@ def _scenario_distreg_divergence(cfg):
         ("large", run["nu_large"]),
         ("small", run["nu_small"]),
     ):
-        run_cfg = BoostConfig(
-            nu=nu, max_iter=run["max_iter"], mode="joint", divergence_guard=True
-        )
-        res = cyclic_boost_ls(X, Z, y, run_cfg)
+        res = cyclic_boost_ls(X, Z, y, nu, run["max_iter"])
         outcomes[label] = res
         tables[f"paired_path_{label}"] = res.table()
     checks.append(
@@ -612,7 +610,7 @@ def _scenario_gsq_equivalence(cfg):
         specs = []
         while cols:
             size = int(rng.integers(1, min(4, len(cols)) + 1))
-            specs.append((tuple(cols[:size]),))
+            specs.append(BlockSpec(tuple(cols[:size])))
             cols = cols[size:]
         # correlated features keep greedy progress well above the floating
         # floor for the whole comparison horizon

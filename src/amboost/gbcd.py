@@ -18,6 +18,7 @@ from . import losses as losses_mod
 from .boost import (
     BoostConfig,
     _BlockSolver,
+    _check_schedule,
     _PathRecorder,
     _rank_cutoff,
     fit_block,
@@ -43,10 +44,7 @@ class GbcdConfig:
     gradient_of: str = "unpenalized"
 
     def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError("step size must be in (0, 1]")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        _check_schedule(self.nu, self.max_iter, 0)
         if self.gradient_of not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_of {self.gradient_of!r}")
 
@@ -58,13 +56,13 @@ def _scaling_solvers(partition):
     positive definite.
     """
     solvers = []
-    for block in partition.blocks:
+    for b, block in enumerate(partition.blocks):
         solver = _BlockSolver(block.X, block.P, block.lam)
         if not solver.penalized:
             s = solver.s
             if s.size == 0 or s[-1] <= _rank_cutoff(s, block.X.shape):
                 raise np.linalg.LinAlgError(
-                    f"block {block.id} scaling matrix is not positive definite"
+                    f"block {b} scaling matrix is not positive definite"
                 )
         solvers.append(solver)
     return solvers

@@ -191,9 +191,10 @@ def hessian_ub_check(loss, partition, nu, path):
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError("step size must be in (0, 1]")
-    roots = [
-        _inv_sqrt_gram(b.X, b.id) for b in partition.blocks
-    ]
+    # a loop, not a comprehension, so that stacklevel=3 names the caller
+    roots = []
+    for b, block in enumerate(partition.blocks):
+        roots.append(_inv_sqrt_gram(block.X, b))
     limit = 1.0 / nu
     tol = 1e-9 * limit
     n_iter = len(path.betas)

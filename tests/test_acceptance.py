@@ -416,14 +416,8 @@ def test_10_location_scale_properties():
     Z = np.column_stack([np.ones(n), x])
     sigma = np.exp(Z @ np.array([-0.3, 0.8]))
     y = X @ np.array([1.0, 2.0]) + sigma * rng.standard_normal(n)
-    big = cyclic_boost_ls(
-        X, Z, y, BoostConfig(nu=0.5, max_iter=500, mode="joint",
-                             divergence_guard=True)
-    )
-    small = cyclic_boost_ls(
-        X, Z, y, BoostConfig(nu=0.01, max_iter=500, mode="joint",
-                             divergence_guard=True)
-    )
+    big = cyclic_boost_ls(X, Z, y, 0.5, 500)
+    small = cyclic_boost_ls(X, Z, y, 0.01, 500)
     ok = (
         min_eig >= -1e-9
         and indefinite

@@ -31,9 +31,9 @@ from amboost.losses import binomial, l2, poisson
 from amboost.tableio import write_csv
 
 
-def identity_block(lam=0.0, P=None, kind="linear"):
+def identity_block(lam=0.0, P=None):
     P = np.zeros((2, 2)) if P is None else P
-    return DesignBlock(0, np.eye(2), P, lam, kind)
+    return DesignBlock(np.eye(2), P, lam)
 
 
 class TestFitBlock:
@@ -44,7 +44,7 @@ class TestFitBlock:
 
     def test_ridge_identity(self):
         # hand oracle: (I + I) beta = y
-        block = identity_block(lam=1.0, P=np.eye(2), kind="ridge")
+        block = identity_block(lam=1.0, P=np.eye(2))
         beta, _ = fit_block(block, np.array([2.0, 4.0]))
         np.testing.assert_allclose(beta, [1.0, 2.0], rtol=1e-14)
 
@@ -52,22 +52,74 @@ class TestFitBlock:
         rng = np.random.default_rng(21)
         X = rng.normal(size=(20, 4))
         yt = rng.normal(size=20)
-        beta, sse = fit_block(DesignBlock(0, X, np.zeros((4, 4))), yt)
+        beta, sse = fit_block(DesignBlock(X, np.zeros((4, 4))), yt)
         oracle = np.linalg.solve(X.T @ X, X.T @ yt)
         np.testing.assert_allclose(beta, oracle, rtol=1e-10)
         assert sse == pytest.approx(float(np.sum((yt - X @ oracle) ** 2)))
 
     def test_min_norm_when_rank_deficient(self):
         X = np.array([[1.0, 1.0]])
-        beta, _ = fit_block(DesignBlock(0, X, np.zeros((2, 2))), np.array([3.0]))
+        beta, _ = fit_block(DesignBlock(X, np.zeros((2, 2))), np.array([3.0]))
         np.testing.assert_allclose(beta, [1.5, 1.5], rtol=1e-12)
 
     def test_singular_penalized_system(self):
         X = np.zeros((3, 2))
         P_sing = np.diag([1.0, 0.0])
-        block = DesignBlock(0, X, P_sing, lam=0.5, kind="custom")
+        block = DesignBlock(X, P_sing, lam=0.5)
         with pytest.raises(np.linalg.LinAlgError):
             fit_block(block, np.zeros(3))
+
+
+class TestBlockPenalty:
+    """A block is its columns, penalty weight and penalty matrix."""
+
+    def setup_data(self):
+        rng = np.random.default_rng(4)
+        return rng.normal(size=(25, 5)), rng.normal(size=25)
+
+    def test_missing_penalty_is_identity_when_penalized(self):
+        X, y = self.setup_data()
+        cfg = BoostConfig(nu=0.3, max_iter=12)
+        default = make_partition(X, [BlockSpec((0, 1, 2), 2.5), BlockSpec((3, 4))])
+        explicit = make_partition(
+            X, [BlockSpec((0, 1, 2), 2.5, np.eye(3)), BlockSpec((3, 4))]
+        )
+        np.testing.assert_array_equal(default.blocks[0].P, np.eye(3))
+        np.testing.assert_array_equal(default.blocks[1].P, np.zeros((2, 2)))
+        a = run_boost(default, l2(), y, cfg)
+        b = run_boost(explicit, l2(), y, cfg)
+        np.testing.assert_array_equal(a.betas, b.betas)
+        np.testing.assert_array_equal(a.selected, b.selected)
+
+    def test_zero_weight_ignores_the_penalty(self):
+        X, y = self.setup_data()
+        cfg = BoostConfig(nu=0.3, max_iter=12)
+        P = np.diag([1.0, 2.0, 3.0])
+        weighted_zero = make_partition(X, [BlockSpec((0, 1, 2), 0.0, P), BlockSpec((3, 4))])
+        plain = make_partition(X, [BlockSpec((0, 1, 2)), BlockSpec((3, 4))])
+        a = run_boost(weighted_zero, l2(), y, cfg)
+        b = run_boost(plain, l2(), y, cfg)
+        np.testing.assert_array_equal(a.betas, b.betas)
+        np.testing.assert_array_equal(a.selected, b.selected)
+        beta, _ = fit_block(weighted_zero.blocks[0], y)
+        np.testing.assert_array_equal(beta, fit_block(plain.blocks[0], y)[0])
+
+
+class TestBoostConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(nu=0.0), dict(nu=1.5), dict(nu=float("nan")), dict(nu=float("inf")),
+         dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=2.0),
+         dict(stop_tol=-1.0), dict(stop_tol=float("nan")), dict(stop_tol=float("inf"))],
+    )
+    def test_rejected_values_name_the_field(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            BoostConfig(**bad)
+
+    def test_numpy_integer_run_length(self):
+        part = make_partition(np.eye(3), singleton_blocks(3))
+        cfg = BoostConfig(max_iter=np.int64(3))
+        assert run_boost(part, l2(), np.ones(3), cfg).n_steps == 3
 
 
 class TestBlockSolver:
@@ -106,20 +158,20 @@ class TestSelectBlock:
     def test_exact_fit_wins(self):
         X = np.eye(4)[:, :2]
         X2 = np.eye(4)[:, 2:]
-        part = make_partition(np.hstack([X, X2]), [((0, 1),), ((2, 3),)])
+        part = make_partition(np.hstack([X, X2]), [BlockSpec((0, 1)), BlockSpec((2, 3))])
         yt = np.array([0.0, 0.0, 1.0, 2.0])
         assert select_block(part, yt) == 1
 
     def test_tie_breaks_to_lowest_id(self):
         col = np.array([[1.0], [2.0], [3.0]])
-        part = make_partition(np.hstack([col, col]), [((0,),), ((1,),)])
+        part = make_partition(np.hstack([col, col]), [BlockSpec((0,)), BlockSpec((1,))])
         assert select_block(part, np.array([1.0, 1.0, 1.0])) == 0
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
             X = rng.normal(size=(15, 6))
-            part = make_partition(X, [((0, 1),), ((2, 3, 4),), ((5,),)])
+            part = make_partition(X, [BlockSpec((0, 1)), BlockSpec((2, 3, 4)), BlockSpec((5,))])
             yt = rng.normal(size=15)
             sses = []
             for cols in [(0, 1), (2, 3, 4), (5,)]:
@@ -148,7 +200,7 @@ class TestRunBoost:
 
     def test_greedy_selects_spanning_block(self):
         X = np.hstack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
-        part = make_partition(X, [((0, 1),), ((2, 3),)])
+        part = make_partition(X, [BlockSpec((0, 1)), BlockSpec((2, 3))])
         y = np.array([5.0, -1.0, 0.0, 0.0])
         path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=3, mode="greedy"))
         assert path.selected[0] == 0
@@ -293,7 +345,7 @@ def mixed_design(seed, kinds, n=30):
             specs.append(BlockSpec((start,)))
         elif kind == "ridge":
             cols.append(rng.normal(size=(n, 2)))
-            specs.append(BlockSpec((start, start + 1), "ridge", rng.uniform(0.1, 10.0)))
+            specs.append(BlockSpec((start, start + 1), rng.uniform(0.1, 10.0)))
         elif kind == "pspline":
             spec = SplineSpec(n_knots=4, degree=3)
             cols.append(bspline_basis(rng.uniform(size=n), spec))

@@ -90,7 +90,7 @@ class TestPenalizedPath:
 
         P = difference_penalty(6, 2)
         lam, nu = 3.0, 0.25
-        part = make_partition(X, single_block(6, "pspline", lam, P))
+        part = make_partition(X, single_block(6, lam, P))
         path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=500, mode="joint"))
         for k in (0, 1, 2, 5, 20, 100, 500):
             oracle = penalized_boost_path(X, y, P, lam, nu, k)
@@ -167,7 +167,7 @@ class TestBoostLimit:
         X = rng.normal(size=(8, 14))  # n < p
         y = rng.normal(size=8)
         target = boost_limit(X, y)
-        part = make_partition(X, single_block(14, "ridge", 1.0))
+        part = make_partition(X, single_block(14, 1.0))
         path = run_boost(
             part, l2(), y, BoostConfig(nu=0.5, max_iter=200, mode="joint")
         )
@@ -194,7 +194,7 @@ class TestImplicitPenalty:
         y = rng.normal(size=30)
         P = np.eye(4)
         lam, nu = 1.5, 0.4
-        part = make_partition(X, single_block(4, "ridge", lam))
+        part = make_partition(X, single_block(4, lam))
         path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=200, mode="joint"))
         for k in (1, 3, 10, 60, 200):
             ip = implicit_penalty(X, y, P, lam, nu, k)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -124,7 +126,7 @@ class TestDifferencePenalty:
 class TestPartition:
     def test_two_linear_blocks(self):
         X = np.arange(20.0).reshape(5, 4)
-        part = make_partition(X, [((0, 1),), ((2, 3),)])
+        part = make_partition(X, [BlockSpec((0, 1)), BlockSpec((2, 3))])
         assert part.n_blocks == 2
         np.testing.assert_array_equal(part.blocks[1].X, X[:, 2:])
 
@@ -137,16 +139,34 @@ class TestPartition:
     def test_non_covering_raises(self):
         X = np.ones((4, 3))
         with pytest.raises(ValueError, match="not covered"):
-            make_partition(X, [((0, 1),)])
+            make_partition(X, [BlockSpec((0, 1))])
 
     def test_overlap_raises(self):
         X = np.ones((4, 3))
         with pytest.raises(ValueError, match="overlap"):
-            make_partition(X, [((0, 1),), ((1, 2),)])
+            make_partition(X, [BlockSpec((0, 1)), BlockSpec((1, 2))])
 
     def test_empty_design_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
             make_partition(np.empty((0, 2)), singleton_blocks(2))
+        # used to build a partition on which run_boost raised IndexError
+        with pytest.raises(ValueError, match="no columns"):
+            make_partition(np.ones((3, 0)), [])
+
+    def test_spec_must_be_block_spec(self):
+        with pytest.raises(TypeError, match="block spec 1 is a tuple"):
+            make_partition(np.ones((4, 2)), [BlockSpec((0,)), ((1,),)])
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, np.float64(1.0), "1"])
+    def test_non_integer_column_rejected(self, bad):
+        # 1.7 used to be truncated to column 1
+        msg = re.escape(f"block spec 1 column {bad!r} is not an integer")
+        with pytest.raises(ValueError, match=msg):
+            make_partition(np.ones((4, 2)), [BlockSpec((0,)), BlockSpec((bad,))])
+
+    def test_numpy_integer_columns_accepted(self):
+        part = make_partition(np.ones((4, 2)), [BlockSpec((np.int64(1), np.int32(0)))])
+        np.testing.assert_array_equal(part.column_map[0], [1, 0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_named(self, bad):
@@ -175,7 +195,7 @@ class TestPartition:
 
     def test_non_contiguous_blocks_are_copied(self):
         X = np.arange(20.0).reshape(5, 4)
-        part = make_partition(X, [((0, 2),), ((3, 1),)])
+        part = make_partition(X, [BlockSpec((0, 2)), BlockSpec((3, 1))])
         np.testing.assert_array_equal(part.blocks[0].X, X[:, [0, 2]])
         np.testing.assert_array_equal(part.blocks[1].X, X[:, [3, 1]])
         assert not np.shares_memory(part.blocks[1].X, X)
@@ -184,19 +204,21 @@ class TestPartition:
         X = np.ones((4, 3))
         P = np.eye(2)
         part = make_partition(
-            X, [BlockSpec((0, 1), "ridge", 2.0, P), BlockSpec((2,), "linear")]
+            X, [BlockSpec((0, 1), 2.0, P), BlockSpec((2,))]
         )
         G = part.penalty_blockdiag()
         np.testing.assert_array_equal(G[:2, :2], 2.0 * np.eye(2))
         assert G[2, 2] == 0.0
 
-    def test_linear_block_must_be_unpenalized(self):
-        with pytest.raises(ValueError, match="unpenalized"):
-            DesignBlock(0, np.ones((3, 1)), np.eye(1), lam=1.0, kind="linear")
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_penalty_weight_must_be_finite_and_nonnegative(self, lam):
+        # NaN used to give a silently unpenalized block in greedy mode
+        with pytest.raises(ValueError, match="is not finite and nonnegative"):
+            make_partition(np.ones((3, 2)), [BlockSpec((0, 1), lam)])
 
     def test_non_psd_penalty_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
-            DesignBlock(0, np.ones((3, 2)), -np.eye(2), lam=1.0, kind="custom")
+            DesignBlock(np.ones((3, 2)), -np.eye(2), lam=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_block_non_finite_entry_named(self, bad):
@@ -204,13 +226,13 @@ class TestPartition:
         X[3, 0] = bad
         X[1, 1] = bad
         with pytest.raises(ValueError, match=r"block feature matrix entry \(1, 1\) is not finite"):
-            DesignBlock(0, X, np.zeros((2, 2)))
+            DesignBlock(X, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
     def test_empty_block_rejected(self, shape):
         with pytest.raises(ValueError, match="empty"):
-            DesignBlock(0, np.ones(shape), np.zeros((shape[1], shape[1])))
+            DesignBlock(np.ones(shape), np.zeros((shape[1], shape[1])))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            DesignBlock(0, np.ones((3, 2)), np.eye(3), lam=1.0, kind="custom")
+            DesignBlock(np.ones((3, 2)), np.eye(3), lam=1.0)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from amboost.boost import BoostConfig
 from amboost.closedform import linear_boost_path
 from amboost.distreg import (
     GaussianLSModel,
@@ -192,8 +191,7 @@ class TestCyclicBoosting:
     def test_small_step_monotone_on_homoscedastic_data(self):
         rng = np.random.default_rng(42)
         X, Z, y = self.make_data(rng, heteroscedastic=False)
-        cfg = BoostConfig(nu=0.01, max_iter=500, mode="joint", divergence_guard=True)
-        res = cyclic_boost_ls(X, Z, y, cfg)
+        res = cyclic_boost_ls(X, Z, y, 0.01, 500)
         assert res.mean_verdict == "converging"
         assert res.scale_verdict == "converging"
         assert np.all(np.diff(res.mean_path.losses) <= 1e-10)
@@ -202,12 +200,10 @@ class TestCyclicBoosting:
     def test_large_step_diverges_on_heteroscedastic_data(self):
         rng = np.random.default_rng(42)
         X, Z, y = self.make_data(rng, heteroscedastic=True)
-        cfg = BoostConfig(nu=0.5, max_iter=500, mode="joint", divergence_guard=True)
-        res = cyclic_boost_ls(X, Z, y, cfg)
+        res = cyclic_boost_ls(X, Z, y, 0.5, 500)
         assert res.scale_verdict == "diverging"
         assert res.scale_path.n_steps <= 10  # within a few iterations
-        small = BoostConfig(nu=0.01, max_iter=500, mode="joint", divergence_guard=True)
-        res_small = cyclic_boost_ls(X, Z, y, small)
+        res_small = cyclic_boost_ls(X, Z, y, 0.01, 500)
         assert res_small.scale_verdict != "diverging"
 
     def test_disabled_scale_updates_reduce_to_l2_boosting(self):
@@ -215,8 +211,7 @@ class TestCyclicBoosting:
         X = rng.normal(size=(40, 3))
         Z = np.ones((40, 1))
         y = rng.normal(size=40)
-        cfg = BoostConfig(nu=0.2, max_iter=60, mode="joint")
-        res = cyclic_boost_ls(X, Z, y, cfg, update_scale=False)
+        res = cyclic_boost_ls(X, Z, y, 0.2, 60, update_scale=False)
         np.testing.assert_array_equal(res.scale_path.betas, np.zeros((1, 1)))
         for k in (1, 10, 60):
             oracle = linear_boost_path(X, y, 0.2, k)
@@ -224,11 +219,17 @@ class TestCyclicBoosting:
                 res.mean_path.betas[k], oracle, rtol=1e-10, atol=1e-12
             )
 
+    def test_schedule_validation(self):
+        X, Z, y = self.make_data(np.random.default_rng(9), n=20)
+        for nu, max_iter, field in ((0.0, 5, "nu"), (float("nan"), 5, "nu"),
+                                    (0.1, 0, "max_iter"), (0.1, 2.5, "max_iter")):
+            with pytest.raises(ValueError, match=field):
+                cyclic_boost_ls(X, Z, y, nu, max_iter)
+
     def test_paired_csv(self, tmp_path):
         rng = np.random.default_rng(8)
         X, Z, y = self.make_data(rng, n=50, heteroscedastic=False)
-        cfg = BoostConfig(nu=0.05, max_iter=10, mode="joint")
-        res = cyclic_boost_ls(X, Z, y, cfg)
+        res = cyclic_boost_ls(X, Z, y, 0.05, 10)
         out = tmp_path / "paired.csv"
         write_csv(out, *res.table())
         import csv as csvmod

@@ -70,7 +70,7 @@ class TestBoostingEquivalence:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 4))
         y = (rng.uniform(size=60) < 0.5).astype(float)
-        part = make_partition(X, [((0, 1),), ((2, 3),)])
+        part = make_partition(X, [BlockSpec((0, 1)), BlockSpec((2, 3))])
         boost_path = run_boost(
             part, binomial(), y, BoostConfig(nu=0.2, max_iter=100, mode="greedy")
         )
@@ -94,7 +94,7 @@ class TestPenalizedObjective:
         y = np.sin(2 * np.pi * x) + 0.2 * rng.normal(size=n)
         P = difference_penalty(spec.n_basis, 2)
         part = make_partition(
-            X, [BlockSpec(tuple(range(spec.n_basis)), "pspline", lam, P)]
+            X, [BlockSpec(tuple(range(spec.n_basis)), lam, P)]
         )
         pls = np.linalg.solve(X.T @ X + lam * P, X.T @ y)
         return part, X, y, P, lam, pls
@@ -111,9 +111,9 @@ class TestPenalizedObjective:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(50, 6))
         specs = [
-            BlockSpec((0, 1), "ridge", 2.0),
-            BlockSpec((2, 3), "ridge", 0.5),
-            BlockSpec((4, 5), "linear"),
+            BlockSpec((0, 1), 2.0),
+            BlockSpec((2, 3), 0.5),
+            BlockSpec((4, 5)),
         ]
         part = make_partition(X, specs)
         y = rng.normal(size=50)
@@ -159,12 +159,23 @@ class TestValidation:
     def test_singular_scaling_rejected(self):
         X = np.zeros((10, 2))
         X[:, 0] = 1.0
-        part = make_partition(X, [((0, 1),)])
+        part = make_partition(X, [BlockSpec((0, 1))])
         with pytest.raises(np.linalg.LinAlgError):
             gbcd_gsq(part, l2(), np.ones(10), GbcdConfig())
 
+    def test_singular_scaling_names_block_position(self):
+        X = np.ones((10, 3))
+        X[:, 0] = np.arange(10.0)  # block 0 full rank, block 1 rank 1
+        part = make_partition(X, [BlockSpec((0,)), BlockSpec((1, 2))])
+        with pytest.raises(np.linalg.LinAlgError, match="^block 1 scaling matrix"):
+            gbcd_gsq(part, l2(), np.ones(10), GbcdConfig())
+
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GbcdConfig(nu=0.0)
+        for bad in (dict(nu=0.0), dict(nu=float("nan")), dict(nu=float("inf")),
+                    dict(max_iter=-1), dict(max_iter=2.5), dict(max_iter=2.0)):
+            field = next(iter(bad))
+            with pytest.raises(ValueError, match=field):
+                GbcdConfig(**bad)
         with pytest.raises(ValueError):
             GbcdConfig(gradient_of="both")
+        assert GbcdConfig(max_iter=np.int64(3)).max_iter == 3

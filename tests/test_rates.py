@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amboost.boost import BoostConfig, divergence_detector, run_boost
-from amboost.design import make_partition, single_block, singleton_blocks
+from amboost.design import BlockSpec, make_partition, single_block, singleton_blocks
 from amboost.losses import binomial, l2, poisson
 from amboost.rates import (
     check_bound,
@@ -187,3 +187,12 @@ class TestCurvatureBound:
         with pytest.warns(UserWarning, match="rank deficient"):
             result = hessian_ub_check(l2(), part, 1.0, path)
         assert result.ok
+
+    def test_rank_deficient_warning_names_block_position(self):
+        X = np.ones((10, 3))
+        X[:, 0] = np.arange(10.0)  # block 0 full rank, block 1 rank 1
+        part = make_partition(X, [BlockSpec((0,)), BlockSpec((1, 2))])
+        path = run_boost(part, l2(), np.ones(10), BoostConfig(nu=1.0, max_iter=3))
+        with pytest.warns(UserWarning, match="^block 1 Gram matrix is rank deficient") as rec:
+            hessian_ub_check(l2(), part, 1.0, path)
+        assert rec[0].filename == __file__  # the warning points at the caller
