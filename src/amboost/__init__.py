@@ -49,7 +49,6 @@ from .distreg import (
     cyclic_boost_ls,
     gauss_ls_eval,
     gauss_ls_hessian,
-    gauss_ls_nll,
 )
 from .errors import ConfigError, IntegrityError, NumericError
 from .gbcd import GbcdConfig, equivalence_check, gbcd_gsq

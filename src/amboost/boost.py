@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import losses as losses_mod
+from .design import _check_outcome, _check_step, _psd_spectrum
 from .errors import NumericError
 
 MODES = ("joint", "greedy", "cyclic")
@@ -34,8 +35,7 @@ def _loss_grew(current, reference):
 
 def _check_schedule(nu, max_iter, min_iter):
     """Reject ``nu`` NaN or outside (0, 1], and a non-integer or too small ``max_iter``."""
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"step size nu must be in (0, 1], got {nu!r}")
+    _check_step(nu)
     if not isinstance(max_iter, numbers.Integral):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < min_iter:
@@ -419,7 +419,8 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
     seed : int
         Seed for the random selection rule.
     """
-    y = np.asarray(y, dtype=float)
+    # the smoothers are checked against the outcome's length
+    y = _check_outcome(y, np.size(y))
     if rule not in ("greedy", "cyclic", "random"):
         raise ValueError(f"unsupported smoother selection rule {rule!r}")
     if n_steps < 0:
@@ -432,9 +433,7 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
     for m, S in enumerate(smoothers):
         if S.shape != (y.size, y.size):
             raise ValueError(f"smoother {m} has shape {S.shape}")
-        if not np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max())):
-            raise ValueError(f"smoother {m} is not symmetric")
-        w = np.linalg.eigvalsh(S)
+        w = _psd_spectrum(S, f"smoother {m}")
         if w[0] <= tol or w[-1] > 1.0 + tol:
             raise ValueError(
                 f"smoother {m} has eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}], "

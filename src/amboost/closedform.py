@@ -13,14 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import _check_matrix, _check_outcome, _check_penalty, _check_step, _check_weight
+
 _EIG_TOL = 1e-12
 
 
-def _gram(X):
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("design matrix must be 2-dimensional")
-    return X, X.T @ X
+def _inputs(X, y):
+    """Design and outcome as float arrays, rejecting a non-finite entry by name."""
+    X = _check_matrix(X, "design matrix")
+    return X, _check_outcome(y, X.shape[0])
+
+
+def _gram(X, y):
+    X, y = _inputs(X, y)
+    return X, y, X.T @ X
+
+
+def _system(G, P, lam):
+    """``G + lam P`` for a penalty weight ``lam``; a missing penalty is zero."""
+    _check_weight(lam)
+    P = np.zeros_like(G) if P is None else _check_penalty(P, G.shape[0])
+    return G + lam * P
 
 
 def _require_full_rank(X, G):
@@ -53,11 +66,6 @@ def _sym_pencil(G, A):
     return d, V, Ainv_half, A_half
 
 
-def _check_step(nu):
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("step size must be in (0, 1]")
-
-
 def linear_boost_path(X, y, nu, k):
     """Iterate k of joint L2 boosting with an unpenalized linear learner.
 
@@ -68,9 +76,9 @@ def linear_boost_path(X, y, nu, k):
     _check_step(nu)
     if k < 0:
         raise ValueError("iteration must be nonnegative")
-    X, G = _gram(X)
+    X, y, G = _gram(X, y)
     _require_full_rank(X, G)
-    beta_ols = np.linalg.solve(G, X.T @ np.asarray(y, dtype=float))
+    beta_ols = np.linalg.solve(G, X.T @ y)
     delta = -np.expm1(k * np.log1p(-nu)) if nu < 1.0 else float(k > 0)
     return delta * beta_ols
 
@@ -87,13 +95,10 @@ def penalized_boost_path(X, y, P, lam, nu, k):
     _check_step(nu)
     if k < 0:
         raise ValueError("iteration must be nonnegative")
-    if lam < 0:
-        raise ValueError("penalty weight must be nonnegative")
-    X, G = _gram(X)
+    X, y, G = _gram(X, y)
+    A = _system(G, P, lam)
     if k == 0:
         return np.zeros(X.shape[1])
-    P = np.zeros_like(G) if P is None else np.asarray(P, dtype=float)
-    A = G + lam * P
     d, V, Ainv_half, _ = _sym_pencil(G, A)
     # per-eigendirection telescoped geometric sum of (1 - nu d)
     with np.errstate(divide="ignore"):
@@ -102,7 +107,7 @@ def penalized_boost_path(X, y, P, lam, nu, k):
             -np.expm1(k * np.log1p(-nu * d)) / np.where(d > _EIG_TOL, d, 1.0),
             nu * k,
         )
-    rhs = Ainv_half @ (X.T @ np.asarray(y, dtype=float))
+    rhs = Ainv_half @ (X.T @ y)
     return Ainv_half @ (V @ (phi * (V.T @ rhs)))
 
 
@@ -114,8 +119,8 @@ def boost_limit(X, y, lam=0.0, P=None):
     the least-squares solution, rank-deficient ones the pseudoinverse
     applied to the outcome.
     """
-    X = np.asarray(X, dtype=float)
-    return np.linalg.lstsq(X, np.asarray(y, dtype=float), rcond=None)[0]
+    X, y = _inputs(X, y)
+    return np.linalg.lstsq(X, y, rcond=None)[0]
 
 
 @dataclass
@@ -149,20 +154,16 @@ def implicit_penalty(X, y, P, lam, nu, k):
     _check_step(nu)
     if k < 1:
         raise ValueError("implicit penalty defined for k >= 1")
-    if lam < 0:
-        raise ValueError("penalty weight must be nonnegative")
-    X, G = _gram(X)
+    X, y, G = _gram(X, y)
     _require_full_rank(X, G)
-    P = np.zeros_like(G) if P is None else np.asarray(P, dtype=float)
-    A = G + lam * P
-    d, V, Ainv_half, A_half = _sym_pencil(G, A)
+    d, V, Ainv_half, A_half = _sym_pencil(G, _system(G, P, lam))
     with np.errstate(over="ignore", divide="ignore"):
         denom = np.expm1(-k * np.log1p(-nu * d))
         g = np.where(np.isfinite(denom), d / np.where(denom > 0, denom, np.inf), 0.0)
     warning = bool(np.any(~np.isfinite(denom)))
     gamma = A_half @ (V @ (g[:, None] * V.T)) @ A_half
     gamma = 0.5 * (gamma + gamma.T)
-    beta_check = np.linalg.solve(G + gamma, X.T @ np.asarray(y, dtype=float))
+    beta_check = np.linalg.solve(G + gamma, X.T @ y)
     return ImplicitPenalty(
         gamma=gamma,
         k=int(k),
@@ -173,40 +174,34 @@ def implicit_penalty(X, y, P, lam, nu, k):
     )
 
 
-def ridge_equivalent_lambda(sigma2, nu, k, variant="plain", lam=None):
+def ridge_equivalent_lambda(sigma2, nu, k, lam=0.0):
     """Ridge penalty whose solution matches boosting iterate k.
 
-    Valid for isotropic designs with ``X^T X = sigma2 * I`` only. The
-    ``'plain'`` variant covers the unpenalized linear learner, the
-    ``'ridge_boost'`` variant a learner that itself carries a ridge
-    penalty ``lam``. Both are strictly decreasing in k and vanish in the
-    limit.
+    Valid for isotropic designs with ``X^T X = sigma2 * I`` only, and for
+    a learner that itself carries a ridge penalty ``lam``; ``lam = 0`` is
+    the unpenalized linear learner. Strictly decreasing in k and
+    vanishing in the limit.
     """
     _check_step(nu)
-    if sigma2 <= 0:
-        raise ValueError("isotropy parameter must be positive")
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError("isotropy parameter must be positive and finite")
+    _check_weight(lam)
     if k < 1:
         raise ValueError(
             "ridge-equivalent penalty undefined at k=0 (division by zero)"
         )
-    if variant == "plain":
-        shrink = 1.0 - nu
-    elif variant == "ridge_boost":
-        if lam is None or lam < 0:
-            raise ValueError("ridge_boost variant needs a nonnegative lam")
-        shrink = 1.0 - nu * sigma2 / (sigma2 + lam)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if shrink == 0.0:
-        return 0.0
-    # sigma2 * shrink^k / (1 - shrink^k), stable for large k
-    return float(sigma2 / np.expm1(-k * np.log(shrink)))
+    # sigma2 / (sigma2 + 0) is exactly 1, so lam = 0 shrinks by 1 - nu
+    shrink = 1.0 - nu * (sigma2 / (sigma2 + lam))
+    # sigma2 * shrink^k / (1 - shrink^k), stable for large k; the penalty
+    # is zero once shrink^-k overflows, and at shrink = 0 (nu = 1, lam = 0)
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(sigma2 / np.expm1(-k * np.log(shrink)))
 
 
 def ridge_solve(X, y, lam):
     """Plain ridge regression solution ``(X^T X + lam I)^{-1} X^T y``."""
-    X, G = _gram(X)
-    return np.linalg.solve(G + lam * np.eye(G.shape[0]), X.T @ np.asarray(y, float))
+    X, y, G = _gram(X, y)
+    return np.linalg.solve(G + lam * np.eye(G.shape[0]), X.T @ y)
 
 
 def path_points(X, y, nu, ks, lam=0.0, P=None):

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Relative tolerance of symmetry and PSD checks; smaller eigenvalues count as zero.
+EIG_TAU = 1e-10
+
 
 @dataclass(frozen=True)
 class SplineSpec:
@@ -127,26 +130,67 @@ def difference_penalty(p, d):
     return D.T @ D
 
 
-def _check_penalty(P, p, eps_scale=1e-10):
-    P = np.asarray(P, dtype=float)
-    if P.shape != (p, p):
-        raise ValueError(f"penalty has shape {P.shape}, expected ({p}, {p})")
-    if not np.allclose(P, P.T, atol=1e-8 * (1.0 + np.abs(P).max())):
-        raise ValueError("penalty matrix is not symmetric")
-    w = np.linalg.eigvalsh(P)
-    floor = eps_scale * (1.0 + max(w[-1], 0.0))
-    if w[0] < -floor:
-        raise ValueError(f"penalty matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    return P
-
-
-def _check_finite(X, what):
-    """Raise naming the first non-finite entry of the non-empty matrix ``X``."""
+def _check_matrix(X, what):
+    """``X`` as a non-empty float matrix; a non-finite entry is named."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"{what} must be a non-empty matrix, shape {X.shape}")
     # min and max are non-finite exactly when some entry is, and need no
     # n x p temporary
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"{what} entry ({row}, {col}) is not finite")
+    return X
+
+
+def _psd_spectrum(M, what):
+    """Ascending eigenvalues of the matrix ``what``, checked to be symmetric PSD.
+
+    A non-finite entry is named by its row and column; symmetry holds
+    within ``EIG_TAU (1 + max|M|)``, and no eigenvalue may fall below
+    ``-EIG_TAU max(lambda_max, 0)``.
+    """
+    M = _check_matrix(M, what)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"{what} must be square, shape {M.shape}")
+    if not np.allclose(M, M.T, atol=EIG_TAU * (1.0 + np.abs(M).max())):
+        raise ValueError(f"{what} is not symmetric")
+    w = np.linalg.eigvalsh(M)
+    if w[0] < -EIG_TAU * max(w[-1], 0.0) - 1e-300:
+        raise ValueError(f"{what} is not PSD (min eigenvalue {w[0]:.3e})")
+    return w
+
+
+def _check_penalty(P, p):
+    """``P`` as a float ``p x p`` symmetric PSD matrix."""
+    P = np.asarray(P, dtype=float)
+    if P.shape != (p, p):
+        raise ValueError(f"penalty has shape {P.shape}, expected ({p}, {p})")
+    _psd_spectrum(P, "penalty matrix")
+    return P
+
+
+def _check_weight(lam):
+    """Reject a penalty weight that is negative, NaN or infinite."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"penalty weight {lam!r} is not finite and nonnegative")
+
+
+def _check_step(nu):
+    """Reject a step size ``nu`` that is NaN or outside (0, 1]."""
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"step size nu must be in (0, 1], got {nu!r}")
+
+
+def _check_outcome(y, n):
+    """``y`` as a float vector of length ``n`` whose entries are finite."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"outcome has shape {y.shape}, expected ({n},)")
+    if not np.isfinite(y).all():
+        bad = int(np.argmax(~np.isfinite(y)))
+        raise ValueError(f"outcome contains a non-finite value at index {bad}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -155,7 +199,7 @@ class DesignBlock:
 
     Invariants checked on construction: the feature matrix is non-empty
     and finite (a non-finite entry is named by its row and column), the
-    penalty is symmetric PSD, its dimension matches the number of
+    penalty is finite and symmetric PSD, its dimension matches the number of
     columns, and the penalty weight is finite and nonnegative. A block with
     ``lam == 0`` is unpenalized whatever its penalty matrix.
     """
@@ -165,15 +209,9 @@ class DesignBlock:
     lam: float = 0.0
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("block feature matrix must be 2-dimensional")
-        if X.size == 0:
-            raise ValueError(f"block feature matrix is empty, shape {X.shape}")
-        _check_finite(X, "block feature matrix")
+        X = _check_matrix(self.X, "block feature matrix")
         object.__setattr__(self, "X", X)
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"penalty weight {self.lam!r} is not finite and nonnegative")
+        _check_weight(self.lam)
         object.__setattr__(self, "P", _check_penalty(self.P, X.shape[1]))
 
     @property
@@ -242,9 +280,9 @@ def make_partition(X, specs):
         If a spec is not a :class:`BlockSpec` (named by its position).
     ValueError
         If the design has no rows, no columns or a non-finite entry
-        (named by its row and column), a column index is not an integer,
-        the column sets overlap or fail to cover all columns, or a block
-        violates its own invariants.
+        (named by its row and column), a column index is not an integer
+        or is a ``bool``, the column sets overlap or fail to cover all
+        columns, or a block violates its own invariants.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -253,14 +291,16 @@ def make_partition(X, specs):
         raise ValueError("design matrix has no rows")
     if X.shape[1] == 0:
         raise ValueError("design matrix has no columns")
-    _check_finite(X, "design matrix")
+    _check_matrix(X, "design matrix")
     p = X.shape[1]
     seen = np.zeros(p, dtype=bool)
     blocks, column_map = [], []
     for b, s in enumerate(specs):
         if not isinstance(s, BlockSpec):
             raise TypeError(f"block spec {b} is a {type(s).__name__}, not a BlockSpec")
-        bad = [c for c in s.columns if not isinstance(c, numbers.Integral)]
+        # bool is an Integral, but True would silently select column 1
+        bad = [c for c in s.columns
+               if isinstance(c, bool) or not isinstance(c, numbers.Integral)]
         if bad:
             raise ValueError(f"block spec {b} column {bad[0]!r} is not an integer")
         cols = np.asarray(s.columns, dtype=int)

@@ -21,7 +21,7 @@ from .boost import (
     _Stepper,
     divergence_detector,
 )
-from .design import _check_finite, make_partition, single_block
+from .design import _check_matrix, _check_outcome, make_partition, single_block
 from .errors import NumericError
 
 # exp(2 * eta) must stay inside double range
@@ -47,14 +47,10 @@ class GaussianLSModel:
     xi: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.Z = np.asarray(self.Z, dtype=float)
+        self.X = _check_matrix(self.X, "mean design")
+        self.Z = _check_matrix(self.Z, "scale design")
         self.beta = np.asarray(self.beta, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
-        for what, M in (("mean design", self.X), ("scale design", self.Z)):
-            if M.ndim != 2 or M.size == 0:
-                raise ValueError(f"{what} must be a non-empty matrix, shape {M.shape}")
-            _check_finite(M, what)
         if self.X.shape[0] != self.Z.shape[0]:
             raise ValueError("mean and scale designs must share observations")
         if self.beta.shape != (self.X.shape[1],):
@@ -68,6 +64,8 @@ class GaussianLSModel:
 
 
 def _scale_and_residual(model, y):
+    # a malformed outcome is an input error, not a diverging iterate
+    y = _check_outcome(y, model.n)
     eta = model.Z @ model.xi
     big = np.abs(eta) > MAX_LOG_SCALE
     if big.any():
@@ -78,17 +76,11 @@ def _scale_and_residual(model, y):
             index=bad,
         )
     sigma2 = np.exp(2.0 * eta)
-    r = np.asarray(y, dtype=float) - model.X @ model.beta
+    r = y - model.X @ model.beta
     if not np.isfinite(r).all():
         bad = int(np.argmax(~np.isfinite(r)))
         raise NumericError(f"non-finite residual at index {bad}", index=bad)
     return eta, sigma2, r
-
-
-def gauss_ls_nll(model, y):
-    """Negative log-likelihood of the location-scale model."""
-    eta, sigma2, r = _scale_and_residual(model, y)
-    return float(0.5 * model.n * LOG_2PI + np.sum(eta + r**2 / (2.0 * sigma2)))
 
 
 def gauss_ls_eval(model, y):
@@ -172,7 +164,6 @@ def biconvexity_check(X, Z, y, trials=100, seed=0):
         raise ValueError("need at least one trial")
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
     min_bb, min_xx = np.inf, np.inf
     for _ in range(trials):

@@ -592,7 +592,6 @@ def _scenario_distreg_divergence(cfg):
         title="scale-model loss",
         xlabel="k",
         ylabel="nll",
-        log_y=False,
     )
     return tables, checks, charts
 

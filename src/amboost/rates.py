@@ -15,22 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
+from .design import EIG_TAU, _check_step, _psd_spectrum
 from .errors import NumericError
-
-# Relative eigenvalue threshold separating "zero" from "positive".
-EIG_TAU = 1e-10
-
-
-def _eigvals_psd(Q):
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(Q, Q.T, atol=1e-8 * (1.0 + np.abs(Q).max())):
-        raise ValueError("expected a symmetric matrix")
-    w = np.linalg.eigvalsh(Q)
-    if w[0] < -EIG_TAU * max(w[-1], 0.0) - 1e-300:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    return w
 
 
 def pl_constant(Q):
@@ -40,7 +26,7 @@ def pl_constant(Q):
     with Hessian ``Q``; eigenvalues below ``EIG_TAU`` times the largest
     count as zero.
     """
-    w = _eigvals_psd(Q)
+    w = _psd_spectrum(Q, "quadratic form")
     positive = w[w > EIG_TAU * max(w[-1], 0.0)]
     if positive.size == 0:
         raise ValueError("matrix has no positive eigenvalue")
@@ -49,7 +35,7 @@ def pl_constant(Q):
 
 def lipschitz_constant(Q):
     """Largest eigenvalue of a symmetric PSD matrix."""
-    return float(_eigvals_psd(Q)[-1])
+    return float(_psd_spectrum(Q, "quadratic form")[-1])
 
 
 def rate_quadratic(Q, n_blocks, nu):
@@ -59,8 +45,7 @@ def rate_quadratic(Q, n_blocks, nu):
     taken from the spectrum of ``Q``. Increasing in the block count,
     decreasing in the step size on (0, 1].
     """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("step size must be in (0, 1]")
+    _check_step(nu)
     if n_blocks < 1:
         raise ValueError("need at least one block")
     mu = pl_constant(Q)
@@ -78,8 +63,7 @@ def rate_general(mu, block_lipschitz, n_blocks, nu):
         raise ValueError("gradient-domination constant must be positive")
     if block_lipschitz < mu:
         raise ValueError("block Lipschitz constant cannot be below mu")
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("step size must be in (0, 1]")
+    _check_step(nu)
     if n_blocks < 1:
         raise ValueError("need at least one block")
     return 1.0 - nu * mu / (block_lipschitz * n_blocks)
@@ -189,8 +173,7 @@ def hessian_ub_check(loss, partition, nu, path):
     loss it can fail once the fit grows, which is exactly when the
     step-size guarantee breaks down.
     """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("step size must be in (0, 1]")
+    _check_step(nu)
     # a loop, not a comprehension, so that stacklevel=3 names the caller
     roots = []
     for b, block in enumerate(partition.blocks):

@@ -22,22 +22,21 @@ def _transform(vals, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
 
 
-def write_line_svg(path, series, title="", xlabel="", ylabel="", log_y=False):
+def write_line_svg(path, series, title="", xlabel="", ylabel=""):
     """Write labelled polylines to an SVG file.
 
     Parameters
     ----------
     path : str or Path
     series : dict
-        Maps label -> (xs, ys). Non-finite points are dropped; with
-        ``log_y`` non-positive values are dropped as well.
+        Maps label -> (xs, ys). Non-finite points are dropped.
     """
     cleaned = {}
     for label, (xs, ys) in series.items():
         pts = [
             (float(x), float(y))
             for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0)
+            if math.isfinite(x) and math.isfinite(y)
         ]
         if pts:
             cleaned[label] = pts
@@ -58,11 +57,7 @@ def write_line_svg(path, series, title="", xlabel="", ylabel="", log_y=False):
         return
 
     all_x = [p[0] for pts in cleaned.values() for p in pts]
-    all_y = [
-        math.log10(p[1]) if log_y else p[1]
-        for pts in cleaned.values()
-        for p in pts
-    ]
+    all_y = [p[1] for pts in cleaned.values() for p in pts]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
 
@@ -83,10 +78,9 @@ def write_line_svg(path, series, title="", xlabel="", ylabel="", log_y=False):
             f'<text x="{xp:.1f}" y="{_H - _MB + 16}" text-anchor="middle" '
             f'font-size="10" font-family="sans-serif">{xv:.4g}</text>'
         )
-        label = f"1e{yv:.2f}" if log_y else f"{yv:.4g}"
         parts.append(
             f'<text x="{_ML - 6}" y="{yp:.1f}" text-anchor="end" font-size="10" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">{yv:.4g}</text>'
         )
     parts.append(
         f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 8}" text-anchor="middle" '
@@ -99,8 +93,7 @@ def write_line_svg(path, series, title="", xlabel="", ylabel="", log_y=False):
     )
 
     for i, (label, pts) in enumerate(cleaned.items()):
-        xs = [p[0] for p in pts]
-        ys = [math.log10(p[1]) if log_y else p[1] for p in pts]
+        xs, ys = zip(*pts)
         xp = _transform(xs, x_lo, x_hi, _ML, _W - _MR)
         yp = _transform(ys, y_lo, y_hi, _H - _MB, _MT)
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xp, yp))

@@ -426,6 +426,28 @@ class TestSmootherBoost:
         with pytest.raises(ValueError, match="selection rule"):
             smoother_boost([np.eye(3)], y, 1, rule="joint")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_smoother_entry_named(self, bad):
+        # an infinite entry used to pass the checks and run to NaN
+        S = 0.5 * np.eye(3)
+        S[0, 2] = S[2, 0] = bad
+        with pytest.raises(ValueError, match=r"smoother 1 entry \(0, 2\) is not finite"):
+            smoother_boost([np.eye(3), S], np.ones(3), 2)
+
+    def test_asymmetric_smoother_rejected(self):
+        S = 0.5 * np.eye(3)
+        S[0, 1] = 0.1
+        with pytest.raises(ValueError, match="smoother 0 is not symmetric"):
+            smoother_boost([S], np.ones(3), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_outcome_named(self, bad):
+        # used to return NaN residual norms without an error
+        y = np.ones(4)
+        y[3] = bad
+        with pytest.raises(ValueError, match="non-finite value at index 3"):
+            smoother_boost([0.5 * np.eye(4)], y, 2)
+
 
 class TestDivergenceDetector:
     def _path(self, losses, betas, numeric_error=False):

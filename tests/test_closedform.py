@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -256,9 +258,9 @@ class TestRidgeEquivalent:
         assert ridge_equivalent_lambda(1.0, 0.5, 1) == pytest.approx(1.0, rel=1e-14)
 
     def test_decreasing_to_zero(self):
-        for variant, lam in (("plain", None), ("ridge_boost", 2.0)):
+        for lam in (0.0, 2.0):
             vals = [
-                ridge_equivalent_lambda(2.0, 0.3, k, variant, lam)
+                ridge_equivalent_lambda(2.0, 0.3, k, lam)
                 for k in (1, 2, 5, 20, 100, 1000)
             ]
             assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -281,7 +283,7 @@ class TestRidgeEquivalent:
         y = rng.normal(size=30)
         sigma2, lam, nu = 0.9**2, 2.0, 0.5
         for k in (1, 4, 25, 120):
-            lam_k = ridge_equivalent_lambda(sigma2, nu, k, "ridge_boost", lam)
+            lam_k = ridge_equivalent_lambda(sigma2, nu, k, lam)
             ridge = ridge_solve(X, y, lam_k)
             boost = penalized_boost_path(X, y, np.eye(4), lam, nu, k)
             assert np.linalg.norm(ridge - boost) / np.linalg.norm(boost) < 1e-10
@@ -289,6 +291,28 @@ class TestRidgeEquivalent:
     def test_zero_iteration_rejected(self):
         with pytest.raises(ValueError, match="k=0"):
             ridge_equivalent_lambda(1.0, 0.5, 0)
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_penalty_weight_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="penalty weight"):
+            ridge_equivalent_lambda(1.0, 0.5, 3, lam)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+    def test_isotropy_parameter_must_be_positive_and_finite(self, sigma2):
+        # NaN used to return NaN
+        with pytest.raises(ValueError, match="isotropy parameter"):
+            ridge_equivalent_lambda(sigma2, 0.5, 3)
+
+    @pytest.mark.parametrize("nu", [0.1, 0.25, 0.5, 0.9])
+    def test_unpenalized_is_the_plain_formula_bit_for_bit(self, nu):
+        # path_matching's grid: sigma2 = 1.3^2, nu = 0.1, k = 1..500; at
+        # nu = 0.9 the denominator overflows and the penalty is zero
+        s = 1.3**2
+        for k in range(1, 501):
+            with np.errstate(over="ignore"):
+                expected = float(s / np.expm1(-k * np.log(1 - nu)))
+            assert ridge_equivalent_lambda(s, nu, k) == expected
+            assert ridge_equivalent_lambda(s, nu, k, 0.0) == expected
 
     def test_anisotropic_paths_do_not_align(self):
         rng = np.random.default_rng(15)
@@ -314,3 +338,71 @@ def test_path_points_grid():
     pts = path_points(X, y, 0.5, [0, 1, 4])
     assert pts.shape == (3, 3)
     np.testing.assert_allclose(pts[1], linear_boost_path(X, y, 0.5, 1), rtol=1e-12)
+
+
+class TestBoundary:
+    ORACLES = {
+        "linear_boost_path": lambda X, y: linear_boost_path(X, y, 0.5, 3),
+        "penalized_boost_path": lambda X, y: penalized_boost_path(
+            X, y, np.eye(2), 1.0, 0.5, 3
+        ),
+        "implicit_penalty": lambda X, y: implicit_penalty(X, y, None, 0.0, 0.5, 3),
+        "ridge_solve": lambda X, y: ridge_solve(X, y, 1.0),
+        "boost_limit": lambda X, y: boost_limit(X, y),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_non_finite_design_entry_named(self, oracle, bad):
+        # a NaN used to fail inside LAPACK ("did not converge")
+        X = np.eye(4)[:, :2] + 1.0
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match=r"design matrix entry \(3, 1\) is not finite"):
+            self.ORACLES[oracle](X, np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_non_finite_outcome_named(self, oracle, bad):
+        # an infinite outcome used to give NaN coefficients silently
+        y = np.ones(4)
+        y[2] = bad
+        with pytest.raises(ValueError, match="non-finite value at index 2"):
+            self.ORACLES[oracle](np.eye(4)[:, :2] + 1.0, y)
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_outcome_length_checked(self, oracle):
+        with pytest.raises(ValueError, match=r"outcome has shape \(3,\), expected \(4,\)"):
+            self.ORACLES[oracle](np.eye(4)[:, :2] + 1.0, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "P, lam, msg",
+        [
+            ([[1.0, np.inf], [np.inf, 1.0]], 1.0, r"penalty matrix entry \(0, 1\) is not finite"),
+            ([[1.0, np.nan], [np.nan, 1.0]], 1.0, r"penalty matrix entry \(0, 1\) is not finite"),
+            ([[1.0, 0.5], [0.0, 1.0]], 1.0, "penalty matrix is not symmetric"),
+            (-np.eye(2), 0.1, "penalty matrix is not PSD"),
+            (np.eye(3), 1.0, r"penalty has shape \(3, 3\), expected \(2, 2\)"),
+            (np.eye(2), np.nan, "penalty weight nan is not finite and nonnegative"),
+            (np.eye(2), np.inf, "penalty weight inf is not finite and nonnegative"),
+            (np.eye(2), -1.0, "penalty weight -1.0 is not finite and nonnegative"),
+        ],
+        ids=["inf", "nan", "asymmetric", "not_psd", "shape", "lam_nan", "lam_inf", "lam_neg"],
+    )
+    @pytest.mark.parametrize("oracle", [penalized_boost_path, implicit_penalty])
+    def test_penalty_checked(self, oracle, P, lam, msg):
+        # all used to return NaN or a silently wrong iterate
+        with pytest.raises(ValueError, match=msg):
+            oracle(np.eye(4)[:, :2] + 1.0, np.ones(4), np.asarray(P), lam, 0.5, 3)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.5, np.nan])
+    def test_invalid_step_size_named(self, nu):
+        msg = re.escape(f"step size nu must be in (0, 1], got {nu!r}")
+        X, y = np.eye(4)[:, :2] + 1.0, np.ones(4)
+        with pytest.raises(ValueError, match=msg):
+            linear_boost_path(X, y, nu, 3)
+        with pytest.raises(ValueError, match=msg):
+            penalized_boost_path(X, y, np.eye(2), 1.0, nu, 3)
+        with pytest.raises(ValueError, match=msg):
+            implicit_penalty(X, y, None, 0.0, nu, 3)
+        with pytest.raises(ValueError, match=msg):
+            ridge_equivalent_lambda(1.0, nu, 3)

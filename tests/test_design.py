@@ -164,6 +164,15 @@ class TestPartition:
         with pytest.raises(ValueError, match=msg):
             make_partition(np.ones((4, 2)), [BlockSpec((0,)), BlockSpec((bad,))])
 
+    def test_bool_column_rejected(self):
+        # bool is an Integral: these specs used to build blocks over columns 1 and 0
+        with pytest.raises(ValueError, match="block spec 0 column True is not an integer"):
+            make_partition(
+                np.arange(6.0).reshape(3, 2), [BlockSpec((True,)), BlockSpec((False,))]
+            )
+        with pytest.raises(ValueError, match="block spec 1 column False is not an integer"):
+            make_partition(np.ones((3, 2)), [BlockSpec((1,)), BlockSpec((False,))])
+
     def test_numpy_integer_columns_accepted(self):
         part = make_partition(np.ones((4, 2)), [BlockSpec((np.int64(1), np.int32(0)))])
         np.testing.assert_array_equal(part.column_map[0], [1, 0])
@@ -219,6 +228,20 @@ class TestPartition:
     def test_non_psd_penalty_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
             DesignBlock(np.ones((3, 2)), -np.eye(2), lam=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_penalty_entry_named(self, bad):
+        # an infinite entry used to be accepted (its symmetry tolerance became
+        # infinite) and a NaN one was reported as "not symmetric"
+        P = np.eye(2)
+        P[1, 0] = P[0, 1] = bad
+        with pytest.raises(ValueError, match=r"penalty matrix entry \(0, 1\) is not finite"):
+            make_partition(np.ones((3, 2)), [BlockSpec((0, 1), 1.0, P)])
+
+    def test_asymmetric_penalty_rejected(self):
+        P = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="penalty matrix is not symmetric"):
+            DesignBlock(np.ones((3, 2)), P, lam=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_block_non_finite_entry_named(self, bad):

@@ -9,7 +9,6 @@ from amboost.distreg import (
     full_hessian,
     gauss_ls_eval,
     gauss_ls_hessian,
-    gauss_ls_nll,
     reference_indefinite_instance,
 )
 from amboost.errors import NumericError
@@ -51,14 +50,14 @@ class TestDerivatives:
             nll, gb, gx = gauss_ls_eval(model, y)
 
             def nll_beta(b):
-                return gauss_ls_nll(
+                return gauss_ls_eval(
                     GaussianLSModel(model.X, model.Z, b, model.xi), y
-                )
+                )[0]
 
             def nll_xi(x):
-                return gauss_ls_nll(
+                return gauss_ls_eval(
                     GaussianLSModel(model.X, model.Z, model.beta, x), y
-                )
+                )[0]
 
             np.testing.assert_allclose(
                 gb, fd_gradient(nll_beta, model.beta), rtol=1e-6, atol=1e-8
@@ -103,7 +102,7 @@ class TestDerivatives:
             np.ones((2, 1)), np.array([[1.0], [500.0]]), np.zeros(1), np.ones(1)
         )
         with pytest.raises(NumericError) as err:
-            gauss_ls_nll(model, np.zeros(2))
+            gauss_ls_eval(model, np.zeros(2))
         assert err.value.index == 1
 
     def test_diverging_mean_iterate_is_numeric_error(self):
@@ -112,10 +111,37 @@ class TestDerivatives:
             np.ones((2, 1)), np.ones((2, 1)), np.array([np.inf]), np.zeros(1)
         )
         with pytest.raises(NumericError, match="non-finite residual at index 0"):
-            gauss_ls_nll(model, np.zeros(2))
+            gauss_ls_eval(model, np.zeros(2))
 
 
 class TestModelBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda X, Z, y: gauss_ls_eval(GaussianLSModel(X, Z, np.zeros(2), np.zeros(1)), y),
+            lambda X, Z, y: gauss_ls_hessian(
+                GaussianLSModel(X, Z, np.zeros(2), np.zeros(1)), y
+            ),
+            lambda X, Z, y: cyclic_boost_ls(X, Z, y, 0.1, 5),
+            lambda X, Z, y: biconvexity_check(X, Z, y, trials=2),
+        ],
+        ids=["gauss_ls_eval", "gauss_ls_hessian", "cyclic_boost_ls", "biconvexity_check"],
+    )
+    def test_non_finite_outcome_is_input_error(self, call, bad):
+        # used to raise NumericError, the class of a diverging iterate
+        rng = np.random.default_rng(4)
+        X, Z = rng.normal(size=(6, 2)), rng.normal(size=(6, 1))
+        y = rng.normal(size=6)
+        y[3] = bad
+        with pytest.raises(ValueError, match="non-finite value at index 3"):
+            call(X, Z, y)
+
+    def test_outcome_length_checked(self):
+        model = GaussianLSModel(np.ones((3, 1)), np.ones((3, 1)), np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match=r"outcome has shape \(2,\), expected \(3,\)"):
+            gauss_ls_eval(model, np.zeros(2))
+
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (3,)])
     @pytest.mark.parametrize("which", ["mean", "scale"])
     def test_empty_or_non_matrix_design_rejected(self, shape, which):

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ class TestConstants:
         with pytest.raises(ValueError, match="PSD"):
             pl_constant(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "constant",
+        [pl_constant, lipschitz_constant, lambda Q: rate_quadratic(Q, 2, 0.5)],
+        ids=["pl_constant", "lipschitz_constant", "rate_quadratic"],
+    )
+    def test_non_finite_entry_named(self, constant, bad):
+        # an infinite entry used to give lipschitz_constant = nan
+        Q = np.eye(3)
+        Q[2, 1] = Q[1, 2] = bad
+        with pytest.raises(ValueError, match=r"quadratic form entry \(1, 2\) is not finite"):
+            constant(Q)
+
 
 class TestRates:
     def test_identity_two_blocks(self):
@@ -90,6 +104,18 @@ class TestRates:
             rate_general(2.0, 1.0, 1, 1.0)
         with pytest.raises(ValueError):
             rate_quadratic(np.eye(2), 2, 0.0)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.5, np.nan])
+    def test_invalid_step_size_named(self, nu):
+        msg = re.escape(f"step size nu must be in (0, 1], got {nu!r}")
+        with pytest.raises(ValueError, match=msg):
+            rate_quadratic(np.eye(2), 2, nu)
+        with pytest.raises(ValueError, match=msg):
+            rate_general(1.0, 2.0, 1, nu)
+        part = make_partition(np.eye(3)[:, :2], singleton_blocks(2))
+        path = run_boost(part, l2(), np.ones(3), BoostConfig(nu=0.5, max_iter=2))
+        with pytest.raises(ValueError, match=msg):
+            hessian_ub_check(l2(), part, nu, path)
 
 
 class TestCheckBound:
