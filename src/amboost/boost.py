@@ -9,14 +9,13 @@ full-rank linear smoothers and a divergence detector for the paths.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import losses as losses_mod
-from .design import _check_outcome, _check_step, _psd_spectrum
+from .design import _check_count, _check_outcome, _check_step, _psd_spectrum
 from .errors import NumericError
 
 MODES = ("joint", "greedy", "cyclic")
@@ -34,12 +33,9 @@ def _loss_grew(current, reference):
 
 
 def _check_schedule(nu, max_iter, min_iter):
-    """Reject ``nu`` NaN or outside (0, 1], and a non-integer or too small ``max_iter``."""
+    """Reject ``nu`` NaN or outside (0, 1], and a ``max_iter`` not an integer >= ``min_iter``."""
     _check_step(nu)
-    if not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < min_iter:
-        raise ValueError(f"max_iter must be at least {min_iter}, got {max_iter!r}")
+    _check_count(max_iter, "max_iter", min_iter)
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class BoostConfig:
     nu : float
         Step size in (0, 1].
     max_iter : int
-        Iteration cap, at least 1.
+        Iteration cap: integer >= 1.
     mode : str
         ``'joint'`` refits all blocks together each step, ``'greedy'``
         updates the best-fitting block, ``'cyclic'`` round-robins over
@@ -412,7 +408,7 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
     y : array
         Target vector.
     n_steps : int
-        Number of updates.
+        Number of updates: integer >= 0.
     rule : str
         ``'greedy'`` (largest residual reduction), ``'cyclic'`` or
         ``'random'``.
@@ -423,8 +419,7 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
     y = _check_outcome(y, np.size(y))
     if rule not in ("greedy", "cyclic", "random"):
         raise ValueError(f"unsupported smoother selection rule {rule!r}")
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    _check_count(n_steps, "n_steps", 0)
     smoothers = [np.asarray(S, dtype=float) for S in smoothers]
     if not smoothers:
         raise ValueError("need at least one smoother")
@@ -474,9 +469,9 @@ def divergence_detector(path, window=10):
     over the window or a numeric error occurred, ``'oscillating'`` if
     some coefficient's updates alternate sign with comparable
     non-vanishing magnitudes over the window, else ``'converging'``.
+    ``window``: integer >= 2.
     """
-    if window < 2:
-        raise ValueError("window must be at least 2")
+    _check_count(window, "window", 2)
     if path.numeric_error:
         return "diverging"
     L = path.losses

@@ -3,8 +3,9 @@
 Closed forms for the iterates of L2 boosting with and without quadratic
 penalties, their limits, the iteration-indexed implicit penalty matrix
 whose ridge-type solve reproduces each iterate, and the scalar
-ridge-equivalent penalty for isotropic designs. All computations are
-stateless and freely concurrent.
+ridge-equivalent penalty for isotropic designs. :func:`path_points`
+factors once per call, however many iteration counts it evaluates. All
+computations are stateless and freely concurrent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _check_matrix, _check_outcome, _check_penalty, _check_step, _check_weight
+from .design import _check_count, _check_matrix, _check_outcome, _check_penalty, _check_step, _check_weight
 
 _EIG_TOL = 1e-12
 
@@ -71,11 +72,10 @@ def linear_boost_path(X, y, nu, k):
 
     Equals ``(1 - (1 - nu)^k)`` times the least-squares solution; the
     shrinkage factor depends only on the step size and the iteration.
-    Requires a full-column-rank design.
+    Requires a full-column-rank design; ``k``: integer >= 0.
     """
     _check_step(nu)
-    if k < 0:
-        raise ValueError("iteration must be nonnegative")
+    _check_count(k, "k", 0)
     X, y, G = _gram(X, y)
     _require_full_rank(X, G)
     beta_ols = np.linalg.solve(G, X.T @ y)
@@ -86,29 +86,10 @@ def linear_boost_path(X, y, nu, k):
 def penalized_boost_path(X, y, P, lam, nu, k):
     """Iterate k of joint L2 boosting with a quadratic-penalty learner.
 
-    Evaluates the matrix-geometric sum
-    ``sum_{m<k} nu (I - nu (X^T X + lam P)^{-1} X^T X)^m`` applied to the
-    penalized least-squares solution, in telescoped form through the
-    eigenvalues of the symmetrized smoother matrix rather than by naive
-    matrix powers. ``lam=0`` reduces to :func:`linear_boost_path`.
+    The single-iterate case of :func:`path_points`; ``k``: integer >= 0.
+    ``lam=0`` reduces to :func:`linear_boost_path`.
     """
-    _check_step(nu)
-    if k < 0:
-        raise ValueError("iteration must be nonnegative")
-    X, y, G = _gram(X, y)
-    A = _system(G, P, lam)
-    if k == 0:
-        return np.zeros(X.shape[1])
-    d, V, Ainv_half, _ = _sym_pencil(G, A)
-    # per-eigendirection telescoped geometric sum of (1 - nu d)
-    with np.errstate(divide="ignore"):
-        phi = np.where(
-            d > _EIG_TOL,
-            -np.expm1(k * np.log1p(-nu * d)) / np.where(d > _EIG_TOL, d, 1.0),
-            nu * k,
-        )
-    rhs = Ainv_half @ (X.T @ y)
-    return Ainv_half @ (V @ (phi * (V.T @ rhs)))
+    return path_points(X, y, nu, (k,), lam, P)[0]
 
 
 def boost_limit(X, y, lam=0.0, P=None):
@@ -149,11 +130,10 @@ def implicit_penalty(X, y, P, lam, nu, k):
     scalar factors underflow to zero; the result is then reported as the
     zero matrix with a conditioning warning.
 
-    Requires a full-column-rank design and ``k >= 1``.
+    Requires a full-column-rank design; ``k``: integer >= 1.
     """
     _check_step(nu)
-    if k < 1:
-        raise ValueError("implicit penalty defined for k >= 1")
+    _check_count(k, "k", 1)
     X, y, G = _gram(X, y)
     _require_full_rank(X, G)
     d, V, Ainv_half, A_half = _sym_pencil(G, _system(G, P, lam))
@@ -164,14 +144,7 @@ def implicit_penalty(X, y, P, lam, nu, k):
     gamma = A_half @ (V @ (g[:, None] * V.T)) @ A_half
     gamma = 0.5 * (gamma + gamma.T)
     beta_check = np.linalg.solve(G + gamma, X.T @ y)
-    return ImplicitPenalty(
-        gamma=gamma,
-        k=int(k),
-        nu=float(nu),
-        lam=float(lam),
-        beta_check=beta_check,
-        conditioning_warning=warning,
-    )
+    return ImplicitPenalty(gamma, int(k), float(nu), float(lam), beta_check, warning)
 
 
 def ridge_equivalent_lambda(sigma2, nu, k, lam=0.0):
@@ -180,16 +153,13 @@ def ridge_equivalent_lambda(sigma2, nu, k, lam=0.0):
     Valid for isotropic designs with ``X^T X = sigma2 * I`` only, and for
     a learner that itself carries a ridge penalty ``lam``; ``lam = 0`` is
     the unpenalized linear learner. Strictly decreasing in k and
-    vanishing in the limit.
+    vanishing in the limit. ``k``: integer >= 1.
     """
     _check_step(nu)
     if not 0.0 < sigma2 < np.inf:
         raise ValueError("isotropy parameter must be positive and finite")
     _check_weight(lam)
-    if k < 1:
-        raise ValueError(
-            "ridge-equivalent penalty undefined at k=0 (division by zero)"
-        )
+    _check_count(k, "k", 1)
     # sigma2 / (sigma2 + 0) is exactly 1, so lam = 0 shrinks by 1 - nu
     shrink = 1.0 - nu * (sigma2 / (sigma2 + lam))
     # sigma2 * shrink^k / (1 - shrink^k), stable for large k; the penalty
@@ -200,14 +170,40 @@ def ridge_equivalent_lambda(sigma2, nu, k, lam=0.0):
 
 def ridge_solve(X, y, lam):
     """Plain ridge regression solution ``(X^T X + lam I)^{-1} X^T y``."""
+    _check_weight(lam)
     X, y, G = _gram(X, y)
     return np.linalg.solve(G + lam * np.eye(G.shape[0]), X.T @ y)
 
 
 def path_points(X, y, nu, ks, lam=0.0, P=None):
-    """Closed-form path evaluated on a grid of iteration counts.
+    """Iterates of joint L2 boosting with a quadratic-penalty learner.
 
-    Returns an array with one row per entry of ``ks``.
+    Evaluates the matrix-geometric sum
+    ``sum_{m<k} nu (I - nu (X^T X + lam P)^{-1} X^T X)^m`` applied to the
+    penalized least-squares solution, in telescoped form through the
+    eigenvalues of the symmetrized smoother matrix rather than by naive
+    matrix powers. The pencil is diagonalized once, and only if some
+    ``k >= 1``, so ``k = 0`` gives zeros even for a singular system.
+    ``ks``: integers >= 0; the result has one row per entry.
     """
-    rows = [penalized_boost_path(X, y, P, lam, nu, int(k)) for k in ks]
-    return np.asarray(rows)
+    _check_step(nu)
+    ks = tuple(ks)
+    for k in ks:
+        _check_count(k, "k", 0)
+    X, y, G = _gram(X, y)
+    A = _system(G, P, lam)
+    rows = np.zeros((len(ks), X.shape[1]))
+    if max(ks, default=0) == 0:
+        return rows
+    d, V, Ainv_half, _ = _sym_pencil(G, A)
+    coef = V.T @ (Ainv_half @ (X.T @ y))
+    # per-eigendirection telescoped geometric sum of (1 - nu d)
+    pos = d > _EIG_TOL
+    d_pos = np.where(pos, d, 1.0)
+    with np.errstate(divide="ignore"):
+        log_shrink = np.log1p(-nu * d)
+    for i, k in enumerate(ks):
+        if k > 0:
+            phi = np.where(pos, -np.expm1(k * log_shrink) / d_pos, nu * k)
+            rows[i] = Ainv_half @ (V @ (phi * coef))
+    return rows

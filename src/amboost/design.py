@@ -27,12 +27,13 @@ class SplineSpec:
     Parameters
     ----------
     n_knots : int
-        Number of equidistant knots spanning the domain, at least 2.
+        Number of equidistant knots spanning the domain: integer >= 2.
     degree : int, default 3
-        Polynomial degree of the basis functions (0 gives piecewise
-        constants). The basis has ``n_knots + degree - 1`` functions.
+        Polynomial degree of the basis functions: integer >= 0 (0 gives
+        piecewise constants). The basis has ``n_knots + degree - 1`` functions.
     diff_order : int, default 2
-        Order of the difference penalty paired with this basis.
+        Order of the difference penalty paired with this basis: integer
+        in [1, n_basis).
     domain : tuple of float, default (0.0, 1.0)
         Closed interval on which the basis is defined.
     """
@@ -46,11 +47,10 @@ class SplineSpec:
         lo, hi = self.domain
         if not np.isfinite(lo) or not np.isfinite(hi) or not hi > lo:
             raise ValueError(f"degenerate spline domain {self.domain!r}")
-        if self.n_knots < 2:
-            raise ValueError("need at least 2 knots")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if not 1 <= self.diff_order < self.n_basis:
+        _check_count(self.n_knots, "n_knots", 2)
+        _check_count(self.degree, "degree", 0)
+        _check_count(self.diff_order, "diff_order", 1)
+        if self.diff_order >= self.n_basis:
             raise ValueError(
                 f"difference order {self.diff_order} invalid for a basis "
                 f"of dimension {self.n_basis}"
@@ -113,8 +113,9 @@ def bspline_basis(x, spec):
 
 
 def difference_matrix(p, d):
-    """d-th order difference matrix of shape (p - d, p)."""
-    if not 1 <= d < p:
+    """d-th order difference matrix of shape (p - d, p); ``d``: integer in [1, p)."""
+    _check_count(d, "difference order d", 1)
+    if d >= p:
         raise ValueError(f"difference order {d} invalid for dimension {p}")
     return np.diff(np.eye(p), n=d, axis=0)
 
@@ -182,14 +183,25 @@ def _check_step(nu):
         raise ValueError(f"step size nu must be in (0, 1], got {nu!r}")
 
 
+def _check_count(value, what, minimum):
+    """Reject a count that is not an integer ``>= minimum``; ``bool``, ``2.0`` and NaN fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{what}={value!r} is not an integer >= {minimum}")
+
+
+def _check_finite_vector(v, what):
+    """Name the first non-finite entry of ``v``; ``what`` is e.g. ``"outcome contains"``."""
+    if not np.isfinite(v).all():
+        bad = int(np.argmax(~np.isfinite(v)))
+        raise ValueError(f"{what} a non-finite value at index {bad}")
+
+
 def _check_outcome(y, n):
     """``y`` as a float vector of length ``n`` whose entries are finite."""
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
         raise ValueError(f"outcome has shape {y.shape}, expected ({n},)")
-    if not np.isfinite(y).all():
-        bad = int(np.argmax(~np.isfinite(y)))
-        raise ValueError(f"outcome contains a non-finite value at index {bad}")
+    _check_finite_vector(y, "outcome contains")
     return y
 
 

@@ -21,7 +21,7 @@ from .boost import (
     _Stepper,
     divergence_detector,
 )
-from .design import _check_matrix, _check_outcome, make_partition, single_block
+from .design import _check_count, _check_matrix, _check_outcome, make_partition, single_block
 from .errors import NumericError
 
 # exp(2 * eta) must stay inside double range
@@ -158,10 +158,9 @@ def biconvexity_check(X, Z, y, trials=100, seed=0):
     both diagonal Hessian blocks, follows the scale coefficients along
     ``-t * ones`` to watch the scale-block curvature blow up, and
     evaluates the known single-observation instance with an indefinite
-    full Hessian.
+    full Hessian. ``trials``: integer >= 1.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_count(trials, "trials", 1)
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     rng = np.random.default_rng(seed)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, gammaln
 
+from .design import _check_finite_vector
 from .errors import NumericError
 
 FAMILIES = ("l2", "binomial", "poisson", "coxph")
@@ -59,9 +60,7 @@ class LossSpec:
             c = np.asarray(self.events, dtype=float)
             if t.shape != c.shape or t.ndim != 1:
                 raise ValueError("times and events must be 1-d of equal length")
-            if not np.isfinite(t).all():
-                bad = int(np.argmax(~np.isfinite(t)))
-                raise ValueError(f"observed times contain a non-finite value at index {bad}")
+            _check_finite_vector(t, "observed times contain")
             if np.any(t <= 0):
                 raise ValueError("observed times must be strictly positive")
             if not np.isin(c, (0.0, 1.0)).all():
@@ -128,9 +127,7 @@ def validate_outcome(spec, y):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("outcome must be a vector")
-    if not np.isfinite(y).all():
-        bad = int(np.argmax(~np.isfinite(y)))
-        raise ValueError(f"outcome contains a non-finite value at index {bad}")
+    _check_finite_vector(y, "outcome contains")
     if spec.family == "binomial" and not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("binomial outcomes must be 0 or 1")
     if spec.family == "poisson":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
-from .design import EIG_TAU, _check_step, _psd_spectrum
+from .design import EIG_TAU, _check_count, _check_step, _psd_spectrum
 from .errors import NumericError
 
 
@@ -43,11 +43,10 @@ def rate_quadratic(Q, n_blocks, nu):
 
     ``1 - (nu (2 - nu) / n_blocks) * (pl / lmax)`` with the constants
     taken from the spectrum of ``Q``. Increasing in the block count,
-    decreasing in the step size on (0, 1].
+    decreasing in the step size on (0, 1]. ``n_blocks``: integer >= 1.
     """
     _check_step(nu)
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
+    _check_count(n_blocks, "n_blocks", 1)
     mu = pl_constant(Q)
     lmax = lipschitz_constant(Q)
     return 1.0 - (nu * (2.0 - nu) / n_blocks) * (mu / lmax)
@@ -56,16 +55,15 @@ def rate_quadratic(Q, n_blocks, nu):
 def rate_general(mu, block_lipschitz, n_blocks, nu):
     """Linear rate ``1 - nu * mu / (block_lipschitz * n_blocks)``.
 
-    ``block_lipschitz`` is the largest Lipschitz constant over all
-    blocks; it must dominate the gradient-domination constant ``mu``.
+    ``block_lipschitz``, the largest Lipschitz constant over all blocks,
+    must be finite and at least ``mu > 0``. ``n_blocks``: integer >= 1.
     """
-    if mu <= 0:
-        raise ValueError("gradient-domination constant must be positive")
-    if block_lipschitz < mu:
-        raise ValueError("block Lipschitz constant cannot be below mu")
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"gradient-domination constant mu={mu!r} is not positive and finite")
+    if not mu <= block_lipschitz < np.inf:
+        raise ValueError(f"block_lipschitz={block_lipschitz!r} is not finite and >= mu={mu!r}")
     _check_step(nu)
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
+    _check_count(n_blocks, "n_blocks", 1)
     return 1.0 - nu * mu / (block_lipschitz * n_blocks)
 
 

@@ -109,7 +109,7 @@ class TestBoostConfig:
     @pytest.mark.parametrize(
         "bad",
         [dict(nu=0.0), dict(nu=1.5), dict(nu=float("nan")), dict(nu=float("inf")),
-         dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=2.0),
+         dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=2.0), dict(max_iter=True),
          dict(stop_tol=-1.0), dict(stop_tol=float("nan")), dict(stop_tol=float("inf"))],
     )
     def test_rejected_values_name_the_field(self, bad):

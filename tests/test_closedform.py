@@ -13,7 +13,7 @@ from amboost.closedform import (
     ridge_equivalent_lambda,
     ridge_solve,
 )
-from amboost.design import make_partition, single_block
+from amboost.design import difference_penalty, make_partition, single_block
 from amboost.losses import l2
 
 
@@ -340,6 +340,44 @@ def test_path_points_grid():
     np.testing.assert_allclose(pts[1], linear_boost_path(X, y, 0.5, 1), rtol=1e-12)
 
 
+class TestPathPoints:
+    @pytest.mark.parametrize("lam, nu", [(0.0, 0.5), (2.0, 0.3), (1.0, 1.0)])
+    def test_rows_equal_single_iterates_bitwise(self, lam, nu):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(25, 4))
+        y = rng.normal(size=25)
+        P = difference_penalty(4, 2)
+        ks = range(0, 60)
+        pts = path_points(X, y, nu, ks, lam, P)
+        for k in ks:
+            np.testing.assert_array_equal(pts[k], penalized_boost_path(X, y, P, lam, nu, k))
+
+    def test_zero_iterations_skip_the_singular_pencil(self):
+        X = np.ones((5, 2))  # rank 1, and lam = 0 leaves the system singular
+        y = np.arange(5.0)
+        np.testing.assert_array_equal(path_points(X, y, 0.5, [0, 0]), np.zeros((2, 2)))
+        np.testing.assert_array_equal(penalized_boost_path(X, y, None, 0.0, 0.5, 0), np.zeros(2))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            path_points(X, y, 0.5, [0, 1])
+
+    def test_factors_once_per_call(self, monkeypatch):
+        # the pencil needs two eigendecompositions; they used to be redone
+        # for every k
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(30, 5))
+        pts = path_points(X, rng.normal(size=30), 0.5, range(1, 51), 1.0, np.eye(5))
+        assert pts.shape == (50, 5)
+        assert len(calls) == 2
+
+
 class TestBoundary:
     ORACLES = {
         "linear_boost_path": lambda X, y: linear_boost_path(X, y, 0.5, 3),
@@ -393,6 +431,13 @@ class TestBoundary:
         # all used to return NaN or a silently wrong iterate
         with pytest.raises(ValueError, match=msg):
             oracle(np.eye(4)[:, :2] + 1.0, np.ones(4), np.asarray(P), lam, 0.5, 3)
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_ridge_solve_penalty_weight_checked(self, lam):
+        # NaN used to return NaN coefficients, and -1.0 raised LinAlgError,
+        # which reads as a numeric failure rather than an input error
+        with pytest.raises(ValueError, match=f"penalty weight {lam!r} is not finite"):
+            ridge_solve(np.eye(4)[:, :2] + 1.0, np.ones(4), lam)
 
     @pytest.mark.parametrize("nu", [0.0, 1.5, np.nan])
     def test_invalid_step_size_named(self, nu):

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+from amboost.boost import BoostConfig, divergence_detector, run_boost, smoother_boost
+from amboost.closedform import (
+    implicit_penalty,
+    linear_boost_path,
+    path_points,
+    penalized_boost_path,
+    ridge_equivalent_lambda,
+)
 from amboost.design import (
     BlockSpec,
     DesignBlock,
@@ -16,6 +24,10 @@ from amboost.design import (
     single_block,
     singleton_blocks,
 )
+from amboost.distreg import biconvexity_check, cyclic_boost_ls
+from amboost.gbcd import GbcdConfig
+from amboost.losses import l2
+from amboost.rates import rate_general, rate_quadratic
 
 
 def scipy_basis(x, spec):
@@ -259,3 +271,66 @@ class TestPartition:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             DesignBlock(np.ones((3, 2)), np.eye(3), lam=1.0)
+
+
+def _short_path():
+    part = make_partition(np.eye(3), singleton_blocks(3))
+    return run_boost(part, l2(), np.ones(3), BoostConfig(max_iter=3))
+
+
+def _ls_data():
+    rng = np.random.default_rng(4)
+    return rng.normal(size=(6, 2)), rng.normal(size=(6, 1)), rng.normal(size=6)
+
+
+_X2, _Y4 = np.eye(4)[:, :2] + 1.0, np.ones(4)
+
+
+class TestCountRule:
+    """Every count argument goes through ``design._check_count``."""
+
+    # name in the message, smallest valid value, call with the count
+    COUNTS = {
+        "BoostConfig.max_iter": ("max_iter", 1, lambda v: BoostConfig(max_iter=v)),
+        "GbcdConfig.max_iter": ("max_iter", 0, lambda v: GbcdConfig(max_iter=v)),
+        "cyclic_boost_ls.max_iter": (
+            "max_iter", 1, lambda v: cyclic_boost_ls(*_ls_data(), 0.1, v)),
+        "smoother_boost.n_steps": (
+            "n_steps", 0, lambda v: smoother_boost([np.eye(3)], np.ones(3), v)),
+        "divergence_detector.window": (
+            "window", 2, lambda v: divergence_detector(_short_path(), window=v)),
+        "linear_boost_path.k": ("k", 0, lambda v: linear_boost_path(_X2, _Y4, 0.5, v)),
+        "penalized_boost_path.k": (
+            "k", 0, lambda v: penalized_boost_path(_X2, _Y4, np.eye(2), 1.0, 0.5, v)),
+        "path_points.k": ("k", 0, lambda v: path_points(_X2, _Y4, 0.5, (3, v))),
+        "implicit_penalty.k": (
+            "k", 1, lambda v: implicit_penalty(_X2, _Y4, None, 0.0, 0.5, v)),
+        "ridge_equivalent_lambda.k": (
+            "k", 1, lambda v: ridge_equivalent_lambda(1.0, 0.5, v)),
+        "rate_quadratic.n_blocks": (
+            "n_blocks", 1, lambda v: rate_quadratic(np.eye(2), v, 0.5)),
+        "rate_general.n_blocks": ("n_blocks", 1, lambda v: rate_general(1.0, 2.0, v, 0.5)),
+        "biconvexity_check.trials": (
+            "trials", 1, lambda v: biconvexity_check(*_ls_data(), trials=v)),
+        "SplineSpec.n_knots": ("n_knots", 2, lambda v: SplineSpec(n_knots=v)),
+        "SplineSpec.degree": ("degree", 0, lambda v: SplineSpec(n_knots=10, degree=v)),
+        "SplineSpec.diff_order": (
+            "diff_order", 1, lambda v: SplineSpec(n_knots=10, diff_order=v)),
+        "difference_matrix.d": ("d", 1, lambda v: difference_matrix(4, v)),
+    }
+
+    @pytest.mark.parametrize("bad", ["fraction", "bool", "nan", "below"])
+    @pytest.mark.parametrize("site", COUNTS)
+    def test_non_count_rejected_by_name(self, site, bad):
+        # 2.5 used to give a non-existent iterate, a wrong report or an
+        # IndexError deep inside; NaN compared false against every bound
+        name, minimum, call = self.COUNTS[site]
+        value = {"fraction": 2.5, "bool": True, "nan": np.nan, "below": minimum - 1}[bad]
+        msg = rf"\b{name}={re.escape(repr(value))} is not an integer >= {minimum}$"
+        with pytest.raises(ValueError, match=msg):
+            call(value)
+
+    @pytest.mark.parametrize("site", COUNTS)
+    def test_numpy_integer_accepted(self, site):
+        _, minimum, call = self.COUNTS[site]
+        call(np.int64(max(minimum, 2)))

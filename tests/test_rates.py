@@ -105,6 +105,18 @@ class TestRates:
         with pytest.raises(ValueError):
             rate_quadratic(np.eye(2), 2, 0.0)
 
+    @pytest.mark.parametrize(
+        "mu, block_lipschitz, msg",
+        [(np.nan, 1.0, "^gradient-domination constant mu=nan"),
+         (np.inf, np.inf, "^gradient-domination constant mu=inf"),
+         (1.0, np.inf, "^block_lipschitz=inf"), (1.0, np.nan, "^block_lipschitz=nan")],
+    )
+    def test_non_finite_constant_named(self, mu, block_lipschitz, msg):
+        # NaN used to return NaN, and an infinite Lipschitz constant the
+        # vacuous rate 1.0
+        with pytest.raises(ValueError, match=msg):
+            rate_general(mu, block_lipschitz, 1, 0.5)
+
     @pytest.mark.parametrize("nu", [0.0, 1.5, np.nan])
     def test_invalid_step_size_named(self, nu):
         msg = re.escape(f"step size nu must be in (0, 1], got {nu!r}")
