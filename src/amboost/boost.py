@@ -265,67 +265,17 @@ def select_block(partition, y_tilde):
     return int(np.argmin(sse / partition.n))
 
 
-class _Stepper:
-    """One boosting step at a time over a fixed partition.
-
-    Owns the coefficient vector and the fitted values' linear part;
-    shared by the main engine and the cyclic distributional driver.
-    Every step works in parameter space from the gradient
-    ``g = X^T y_tilde``: greedy mode scores each block by the loss
-    decrease of its fit, ``||r||^2 - SSE_b``, from ``g_b`` alone (the
-    Gauss-Southwell-q rule of greedy block coordinate descent), so one
-    pass over the design per step serves every block.
-    """
-
-    def __init__(self, partition, nu, mode):
-        self.partition = partition
-        self.nu = nu
-        self.mode = mode
-        self.beta = np.zeros(partition.p)
-        self.f_lin = np.zeros(partition.n)
-        self._k = 0
-        if mode == "joint":
-            Pjoint = partition.penalty_blockdiag()
-            self._joint = _BlockSolver(
-                partition.X, Pjoint, 1.0 if np.any(Pjoint) else 0.0
-            )
-        else:
-            self._solvers = [
-                _BlockSolver(b.X, b.P, b.lam) for b in partition.blocks
-            ]
-
-    def step(self, g):
-        """Advance one iteration from the gradient ``g = X^T y_tilde``.
-
-        Returns the updated block id.
-        """
-        part = self.partition
-        if self.mode == "joint":
-            inc = self._joint.solve_gram(g)
-            self.beta += self.nu * inc
-            self.f_lin += self.nu * (part.X @ inc)
-            self._k += 1
-            return JOINT_SENTINEL
-        if self.mode == "greedy":
-            best, best_score, best_inc = 0, -np.inf, None
-            for b, (solver, cols) in enumerate(zip(self._solvers, part.column_map)):
-                g_b = g[cols]
-                inc = solver.solve_gram(g_b)
-                score = solver.decrease(g_b, inc)
-                if score > best_score:
-                    best, best_score, best_inc = b, score, inc
-        else:  # cyclic
-            best = self._k % part.n_blocks
-            best_inc = self._solvers[best].solve_gram(g[part.column_map[best]])
-        cols = part.column_map[best]
-        self.beta[cols] += self.nu * best_inc
-        self.f_lin += self.nu * (part.blocks[best].X @ best_inc)
-        self._k += 1
-        return best
-
-
 def run_boost(partition, loss, y, config):
     """Run the boosting algorithm and record the full path.
+
+    Every step works in parameter space from the gradient
+    ``g = X^T y_tilde``, one pass over the design that also gives the
+    recorded gradient norm. Greedy mode scores each block by the loss
+    decrease of its fit, ``||r||^2 - SSE_b``, from ``g_b`` alone (the
+    Gauss-Southwell-q rule of greedy block coordinate descent); cyclic
+    mode takes block ``k mod n_blocks``. Joint mode is the one-block case
+    of the same update: one solver over all columns with the penalty
+    ``blockdiag(lam_b P_b)``, its steps recorded as :data:`JOINT_SENTINEL`.
 
     Parameters
     ----------
@@ -347,19 +297,39 @@ def run_boost(partition, loss, y, config):
         raise ValueError("outcome length does not match the partition")
     offset = losses_mod.link_offset(loss, y) if config.init == "offset" else 0.0
 
-    stepper = _Stepper(partition, config.nu, config.mode)
     X = partition.X
+    mode, nu = config.mode, config.nu
+    if mode == "joint":
+        solvers = [_BlockSolver(X, partition.penalty_blockdiag(), 1.0)]
+        columns, designs = [slice(None)], [X]
+    else:
+        solvers = [_BlockSolver(b.X, b.P, b.lam) for b in partition.blocks]
+        columns, designs = partition.column_map, [b.X for b in partition.blocks]
+    beta = np.zeros(partition.p)
+    f_lin = np.zeros(partition.n)
     terminated = "max_iter"
     numeric_error = False
 
-    ge = losses_mod.evaluate(loss, y, offset + stepper.f_lin)
+    ge = losses_mod.evaluate(loss, y, offset + f_lin)
     g = X.T @ ge.y_tilde
-    rec = _PathRecorder(stepper.beta, ge.value, g)
+    rec = _PathRecorder(beta, ge.value, g)
 
-    for _ in range(config.max_iter):
-        sel = stepper.step(g)
+    for k in range(config.max_iter):
+        if mode == "greedy":
+            best, best_score, best_inc = 0, -np.inf, None
+            for b, (solver, cols) in enumerate(zip(solvers, columns)):
+                g_b = g[cols]
+                inc = solver.solve_gram(g_b)
+                score = solver.decrease(g_b, inc)
+                if score > best_score:
+                    best, best_score, best_inc = b, score, inc
+        else:
+            best = k % len(solvers)
+            best_inc = solvers[best].solve_gram(g[columns[best]])
+        beta[columns[best]] += nu * best_inc
+        f_lin += nu * (designs[best] @ best_inc)
         try:
-            ge = losses_mod.evaluate(loss, y, offset + stepper.f_lin)
+            ge = losses_mod.evaluate(loss, y, offset + f_lin)
         except NumericError:
             if not config.divergence_guard:
                 raise
@@ -367,7 +337,7 @@ def run_boost(partition, loss, y, config):
             numeric_error = True
             break
         g = X.T @ ge.y_tilde
-        rec.record(stepper.beta, sel, ge.value, g)
+        rec.record(beta, JOINT_SENTINEL if mode == "joint" else best, ge.value, g)
         if config.stop_tol > 0.0 and rec.losses[-2] - rec.losses[-1] < config.stop_tol:
             terminated = "tol"
             break

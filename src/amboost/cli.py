@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .boost import BoostConfig, run_boost
-from .closedform import implicit_penalty, path_points
+from .closedform import boost_limit, implicit_penalty, path_points
 from .design import (
     BlockSpec,
     difference_penalty,
@@ -27,6 +27,7 @@ from .design import (
 from .errors import ConfigError, NumericError
 from .experiments import (
     EXPERIMENTS,
+    GLM_FAMILIES,
     _load_ini,
     _typed,
     _typed_section,
@@ -37,7 +38,7 @@ from .experiments import (
     run_experiment,
     synth_glm_data,
 )
-from .losses import binomial, l2, poisson
+from .losses import l2, loss_value
 from .rates import check_bound, rate_quadratic
 from .tableio import write_csv
 
@@ -86,16 +87,6 @@ def _data_from_config(data, seed):
     return X, y, data["family"]
 
 
-def _loss_for(family):
-    if family == "gaussian":
-        return l2()
-    if family == "binomial":
-        return binomial()
-    if family == "poisson":
-        return poisson()
-    raise ConfigError(f"unsupported family {family!r}")
-
-
 def _penalty_matrix(penalty, size):
     """The penalty matrix that ``penalty`` names, for ``size`` coefficients."""
     if penalty == "ridge":
@@ -138,7 +129,7 @@ def _cmd_fit(args):
     X, y, family = _data_from_config(config["data"], seed)
     run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
-    path = run_boost(part, _loss_for(family), y, _boost_config(run))
+    path = run_boost(part, GLM_FAMILIES[family](), y, _boost_config(run))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "fit_path.csv"
@@ -188,8 +179,7 @@ def _cmd_rates(args):
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
     cfg = _boost_config(run)
     path = run_boost(part, l2(), y, cfg)
-    beta_star = np.linalg.lstsq(X, y, rcond=None)[0]
-    loss_opt = 0.5 * float(np.sum((y - X @ beta_star) ** 2))
+    loss_opt = loss_value(l2(), y, X @ boost_limit(X, y))
     gamma = rate_quadratic(X.T @ X, part.n_blocks, cfg.nu)
     report = check_bound(path, gamma, loss_opt)
     out = Path(args.out or ".")

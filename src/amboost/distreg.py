@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import (
+    JOINT_SENTINEL,
     BoostPath,
+    _BlockSolver,
     _check_schedule,
     _loss_grew,
     _PathRecorder,
-    _Stepper,
     divergence_detector,
 )
-from .design import _check_count, _check_matrix, _check_outcome, make_partition, single_block
+from .design import _check_count, _check_matrix, _check_outcome
 from .errors import NumericError
 
 # exp(2 * eta) must stay inside double range
@@ -234,40 +235,36 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter, update_scale=True):
     ``r^2 / sigma^2 - 1`` (the negative gradient in the scale model's
     linear predictor). Numeric blow-ups and tenfold loss growth are
     recorded as a divergence termination rather than raised; both
-    returned paths carry detector verdicts.
+    returned paths carry detector verdicts. Each half-step is the joint
+    one-block step of ``run_boost`` on that model's design; a non-finite
+    design entry is a ``ValueError`` naming the mean or scale design.
 
     With the scale updates disabled the run reduces to plain squared-loss
     boosting of the mean model at unit variance.
     """
     _check_schedule(nu, max_iter, 1)
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    # the model checks both designs before a solver sees them
+    model = GaussianLSModel(X, Z, np.zeros(np.shape(X)[1:]), np.zeros(np.shape(Z)[1:]))
     y = np.asarray(y, dtype=float)
-    mean_part = make_partition(X, single_block(X.shape[1]))
-    scale_part = make_partition(Z, single_block(Z.shape[1]))
-    mean_step = _Stepper(mean_part, nu, "joint")
-    scale_step = _Stepper(scale_part, nu, "joint")
+    mean_solver = _BlockSolver(model.X)
+    scale_solver = _BlockSolver(model.Z)
 
-    def state():
-        model = GaussianLSModel(X, Z, mean_step.beta, scale_step.beta)
-        return gauss_ls_eval(model, y)
-
-    nll0, gb, gx = state()
-    mean_rec = _PathRecorder(mean_step.beta, nll0, gb)
-    scale_rec = _PathRecorder(scale_step.beta, nll0, gx)
+    nll0, gb, gx = gauss_ls_eval(model, y)
+    mean_rec = _PathRecorder(model.beta, nll0, gb)
+    scale_rec = _PathRecorder(model.xi, nll0, gx)
     terminated = "max_iter"
     numeric_error = False
 
     # each half-step moves along the negated gradient of the current state
     for _ in range(max_iter):
         try:
-            sel = mean_step.step(-gb)
-            nll, gb, gx = state()
-            mean_rec.record(mean_step.beta, sel, nll, gb)
+            model.beta += nu * mean_solver.solve_gram(-gb)
+            nll, gb, gx = gauss_ls_eval(model, y)
+            mean_rec.record(model.beta, JOINT_SENTINEL, nll, gb)
             if update_scale:
-                sel = scale_step.step(-gx)
-                nll, gb, gx = state()
-                scale_rec.record(scale_step.beta, sel, nll, gx)
+                model.xi += nu * scale_solver.solve_gram(-gx)
+                nll, gb, gx = gauss_ls_eval(model, y)
+                scale_rec.record(model.xi, JOINT_SENTINEL, nll, gx)
         except (NumericError, np.linalg.LinAlgError):
             terminated = "divergence"
             numeric_error = True

@@ -32,6 +32,7 @@ from scipy.special import expit
 from . import __version__
 from .boost import BoostConfig, divergence_detector, run_boost
 from .closedform import (
+    boost_limit,
     linear_boost_path,
     ridge_equivalent_lambda,
     ridge_solve,
@@ -49,14 +50,15 @@ from .design import (
 from .distreg import biconvexity_check, cyclic_boost_ls
 from .errors import ConfigError, IntegrityError
 from .gbcd import GbcdConfig, equivalence_check, gbcd_gsq
-from .losses import binomial, l2, poisson
+from .losses import binomial, l2, loss_value, poisson
 from .rates import check_bound, hessian_ub_check, lipschitz_constant, pl_constant, rate_quadratic
 from .svgplot import write_line_svg
 from .tableio import write_csv
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 
-GLM_FAMILIES = ("gaussian", "binomial", "poisson")
+# Family name in configs and synthetic data -> its loss factory.
+GLM_FAMILIES = {"gaussian": l2, "binomial": binomial, "poisson": poisson}
 
 EXPERIMENTS = (
     "path_matching",
@@ -318,7 +320,7 @@ def _scenario_pspline_unpenalized(cfg):
     X = bspline_basis(x, spec)
     y = np.sin(2 * np.pi * x) + data["noise"] * rng.standard_normal(n)
     P = difference_penalty(spec.n_basis, spec.diff_order)
-    beta_ols = np.linalg.lstsq(X, y, rcond=None)[0]
+    beta_ols = boost_limit(X, y)
     scale = 1.0 + np.linalg.norm(beta_ols)
     fit_grid = np.linspace(0.0, 1.0, 200)
     B = bspline_basis(fit_grid, spec)
@@ -432,8 +434,7 @@ def _scenario_rates_sweep(cfg):
             part, l2(), y,
             BoostConfig(nu=nu, max_iter=run["check_iters"]),
         )
-        beta_star = np.linalg.lstsq(X, y, rcond=None)[0]
-        loss_opt = 0.5 * float(np.sum((y - X @ beta_star) ** 2))
+        loss_opt = loss_value(l2(), y, X @ boost_limit(X, y))
         gamma = rate_quadratic(X.T @ X, p, nu)
         report = check_bound(path, gamma, loss_opt)
         all_ok = all_ok and report.all_compliant
@@ -465,7 +466,8 @@ def _scenario_expfam_convergence(cfg):
     p, nus = data["p"], run["nus"]
     loss_rows, verdict_rows = [], []
     results = {}
-    for family, spec_fn in (("binomial", binomial), ("poisson", poisson)):
+    for family in ("binomial", "poisson"):
+        spec_fn = GLM_FAMILIES[family]
         X, y = synth_glm_data(data["n"], p, data["rho"], data["beta_true"], family,
                               data["seed"])
         part = make_partition(X, singleton_blocks(p))

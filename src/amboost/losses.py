@@ -18,8 +18,10 @@ from .errors import NumericError
 FAMILIES = ("l2", "binomial", "poisson", "coxph")
 
 # Predictors beyond this magnitude raise instead of silently saturating;
-# divergence detection depends on seeing the growth.
+# divergence detection depends on seeing the growth. The squared loss has
+# no exponential to overflow: its bound, the largest float, rejects only non-finite ones.
 MAX_PREDICTOR = 700.0
+_PREDICTOR_LIMIT = dict.fromkeys(FAMILIES, MAX_PREDICTOR) | {"l2": float(np.finfo(float).max)}
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class GradientEval:
 
 
 def validate_outcome(spec, y):
-    """Check that the outcome vector is admissible for the family."""
+    """Check that the outcome is admissible; for ``'coxph'`` it is the spec's ``events``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("outcome must be a vector")
@@ -133,26 +135,30 @@ def validate_outcome(spec, y):
     if spec.family == "poisson":
         if np.any(y < 0) or np.any(y != np.round(y)):
             raise ValueError("poisson outcomes must be nonnegative integers")
-    if spec.family == "coxph" and y.shape != spec.times.shape:
-        raise ValueError("outcome length must match survival metadata")
+    if spec.family == "coxph":
+        if y.shape != spec.times.shape:
+            raise ValueError("outcome length must match survival metadata")
+        if not np.array_equal(y, spec.events):
+            bad = int(np.argmax(y != spec.events))
+            raise ValueError(f"coxph outcome must be the events; it differs at index {bad}")
     return y
 
 
-def _check_predictor(f):
+def _check_predictor(f, limit=MAX_PREDICTOR):
     f = np.asarray(f, dtype=float)
     # one reduction clears every admissible predictor; NaN fails the
     # comparison, so every bad value takes the path that names it
-    if f.size and np.abs(f).max() <= MAX_PREDICTOR:
+    if f.size and np.abs(f).max() <= limit:
         return f
     if not np.isfinite(f).all():
         bad = int(np.argmax(~np.isfinite(f)))
         raise NumericError(f"non-finite predictor at index {bad}", index=bad)
-    big = np.abs(f) > MAX_PREDICTOR
+    big = np.abs(f) > limit
     if big.any():
         bad = int(np.argmax(big))
         raise NumericError(
             f"predictor magnitude {abs(f[bad]):.3g} at index {bad} exceeds "
-            f"the overflow guard {MAX_PREDICTOR:g}",
+            f"the overflow guard {limit:g}",
             index=bad,
         )
     return f
@@ -185,7 +191,7 @@ def _cox_event_share(spec, f, log_risk):
 def loss_value(spec, y, f):
     """Evaluate the loss (a negative log-likelihood, L2 uses 0.5*||y-f||^2)."""
     y = validate_outcome(spec, y)
-    f = _check_predictor(f)
+    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
     if spec.family == "l2":
         return 0.5 * float(((y - f) ** 2).sum())
     if spec.family == "binomial":
@@ -209,7 +215,7 @@ def neg_functional_gradient(spec, y, f):
     ``exp(-log_risk)`` gives each subject's accumulated weight.
     """
     y = validate_outcome(spec, y)
-    f = _check_predictor(f)
+    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
     if spec.family == "l2":
         return y - f
     if spec.family == "binomial":
@@ -234,7 +240,7 @@ def hessian_weights(spec, f):
     exponent is at most ``log n``, so nothing overflows for ``|f|`` up
     to :data:`MAX_PREDICTOR`.
     """
-    f = _check_predictor(f)
+    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
     if spec.family == "l2":
         return np.ones_like(f)
     if spec.family == "binomial":
@@ -257,7 +263,10 @@ def hessian_weights(spec, f):
 
 
 def evaluate(spec, y, f):
-    """Loss value, working response and weights in one pass."""
+    """Loss value, working response and weights from the three public functions.
+
+    Each of them validates its own inputs; nothing is shared between them.
+    """
     return GradientEval(
         value=loss_value(spec, y, f),
         y_tilde=neg_functional_gradient(spec, y, f),

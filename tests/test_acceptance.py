@@ -337,7 +337,7 @@ def test_09_gradient_correctness():
                 times = rng.exponential(size=n) + 0.05
                 events = (rng.uniform(size=n) < 0.7).astype(float)
                 events[rng.integers(n)] = 1.0
-                spec, y = coxph(times, events), times.copy()
+                spec, y = coxph(times, events), events.copy()
             grad = neg_functional_gradient(spec, y, f)
             fd = -_fd_gradient(lambda g: loss_value(spec, y, g), f)
             worst = max(worst, rel(grad, fd))
@@ -439,14 +439,14 @@ def test_11_survival_boosting_linear_rate():
     spec = coxph(times, events)
     part = make_partition(X, singleton_blocks(4))
     path = run_boost(
-        part, spec, times, BoostConfig(nu=0.3, max_iter=400, mode="greedy")
+        part, spec, events, BoostConfig(nu=0.3, max_iter=400, mode="greedy")
     )
 
     def objective(beta):
-        return loss_value(spec, times, X @ beta)
+        return loss_value(spec, events, X @ beta)
 
     def grad(beta):
-        return -X.T @ neg_functional_gradient(spec, times, X @ beta)
+        return -X.T @ neg_functional_gradient(spec, events, X @ beta)
 
     opt = scipy.optimize.minimize(
         objective, np.zeros(4), jac=grad, method="BFGS",

@@ -16,18 +16,20 @@ from amboost.boost import (
     select_block,
     smoother_boost,
 )
+from amboost.closedform import path_points
 from amboost.design import (
     BlockSpec,
     DesignBlock,
     SplineSpec,
     bspline_basis,
+    difference_penalty,
     make_partition,
     pspline_block_spec,
     single_block,
     singleton_blocks,
 )
 from amboost.errors import NumericError
-from amboost.losses import binomial, l2, poisson
+from amboost.losses import binomial, coxph, l2, poisson
 from amboost.tableio import write_csv
 
 
@@ -274,6 +276,28 @@ class TestRunBoost:
         with pytest.raises(NumericError):
             run_boost(part, poisson(), y, cfg_raise)
 
+    def test_squared_loss_beyond_700_is_not_a_divergence(self):
+        # the exp-link overflow guard used to stop an l2 fit at |f| > 700
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(50, 2))
+        y = X @ np.array([600.0, 600.0]) + rng.normal(size=50)
+        part = make_partition(X, single_block(2))
+        cfg = BoostConfig(nu=0.5, max_iter=60, mode="joint", divergence_guard=True)
+        path = run_boost(part, l2(), y, cfg)
+        assert path.terminated_by == "max_iter" and not path.numeric_error
+        np.testing.assert_allclose(path.final, np.linalg.lstsq(X, y, rcond=None)[0], rtol=1e-12)
+
+    def test_coxph_outcome_other_than_events_rejected(self):
+        # the outcome used to be ignored: any vector of the right length ran
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(12, 2))
+        times, events = rng.exponential(size=12) + 0.1, np.tile([1.0, 0.0, 1.0], 4)
+        part = make_partition(X, singleton_blocks(2))
+        cfg = BoostConfig(nu=0.3, max_iter=5)
+        with pytest.raises(ValueError, match="must be the events; it differs at index 0$"):
+            run_boost(part, coxph(times, events), np.full(12, 7.5), cfg)
+        assert run_boost(part, coxph(times, events), events, cfg).n_steps == 5
+
     def test_to_csv_schema(self, tmp_path):
         rng = np.random.default_rng(18)
         X = rng.normal(size=(10, 2))
@@ -384,6 +408,55 @@ class TestGreedyMatchesResidualOracle:
             inc = (path.betas[k + 1] - path.betas[k])[cols] / nu
             ref, _ = fit_block(part.blocks[sel], y_tilde)
             assert np.abs(inc - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+class TestOneBlockModes:
+    """On one block, joint mode is the one-block case of the shared update."""
+
+    @pytest.mark.parametrize("lam, penalty", [(0.0, None), (2.0, None), (0.7, "diff")])
+    @pytest.mark.parametrize("loss", [l2(), binomial()], ids=["l2", "binomial"])
+    def test_joint_greedy_and_cyclic_agree_bitwise(self, lam, penalty, loss):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(40, 5))
+        y = X @ rng.normal(size=5) + rng.normal(size=40)
+        if loss.family == "binomial":
+            y = (y > 0).astype(float)
+        P = difference_penalty(5, 2) if penalty == "diff" else None
+        part = make_partition(X, single_block(5, lam, P))
+        paths = {
+            mode: run_boost(part, loss, y, BoostConfig(nu=0.4, max_iter=30, mode=mode))
+            for mode in ("joint", "greedy", "cyclic")
+        }
+        for mode in ("greedy", "cyclic"):
+            for field in ("betas", "losses", "grad_norms"):
+                np.testing.assert_array_equal(
+                    getattr(paths[mode], field), getattr(paths["joint"], field)
+                )
+            np.testing.assert_array_equal(paths[mode].selected, np.zeros(30))
+        np.testing.assert_array_equal(paths["joint"].selected, np.full(30, -1))
+
+
+class TestJointMatchesClosedForm:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        extra_rows=st.integers(3, 30),
+        nu=st.floats(0.05, 1.0),
+        lam=st.floats(0.0, 20.0),
+        penalty=st.sampled_from(["ridge", "diff"]),
+        ks=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+    )
+    def test_engine_iterates_match_path_points(self, seed, p, extra_rows, nu, lam, penalty, ks):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(p + extra_rows, p))
+        y = rng.normal(size=p + extra_rows)
+        P = difference_penalty(p, 1) if penalty == "diff" and p > 1 else np.eye(p)
+        part = make_partition(X, single_block(p, lam, P))
+        path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=max(max(ks), 1), mode="joint"))
+        for k, closed in zip(ks, path_points(X, y, nu, ks, lam, P)):
+            err = np.linalg.norm(path.betas[k] - closed)
+            assert err <= 1e-10 * np.linalg.norm(closed), (k, err)
 
 
 class TestSmootherBoost:

@@ -35,6 +35,16 @@ class TestFit:
         )
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_gaussian_fit_beyond_700(self, tmp_path, capsys):
+        # the exp-link overflow guard used to stop this fit with exit 2
+        cfg = write_ini(
+            tmp_path,
+            "[data]\nn = 50\np = 2\nbeta_true = 600,600\nfamily = gaussian\n\n"
+            "[run]\nmode = joint\n",
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "terminated by max_iter" in capsys.readouterr().out
+
     def test_bad_family_is_config_error(self, tmp_path, capsys):
         cfg = write_ini(
             tmp_path, "[data]\nfamily = gamma\n\n[run]\nmax_iter = 5\n"

@@ -163,6 +163,14 @@ class TestModelBoundary:
         with pytest.raises(ValueError, match=rf"^{which} design entry \(3, 2\) is not finite$"):
             GaussianLSModel(designs["mean"], designs["scale"], np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("which", ["mean", "scale"])
+    def test_cyclic_boost_ls_names_the_bad_design(self, which):
+        # both designs used to be reported as "design matrix entry ..."
+        designs = {"mean": np.ones((5, 2)), "scale": np.ones((5, 1))}
+        designs[which][2, 0] = np.nan
+        with pytest.raises(ValueError, match=rf"^{which} design entry \(2, 0\) is not finite$"):
+            cyclic_boost_ls(designs["mean"], designs["scale"], np.zeros(5), 0.1, 5)
+
 
 class TestCurvatureStructure:
     def test_diagonal_blocks_psd(self):

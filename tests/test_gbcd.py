@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amboost.boost import BoostConfig, run_boost
 from amboost.closedform import boost_limit
@@ -33,6 +35,23 @@ class TestBoostingEquivalence:
             nu = float(rng.choice([0.1, 0.5, 1.0]))
             report = equivalence_check(part, l2(), y, nu, n_steps=200)
             assert report.identical, f"trial {trial}: {report}"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 60),
+        p=st.integers(1, 10),
+        max_block=st.integers(1, 5),
+        nu=st.floats(0.05, 1.0),
+        n_steps=st.integers(1, 80),
+    )
+    def test_greedy_boosting_is_gbcd_over_random_partitions(
+        self, seed, n, p, max_block, nu, n_steps
+    ):
+        rng = np.random.default_rng(seed)
+        part = random_partition(rng, n, p, max_block)
+        report = equivalence_check(part, l2(), rng.normal(size=n), nu, n_steps)
+        assert report.identical, report
 
     def test_singleton_blocks_match(self):
         rng = np.random.default_rng(1)

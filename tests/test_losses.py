@@ -82,7 +82,7 @@ def random_instance(family, rng, n=8):
     if family == "poisson":
         return poisson(), rng.poisson(lam=2.0, size=n).astype(float), f
     spec = random_cox_spec(rng, n)
-    return spec, spec.times.copy(), f
+    return spec, spec.events.copy(), f
 
 
 class TestLossValues:
@@ -107,7 +107,7 @@ class TestLossValues:
         spec = random_cox_spec(rng, 10)
         for _ in range(10):
             f = rng.normal(size=10)
-            assert loss_value(spec, spec.times, f) >= 0.0
+            assert loss_value(spec, spec.events, f) >= 0.0
 
     def test_nonfinite_predictor(self):
         with pytest.raises(NumericError):
@@ -148,6 +148,21 @@ class TestPredictorGuard:
             assert _check_predictor(np.array([])).shape == (0,)
             assert loss_value(l2(), np.array([]), np.array([])) == 0.0
 
+    def test_squared_loss_has_no_magnitude_guard(self):
+        # the squared loss has no exponential to overflow: only a non-finite predictor fails
+        y = np.array([1000.0, -2e5, 1e200])
+        f = np.array([999.0, -2e5, 1e200])
+        assert loss_value(l2(), y, f) == 0.5
+        np.testing.assert_array_equal(neg_functional_gradient(l2(), y, f), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(hessian_weights(l2(), f), np.ones(3))
+        with pytest.raises(NumericError, match="^non-finite predictor at index 1$"):
+            loss_value(l2(), y, np.array([0.0, np.inf, 0.0]))
+        # the exp-link families keep the guard
+        for spec, out in ((binomial(), np.ones(3)), (poisson(), np.ones(3)),
+                          (coxph([1.0, 2.0, 3.0], [1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]))):
+            with pytest.raises(NumericError, match="exceeds the overflow guard 700"):
+                loss_value(spec, out, np.array([0.0, 800.0, 0.0]))
+
 
 class TestGradients:
     def test_l2_residuals(self):
@@ -163,8 +178,8 @@ class TestGradients:
         rng = np.random.default_rng(7)
         spec = random_cox_spec(rng, 6)
         f = rng.normal(size=6)
-        grad = neg_functional_gradient(spec, spec.times, f)
-        fd = -central_fd_gradient(lambda g: loss_value(spec, spec.times, g), f)
+        grad = neg_functional_gradient(spec, spec.events, f)
+        fd = -central_fd_gradient(lambda g: loss_value(spec, spec.events, g), f)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("family", ["l2", "binomial", "poisson", "coxph"])
@@ -203,8 +218,8 @@ class TestHessianWeights:
         for i in range(7):
             e = np.zeros(7)
             e[i] = h
-            gp = -neg_functional_gradient(spec, spec.times, f + e)
-            gm = -neg_functional_gradient(spec, spec.times, f - e)
+            gp = -neg_functional_gradient(spec, spec.events, f + e)
+            gm = -neg_functional_gradient(spec, spec.events, f - e)
             fd[:, i] = (gp - gm) / (2 * h)
         np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-7)
 
@@ -259,8 +274,8 @@ class TestSortedCoxAgainstDenseOracle:
         loss, y_tilde, H = dense_cox(spec, f)
         share = np.max(spec.events - y_tilde)
         loss_scale = loss + np.sum(np.abs(f[spec.events == 1.0]))
-        assert abs(loss_value(spec, spec.times, f) - loss) <= 1e-12 * loss_scale
-        gap = np.max(np.abs(neg_functional_gradient(spec, spec.times, f) - y_tilde))
+        assert abs(loss_value(spec, spec.events, f) - loss) <= 1e-12 * loss_scale
+        gap = np.max(np.abs(neg_functional_gradient(spec, spec.events, f) - y_tilde))
         assert gap <= 1e-12 * max(1.0, share)
         assert np.max(np.abs(hessian_weights(spec, f) - H)) <= 1e-12 * share
 
@@ -298,6 +313,15 @@ class TestValidation:
             coxph([np.nan, 1.0, 2.0], [1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="non-finite value at index 1$"):
             coxph([1.0, np.inf, np.nan], [1.0, 0.0, 1.0])
+
+    def test_cox_outcome_must_be_the_events(self):
+        spec = coxph([3.0, 1.0, 2.0, 2.0, 5.0], [1.0, 0.0, 1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(validate_outcome(spec, [1, 0, 1, -0.0, 1]), spec.events)
+        for y, bad in (([1.0, 0.0, 1.0, 1.0, 1.0], 3), (spec.times, 0), (np.full(5, 7.5), 0)):
+            for call in (validate_outcome, lambda s, y: loss_value(s, y, np.zeros(5))):
+                message = f"^coxph outcome must be the events; it differs at index {bad}$"
+                with pytest.raises(ValueError, match=message):
+                    call(spec, np.asarray(y))
 
     def test_times_only_for_cox(self):
         with pytest.raises(ValueError):
