@@ -295,6 +295,7 @@ def run_boost(partition, loss, y, config):
     y = losses_mod.validate_outcome(loss, y)
     if y.shape != (partition.n,):
         raise ValueError("outcome length does not match the partition")
+    losses_mod._check_start_loss(loss, y, centre=config.init == "offset")
     offset = losses_mod.link_offset(loss, y) if config.init == "offset" else 0.0
 
     X = partition.X
@@ -327,7 +328,8 @@ def run_boost(partition, loss, y, config):
             best = k % len(solvers)
             best_inc = solvers[best].solve_gram(g[columns[best]])
         beta[columns[best]] += nu * best_inc
-        f_lin += nu * (designs[best] @ best_inc)
+        # np.dot, not @: BLAS gemv also for a strided single-column view
+        f_lin += nu * np.dot(designs[best], best_inc)
         try:
             ge = losses_mod.evaluate(loss, y, offset + f_lin)
         except NumericError:

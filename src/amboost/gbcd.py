@@ -82,6 +82,7 @@ def gbcd_gsq(partition, loss, y, config):
     y = losses_mod.validate_outcome(loss, y)
     if y.shape != (partition.n,):
         raise ValueError("outcome length does not match the partition")
+    losses_mod._check_start_loss(loss, y, centre=False)
     solvers = _scaling_solvers(partition)
     X = partition.X
     penalized = config.gradient_of == "penalized"
@@ -113,7 +114,7 @@ def gbcd_gsq(partition, loss, y, config):
                 best, best_score, best_dir = b, score, hinv_g
         cols = partition.column_map[best]
         beta[cols] -= config.nu * best_dir
-        f -= config.nu * (partition.blocks[best].X @ best_dir)
+        f -= config.nu * np.dot(partition.blocks[best].X, best_dir)
         value, grad = objective_and_gradient()
         rec.record(beta, best, value, grad)
 

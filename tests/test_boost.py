@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,35 @@ class TestRunBoost:
         path = run_boost(part, l2(), y, cfg)
         assert path.terminated_by == "max_iter" and not path.numeric_error
         np.testing.assert_allclose(path.final, np.linalg.lstsq(X, y, rcond=None)[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("init", ["zero", "offset"])
+    @pytest.mark.parametrize("guard", [False, True])
+    def test_outcome_overflowing_the_squared_loss_rejected(self, guard, init):
+        # it used to overflow with warnings, then raise a NumericError or,
+        # with the guard, report a divergence
+        part = make_partition([[1.0, 2.0], [1.0, -1.0], [1.0, 0.5]], singleton_blocks(2))
+        cfg = BoostConfig(init=init, divergence_guard=guard)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^outcome of magnitude 1e\+308 overflows"):
+                run_boost(part, l2(), np.array([1e308, 1e308, -1e308]), cfg)
+
+    def test_outcome_of_finite_squared_loss_runs(self):
+        part = make_partition([[1.0, 2.0], [1.0, -1.0], [1.0, 0.5]], singleton_blocks(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for init in ("zero", "offset"):
+                path = run_boost(part, l2(), np.array([1e150, -1e150, 3e150]),
+                                 BoostConfig(init=init, max_iter=5))
+                assert path.n_steps == 5 and np.isfinite(path.losses).all()
+            # the start iterate is the mean, where the loss is zero
+            huge = np.full(3, 1e200)
+            assert run_boost(part, l2(), huge, BoostConfig(init="offset")).losses[0] == 0.0
+            with pytest.raises(ValueError, match="overflows the squared loss"):
+                run_boost(part, l2(), huge, BoostConfig())
+            # a mean that would overflow is rejected, not computed
+            with pytest.raises(ValueError, match="overflows the squared loss"):
+                run_boost(part, l2(), np.full(3, 1e308), BoostConfig(init="offset"))
 
     def test_coxph_outcome_other_than_events_rejected(self):
         # the outcome used to be ignored: any vector of the right length ran

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -213,6 +215,24 @@ class TestPartition:
             assert not block.X.flags.writeable
             np.testing.assert_array_equal(block.X, X[:, [j]])
         assert X.flags.writeable
+
+    def test_boosted_partition_pickles_and_deep_copies(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 5))
+        y = X @ rng.normal(size=5) + rng.normal(size=30)
+        part = make_partition(X, [BlockSpec((0, 1), 2.0), BlockSpec((2,)), BlockSpec((4, 3))])
+        cfg = BoostConfig(nu=0.3, max_iter=20)
+        path = run_boost(part, l2(), y, cfg)
+        run_boost(part, l2(), y, BoostConfig(nu=0.3, max_iter=2, mode="joint"))
+        copies = [
+            pickle.loads(pickle.dumps(part)),
+            pickle.loads(pickle.dumps(pickle.loads(pickle.dumps(part)))),
+            copy.deepcopy(part),
+        ]
+        for clone in copies:
+            again = run_boost(clone, l2(), y, cfg)
+            for field in ("betas", "losses", "grad_norms", "selected"):
+                np.testing.assert_array_equal(getattr(again, field), getattr(path, field))
 
     def test_non_contiguous_blocks_are_copied(self):
         X = np.arange(20.0).reshape(5, 4)

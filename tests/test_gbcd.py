@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,14 @@ class TestValidation:
         part = make_partition(X, [BlockSpec((0,)), BlockSpec((1, 2))])
         with pytest.raises(np.linalg.LinAlgError, match="^block 1 scaling matrix"):
             gbcd_gsq(part, l2(), np.ones(10), GbcdConfig())
+
+    def test_outcome_overflowing_the_squared_loss_rejected(self):
+        # it used to overflow with warnings, then raise a NumericError
+        part = make_partition([[1.0, 2.0], [1.0, -1.0], [1.0, 0.5]], singleton_blocks(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^outcome of magnitude 1e\+308 overflows"):
+                gbcd_gsq(part, l2(), np.array([1e308, 1e308, -1e308]), GbcdConfig())
 
     def test_config_validation(self):
         for bad in (dict(nu=0.0), dict(nu=float("nan")), dict(nu=float("inf")),
