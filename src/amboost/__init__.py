@@ -53,6 +53,7 @@ from .distreg import (
 from .errors import ConfigError, IntegrityError, NumericError
 from .gbcd import GbcdConfig, equivalence_check, gbcd_gsq
 from .losses import (
+    CoxCurvature,
     GradientEval,
     LossSpec,
     binomial,

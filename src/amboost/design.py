@@ -11,6 +11,7 @@ partition built on it is in use.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -131,17 +132,47 @@ def difference_penalty(p, d):
     return D.T @ D
 
 
+def _column_squares(X):
+    """Each column's sum of squares, in one pass with no n x p temporary.
+
+    A sum is not finite where its column holds a non-finite entry or
+    where it overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("ij,ij->j", X, X)
+
+
 def _check_matrix(X, what):
     """``X`` as a non-empty float matrix; a non-finite entry is named."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError(f"{what} must be a non-empty matrix, shape {X.shape}")
-    # min and max are non-finite exactly when some entry is, and need no
-    # n x p temporary
-    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+    # the sums of squares are all finite only when every entry is
+    if not np.isfinite(_column_squares(X)).all() and not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"{what} entry ({row}, {col}) is not finite")
     return X
+
+
+def _check_column_scale(X, what, columns=None):
+    """Name the first column of the finite matrix ``X`` whose sum of squares overflows.
+
+    ``columns`` gives the name of each column, by default its position.
+    A column whose sum reads non-finite is summed again from
+    ``x / max|x|``, as the squared-loss outcome check does, so that the
+    check cannot overflow itself.
+    """
+    for j in np.flatnonzero(~np.isfinite(_column_squares(X))):
+        scale = float(np.abs(X[:, j]).max())
+        z = X[:, j] / scale
+        # Python floats: a product beyond the largest float is inf, not a warning
+        norm = scale * math.sqrt(z @ z)
+        if not math.isfinite(norm * norm):
+            name = j if columns is None else columns[j]
+            raise ValueError(
+                f"{what} column {name} has a sum of squares beyond the largest "
+                f"float (its norm is {norm:.3g})"
+            )
 
 
 def _psd_spectrum(M, what):
@@ -210,7 +241,8 @@ class DesignBlock:
     """One base learner: feature matrix, penalty matrix and penalty weight.
 
     Invariants checked on construction: the feature matrix is non-empty
-    and finite (a non-finite entry is named by its row and column), the
+    and finite (a non-finite entry is named by its row and column), no
+    column's sum of squares overflows (the column is named), the
     penalty is finite and symmetric PSD, its dimension matches the number of
     columns, and the penalty weight is finite and nonnegative. A block with
     ``lam == 0`` is unpenalized whatever its penalty matrix.
@@ -222,6 +254,7 @@ class DesignBlock:
 
     def __post_init__(self):
         X = _check_matrix(self.X, "block feature matrix")
+        _check_column_scale(X, "block feature matrix")
         object.__setattr__(self, "X", X)
         _check_weight(self.lam)
         object.__setattr__(self, "P", _check_penalty(self.P, X.shape[1]))
@@ -249,7 +282,12 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Ordered disjoint covering of the columns of a global design matrix."""
+    """Ordered disjoint covering of the columns of a global design matrix.
+
+    A pickled or copied partition holds its design once: it is rebuilt by
+    :func:`make_partition` from ``X`` and each block's columns, penalty
+    weight and penalty, so its contiguous blocks are views of its ``X``.
+    """
 
     blocks: tuple
     column_map: tuple
@@ -266,6 +304,13 @@ class BlockPartition:
     @property
     def n_blocks(self):
         return len(self.blocks)
+
+    def __reduce__(self):
+        specs = [
+            BlockSpec(tuple(int(c) for c in cols), block.lam, block.P)
+            for block, cols in zip(self.blocks, self.column_map)
+        ]
+        return make_partition, (self.X, specs)
 
     def penalty_blockdiag(self):
         """Global penalty ``blockdiag(lam_b * P_b)`` scattered to columns."""
@@ -292,7 +337,8 @@ def make_partition(X, specs):
         If a spec is not a :class:`BlockSpec` (named by its position).
     ValueError
         If the design has no rows, no columns or a non-finite entry
-        (named by its row and column), a column index is not an integer
+        (named by its row and column), a column's sum of squares
+        overflows (named with its block), a column index is not an integer
         or is a ``bool``, the column sets overlap or fail to cover all
         columns, or a block violates its own invariants.
     """
@@ -304,6 +350,7 @@ def make_partition(X, specs):
     if X.shape[1] == 0:
         raise ValueError("design matrix has no columns")
     _check_matrix(X, "design matrix")
+    squares = _column_squares(X)
     p = X.shape[1]
     seen = np.zeros(p, dtype=bool)
     blocks, column_map = [], []
@@ -332,6 +379,8 @@ def make_partition(X, specs):
         else:
             Xb = X[:, cols]
         Xb.flags.writeable = False
+        if not np.isfinite(squares[cols]).all():
+            _check_column_scale(Xb, f"block {b}", cols)
         blocks.append(DesignBlock(Xb, P, s.lam))
         column_map.append(cols)
     if not seen.all():

@@ -116,13 +116,56 @@ def coxph(times, events):
 class GradientEval:
     """Loss value, negative functional gradient and curvature weights.
 
-    ``weights`` is a diagonal weight vector for the scalar families and a
-    dense matrix for proportional hazards.
+    ``weights`` is what :func:`hessian_weights` returns: a diagonal weight
+    vector for the scalar families and a :class:`CoxCurvature` for
+    proportional hazards.
     """
 
     value: float
     y_tilde: np.ndarray
-    weights: np.ndarray
+    weights: object
+
+
+@dataclass(frozen=True, eq=False)
+class CoxCurvature:
+    """The proportional-hazards Hessian in the fit, kept in O(n) memory.
+
+    The Hessian ``H = sum_e diag(w_e) - w_e w_e^T`` is dense: ``w_e`` is
+    event e's softmax of ``f`` over its risk set. It is kept as what
+    builds it, each an n-vector in time order: the predictor ``f``, the
+    event share ``d = sum_e w_e`` and every subject's risk-set log sum.
+    :meth:`gram` gives ``X' H X`` without forming ``H``.
+    """
+
+    spec: LossSpec
+    f: np.ndarray
+    share: np.ndarray
+    log_risk: np.ndarray
+
+    def gram(self, X):
+        """``X' H X`` for a matrix ``X`` of n rows, in O(n p^2) time and O(n p) memory.
+
+        It is ``X' diag(d) X - U' U`` (Breslow ties): row ``u_e`` of ``U``
+        is event e's risk-set softmax mean of the columns of ``X``. Each
+        mean is the exp of a reversed ``logaddexp.accumulate`` of
+        ``f + log x+`` minus that of ``f + log x-``, read at the first
+        index of e's tie group, less its risk-set log sum. Every exponent
+        is at most ``log max|x|``, so nothing overflows or divides 0 by 0
+        for ``|f|`` up to :data:`MAX_PREDICTOR`.
+        """
+        spec = self.spec
+        X = np.asarray(X, dtype=float)[spec._order]
+        ev = spec._event_asc
+        first = spec._first[ev]
+        log_risk = self.log_risk[ev, None]
+        f = self.f[:, None]
+        U = np.zeros((first.size, X.shape[1]))
+        with np.errstate(divide="ignore"):
+            for sign, part in ((1.0, X), (-1.0, -X)):
+                log_part = np.log(np.maximum(part, 0.0)) + f
+                log_sum = np.logaddexp.accumulate(log_part[::-1], axis=0)[::-1]
+                U += sign * np.exp(log_sum[first] - log_risk)
+        return (X * self.share[:, None]).T @ X - U.T @ U
 
 
 def validate_outcome(spec, y):
@@ -255,17 +298,10 @@ def neg_functional_gradient(spec, y, f):
 def hessian_weights(spec, f):
     """Curvature of the loss in the fit.
 
-    Returns the diagonal weight vector for the scalar families; for
-    proportional hazards the Hessian in ``f`` is dense and the full
-    matrix ``sum_e diag(w_e) - w_e w_e^T`` is returned instead, where
-    ``w_e`` is event e's softmax of ``f`` over its risk set. It is built
-    in O(n^2) in one n x n buffer, as
-    ``H_jk = diag(d) - exp(f_j + f_k + min(L_j, L_k))``: ``d`` is the
-    event share of the working response, and ``L`` is the log of the
-    cumulative sum over the events of ``exp(-2 log_risk)`` in time order,
-    so the smaller of ``L_j``, ``L_k`` belongs to the earlier time. Every
-    exponent is at most ``log n``, so nothing overflows for ``|f|`` up
-    to :data:`MAX_PREDICTOR`.
+    Returns the diagonal weight vector for the scalar families. For
+    proportional hazards the Hessian in ``f`` is dense, so a
+    :class:`CoxCurvature` is returned instead: it holds O(n) vectors, and
+    its ``gram(X)`` gives ``X' H X`` in O(n p^2) without the n x n matrix.
     """
     f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
     if spec.family == "l2":
@@ -276,17 +312,8 @@ def hessian_weights(spec, f):
     if spec.family == "poisson":
         return np.exp(f)
     log_risk = _cox_log_risk(spec, f)
-    L = np.empty_like(f)
-    L[spec._order] = np.logaddexp.accumulate(
-        np.where(spec._event_asc, -2.0 * log_risk, -np.inf)
-    )[spec._last]
-    H = np.minimum.outer(L, L)
-    H += f[:, None]
-    H += f[None, :]
-    np.exp(H, out=H)
-    np.negative(H, out=H)
-    H[np.diag_indices_from(H)] += _cox_event_share(spec, f, log_risk)
-    return H
+    share = _cox_event_share(spec, f, log_risk)
+    return CoxCurvature(spec, f[spec._order], share[spec._order], log_risk)
 
 
 def evaluate(spec, y, f):

@@ -169,7 +169,9 @@ def hessian_ub_check(loss, partition, nu, path):
     squared loss this holds for any step size; for the binomial loss the
     quarter bound on the weights makes it automatic; for the poisson
     loss it can fail once the fit grows, which is exactly when the
-    step-size guarantee breaks down.
+    step-size guarantee breaks down. For proportional hazards each block's
+    ``X_b' H X_b`` comes from :meth:`CoxCurvature.gram` in O(n p_b^2),
+    without the n x n Hessian.
     """
     _check_step(nu)
     # a loop, not a comprehension, so that stacklevel=3 names the caller
@@ -189,10 +191,10 @@ def hessian_ub_check(loss, partition, nu, path):
             first = (k, -1)
             break
         for b, block in enumerate(partition.blocks):
-            if W.ndim == 1:
-                C = block.X.T @ (W[:, None] * block.X)
+            if isinstance(W, losses_mod.CoxCurvature):
+                C = W.gram(block.X)
             else:
-                C = block.X.T @ W @ block.X
+                C = block.X.T @ (W[:, None] * block.X)
             R = roots[b]
             M = R.T @ C @ R
             ratios[k, b] = float(np.linalg.eigvalsh(M)[-1])

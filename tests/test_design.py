@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ class TestPartition:
         with pytest.raises(ValueError, match=r"entry \(2, 1\) is not finite"):
             make_partition(X, singleton_blocks(3))
 
+    def test_overflowing_column_named_with_its_block(self):
+        # with l2 boosting its gradient used to overflow to inf, and the run
+        # stalled at max_iter with only RuntimeWarnings
+        X = np.array([[1e300, 1.0], [1e300, -1.0], [-1e300, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^block 0 column 0 has a sum of squares "
+                               "beyond the largest float"):
+                make_partition(X, singleton_blocks(2))
+            with pytest.raises(ValueError, match="^block 1 column 0 has a sum"):
+                make_partition(X, [BlockSpec((1,)), BlockSpec((0,))])
+            with pytest.raises(ValueError, match="^block feature matrix column 1 has a sum"):
+                DesignBlock(X[:, ::-1], np.zeros((2, 2)))
+            # near the largest float, but the sum of squares still fits
+            make_partition(np.array([[1e154, 1.0], [1e153, 2.0]]), singleton_blocks(2))
+
     def test_singleton_blocks(self):
         X = np.random.default_rng(3).normal(size=(6, 4))
         part = make_partition(X, singleton_blocks(4))
@@ -233,6 +250,11 @@ class TestPartition:
             again = run_boost(clone, l2(), y, cfg)
             for field in ("betas", "losses", "grad_norms", "selected"):
                 np.testing.assert_array_equal(getattr(again, field), getattr(path, field))
+            # contiguous blocks are views of the copy's one design again
+            assert np.shares_memory(clone.blocks[0].X, clone.X)
+            assert np.shares_memory(clone.blocks[1].X, clone.X)
+            assert not np.shares_memory(clone.blocks[2].X, clone.X)
+        assert len(pickle.dumps(part)) < 1.5 * X.nbytes
 
     def test_non_contiguous_blocks_are_copied(self):
         X = np.arange(20.0).reshape(5, 4)

@@ -211,7 +211,7 @@ class TestHessianWeights:
         rng = np.random.default_rng(9)
         spec = random_cox_spec(rng, 7)
         f = rng.normal(size=7)
-        H = hessian_weights(spec, f)
+        H = hessian_weights(spec, f).gram(np.eye(7))
         np.testing.assert_allclose(H, H.T, atol=1e-12)
         h = 1e-6
         fd = np.zeros((7, 7))
@@ -223,18 +223,22 @@ class TestHessianWeights:
             fd[:, i] = (gp - gm) / (2 * h)
         np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-7)
 
-    def test_coxph_hessian_holds_one_n_by_n_buffer(self):
-        # the dense construction also held the n_events x n risk-set weights
+    def test_coxph_curvature_gram_needs_no_n_by_n_buffer(self):
+        # a dense H at n = 5,000 is 200 MB; the curvature and its gram are O(n p)
         rng = np.random.default_rng(17)
-        spec = random_cox_spec(rng, 600)
-        f = rng.normal(size=600)
+        n, p = 5_000, 5
+        spec = random_cox_spec(rng, n)
+        spec = coxph(np.ceil(10.0 * spec.times), spec.events)  # tied times
+        f = rng.normal(size=n)
+        X = rng.normal(size=(n, p))
         tracemalloc.start()
         try:
-            H = hessian_weights(spec, f)
+            G = hessian_weights(spec, f).gram(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * H.nbytes
+        assert G.shape == (p, p)
+        assert peak < 8 * n * n / 50  # 4 MB
 
     def test_cox_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(13)
@@ -267,17 +271,27 @@ class TestSortedCoxAgainstDenseOracle:
     # So each tolerance is 1e-12 of the terms' size: the events' |f| for
     # the loss, and the largest event share -- the largest diagonal entry
     # of sum_e diag(w_e) -- for the working response and the Hessian.
+    # For X' H X the terms are X' diag(d) X and U' U, both at most
+    # |X|' diag(d) |X| entrywise, with d the event shares.
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(cox_instances())
-    def test_loss_response_and_hessian(self, instance):
+    @given(cox_instances(), st.integers(0, 2**32 - 1))
+    def test_loss_response_and_hessian(self, instance, seed):
         spec, f = instance
         loss, y_tilde, H = dense_cox(spec, f)
-        share = np.max(spec.events - y_tilde)
+        d = spec.events - y_tilde
+        share = np.max(d)
         loss_scale = loss + np.sum(np.abs(f[spec.events == 1.0]))
         assert abs(loss_value(spec, spec.events, f) - loss) <= 1e-12 * loss_scale
         gap = np.max(np.abs(neg_functional_gradient(spec, spec.events, f) - y_tilde))
         assert gap <= 1e-12 * max(1.0, share)
-        assert np.max(np.abs(hessian_weights(spec, f) - H)) <= 1e-12 * share
+        curvature = hessian_weights(spec, f)
+        n = f.size
+        assert np.max(np.abs(curvature.gram(np.eye(n)) - H)) <= 1e-12 * share
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, int(rng.integers(1, 5)))) * 10.0 ** rng.integers(-3, 4)
+        X[rng.uniform(size=X.shape) < 0.2] = 0.0
+        terms = np.max(np.abs(X).T @ (d[:, None] * np.abs(X)))
+        assert np.max(np.abs(curvature.gram(X) - X.T @ H @ X)) <= 1e-12 * terms
 
 
 class TestValidation:

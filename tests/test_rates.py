@@ -3,10 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
+from test_losses import dense_cox
 
 from amboost.boost import BoostConfig, divergence_detector, run_boost
 from amboost.design import BlockSpec, make_partition, single_block, singleton_blocks
-from amboost.losses import binomial, l2, poisson
+from amboost.losses import binomial, coxph, l2, poisson
 from amboost.rates import (
     check_bound,
     hessian_ub_check,
@@ -165,6 +169,33 @@ class TestCheckBound:
         assert report.note.startswith("already optimal")
         assert report.all_compliant
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        extra_rows=st.integers(1, 40),
+        max_block=st.integers(1, 4),
+        nu=st.floats(0.05, 1.0),
+    )
+    def test_greedy_iterates_meet_the_gap_bound_over_random_partitions(
+        self, seed, p, extra_rows, max_block, nu
+    ):
+        rng = np.random.default_rng(seed)
+        n = p + extra_rows
+        X = rng.normal(size=(n, p))
+        y = X @ rng.normal(size=p) + rng.normal(size=n)
+        cols, specs = list(range(p)), []
+        while cols:
+            size = int(rng.integers(1, min(max_block, len(cols)) + 1))
+            specs.append(BlockSpec(tuple(cols[:size])))
+            cols = cols[size:]
+        part = make_partition(X, specs)
+        path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=60))
+        beta_star = np.linalg.lstsq(X, y, rcond=None)[0]
+        loss_opt = 0.5 * float(np.sum((y - X @ beta_star) ** 2))
+        report = check_bound(path, rate_quadratic(X.T @ X, part.n_blocks, nu), loss_opt)
+        assert report.all_compliant, f"violated at k={report.first_violation()}"
+
     def test_csv_export(self, tmp_path):
         path, gamma, loss_opt = self.quadratic_run(seed=7, n_steps=20)
         report = check_bound(path, gamma, loss_opt)
@@ -216,6 +247,27 @@ class TestCurvatureBound:
         assert divergence_detector(path, window=20) != "converging"
         # the curvature bound breaks strictly before the path ends
         assert result.first_violation[0] < path.n_steps
+
+    def test_coxph_ratios_match_the_dense_hessian(self):
+        # tied, censored times; each ratio is the largest generalized
+        # eigenvalue of X_b' H X_b against X_b' X_b, with H built densely
+        rng = np.random.default_rng(10)
+        n = 60
+        X = rng.normal(size=(n, 3))
+        times = np.ceil(4.0 * rng.exponential(size=n))
+        events = (rng.uniform(size=n) < 0.6).astype(float)
+        spec = coxph(times, events)
+        part = make_partition(X, [BlockSpec((0, 2)), BlockSpec((1,))])
+        nu = 0.5
+        path = run_boost(part, spec, events, BoostConfig(nu=nu, max_iter=30))
+        result = hessian_ub_check(spec, part, nu, path)
+        assert result.ok and result.ratios.shape == (len(path.betas), 2)
+        for k, beta in enumerate(path.betas):
+            H = dense_cox(spec, path.offset + X @ beta)[2]
+            for b, block in enumerate(part.blocks):
+                C = block.X.T @ H @ block.X
+                dense = eigh(C, block.X.T @ block.X, eigvals_only=True)[-1]
+                assert abs(result.ratios[k, b] - dense) <= 1e-10 * dense
 
     def test_rank_deficient_block_warns(self):
         X = np.ones((10, 2))  # duplicated column: rank-1 block
