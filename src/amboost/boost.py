@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import losses as losses_mod
 from .design import _check_count, _check_outcome, _check_step, _psd_spectrum
@@ -163,6 +162,10 @@ def _rank_cutoff(s, shape):
 
 
 def _cho_factor(A, lam):
+    # scipy.linalg is imported here and below only where a block is
+    # penalized: it is most of the library's import time
+    import scipy.linalg
+
     try:
         return scipy.linalg.cho_factor(A)
     except scipy.linalg.LinAlgError as exc:
@@ -191,6 +194,8 @@ class _BlockSolver:
     def __init__(self, X, P=None, lam=0.0):
         self.penalized = lam > 0.0 and P is not None and np.any(P != 0)
         if self.penalized:
+            import scipy.linalg
+
             self._gram = X.T @ X
             self._chol, self._lower = _cho_factor(self._gram + lam * P, lam)
             (self._potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (self._chol,))
@@ -242,6 +247,8 @@ def fit_block(block, y_tilde):
         raise ValueError("working response length does not match the block")
     X = block.X
     if block.lam > 0.0 and np.any(block.P != 0):
+        import scipy.linalg
+
         chol = _cho_factor(X.T @ X + block.lam * block.P, block.lam)
         beta = scipy.linalg.cho_solve(chol, X.T @ y_tilde)
     else:

@@ -4,8 +4,8 @@ Subcommands: ``fit`` runs one boosting fit from a config file,
 ``oracle`` evaluates closed-form path points, ``rates`` certifies a
 run against its geometric gap bound, ``experiment`` executes a named
 scenario, ``report`` summarizes a written artifact. Exit codes:
-0 success, 1 configuration error, 2 numeric error, 3 acceptance
-failure.
+0 success, 1 configuration or usage error, 2 numeric error, 3
+acceptance failure.
 """
 
 from __future__ import annotations
@@ -253,7 +253,14 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message. Its usage-error code 2 is the
+        # numeric-error code here, so a usage error is a configuration error.
+        if exc.code != 2:
+            raise  # --help
+        return EXIT_CONFIG
     try:
         return args.func(args)
     # LinAlgError subclasses ValueError, so it must be caught first

@@ -142,16 +142,22 @@ def _column_squares(X):
         return np.einsum("ij,ij->j", X, X)
 
 
-def _check_matrix(X, what):
-    """``X`` as a non-empty float matrix; a non-finite entry is named."""
+def _checked_squares(X, what):
+    """``X`` as a non-empty float matrix, and its column sums of squares; a non-finite entry is named."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError(f"{what} must be a non-empty matrix, shape {X.shape}")
+    squares = _column_squares(X)
     # the sums of squares are all finite only when every entry is
-    if not np.isfinite(_column_squares(X)).all() and not np.isfinite(X).all():
+    if not np.isfinite(squares).all() and not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"{what} entry ({row}, {col}) is not finite")
-    return X
+    return X, squares
+
+
+def _check_matrix(X, what):
+    """``X`` as a non-empty float matrix; a non-finite entry is named."""
+    return _checked_squares(X, what)[0]
 
 
 def _check_column_scale(X, what, columns=None):
@@ -245,7 +251,9 @@ class DesignBlock:
     column's sum of squares overflows (the column is named), the
     penalty is finite and symmetric PSD, its dimension matches the number of
     columns, and the penalty weight is finite and nonnegative. A block with
-    ``lam == 0`` is unpenalized whatever its penalty matrix.
+    ``lam == 0`` is unpenalized whatever its penalty matrix. The blocks of
+    :func:`make_partition` take their feature-matrix checks from its one
+    pass over the whole design.
     """
 
     X: np.ndarray
@@ -256,8 +264,24 @@ class DesignBlock:
         X = _check_matrix(self.X, "block feature matrix")
         _check_column_scale(X, "block feature matrix")
         object.__setattr__(self, "X", X)
+        self._check_penalty_and_weight()
+
+    def _check_penalty_and_weight(self):
         _check_weight(self.lam)
-        object.__setattr__(self, "P", _check_penalty(self.P, X.shape[1]))
+        object.__setattr__(self, "P", _check_penalty(self.P, self.p))
+
+    @classmethod
+    def _over_checked_columns(cls, X, P, lam):
+        """A block over columns of a design :func:`make_partition` has checked whole.
+
+        The feature-matrix checks are skipped, as they would repeat that
+        pass column by column; the penalty and weight are checked.
+        """
+        block = object.__new__(cls)
+        for name, value in (("X", X), ("P", P), ("lam", lam)):
+            object.__setattr__(block, name, value)
+        block._check_penalty_and_weight()
+        return block
 
     @property
     def n(self):
@@ -340,7 +364,7 @@ def make_partition(X, specs):
         (named by its row and column), a column's sum of squares
         overflows (named with its block), a column index is not an integer
         or is a ``bool``, the column sets overlap or fail to cover all
-        columns, or a block violates its own invariants.
+        columns, or a block's penalty or weight violates its invariants.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -349,8 +373,7 @@ def make_partition(X, specs):
         raise ValueError("design matrix has no rows")
     if X.shape[1] == 0:
         raise ValueError("design matrix has no columns")
-    _check_matrix(X, "design matrix")
-    squares = _column_squares(X)
+    X, squares = _checked_squares(X, "design matrix")
     p = X.shape[1]
     seen = np.zeros(p, dtype=bool)
     blocks, column_map = [], []
@@ -381,7 +404,7 @@ def make_partition(X, specs):
         Xb.flags.writeable = False
         if not np.isfinite(squares[cols]).all():
             _check_column_scale(Xb, f"block {b}", cols)
-        blocks.append(DesignBlock(Xb, P, s.lam))
+        blocks.append(DesignBlock._over_checked_columns(Xb, P, s.lam))
         column_map.append(cols)
     if not seen.all():
         missing = np.flatnonzero(~seen)

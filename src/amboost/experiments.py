@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import __version__
 from .boost import BoostConfig, divergence_detector, run_boost
@@ -187,6 +186,8 @@ def synth_glm_data(n, p, rho, beta_true, family, seed):
     if family == "gaussian":
         y = f + rng.standard_normal(size=n)
     elif family == "binomial":
+        from scipy.special import expit  # scipy loads only for binomial data
+
         y = (rng.uniform(size=n) < expit(f)).astype(float)
     else:
         if f.max() > 30.0:

@@ -7,11 +7,11 @@ pure and safe for concurrent invocation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .design import _check_finite_vector
 from .errors import NumericError
@@ -23,6 +23,17 @@ FAMILIES = ("l2", "binomial", "poisson", "coxph")
 # no exponential to overflow: its bound, the largest float, rejects only non-finite ones.
 MAX_PREDICTOR = 700.0
 _PREDICTOR_LIMIT = dict.fromkeys(FAMILIES, MAX_PREDICTOR) | {"l2": float(np.finfo(float).max)}
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported at the first binomial or poisson call.
+
+    Cached, so a step pays a lookup, not an import statement.
+    """
+    import scipy.special
+
+    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -267,7 +278,7 @@ def loss_value(spec, y, f):
     if spec.family == "binomial":
         return float((np.logaddexp(0.0, f) - y * f).sum())
     if spec.family == "poisson":
-        return float((np.exp(f) - y * f + gammaln(y + 1.0)).sum())
+        return float((np.exp(f) - y * f + _special().gammaln(y + 1.0)).sum())
     # coxph: negative log partial likelihood with Breslow tie handling
     ev = spec._event_asc
     return float((_cox_log_risk(spec, f)[ev] - f[spec._order][ev]).sum())
@@ -289,7 +300,7 @@ def neg_functional_gradient(spec, y, f):
     if spec.family == "l2":
         return y - f
     if spec.family == "binomial":
-        return y - expit(f)
+        return y - _special().expit(f)
     if spec.family == "poisson":
         return y - np.exp(f)
     return spec.events - _cox_event_share(spec, f, _cox_log_risk(spec, f))
@@ -307,7 +318,7 @@ def hessian_weights(spec, f):
     if spec.family == "l2":
         return np.ones_like(f)
     if spec.family == "binomial":
-        s = expit(f)
+        s = _special().expit(f)
         return s * (1.0 - s)
     if spec.family == "poisson":
         return np.exp(f)

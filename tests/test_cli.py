@@ -266,18 +266,29 @@ class TestExperimentAndReport:
     def test_report_on_missing_dir_is_config_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "void")]) == 1
 
-    def test_unknown_experiment_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "not_a_scenario"])
+    def test_unknown_experiment_rejected_by_parser(self, capsys):
+        # a usage error is a configuration error (1), never numeric (2)
+        assert main(["experiment", "not_a_scenario"]) == 1
+        assert "invalid choice: 'not_a_scenario'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fit", "oracle", "rates"])
 def test_svg_rejected_outside_experiment(tmp_path, command, capsys):
     cfg = write_ini(tmp_path, "[data]\nn = 30\n")
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--svg"])
-    assert exc.value.code == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--svg"]) == 1
     assert "unrecognized arguments: --svg" in capsys.readouterr().err
+
+
+def test_missing_command_is_config_error(capsys):
+    assert main([]) == 1
+    assert "the following arguments are required: command" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: amboost" in capsys.readouterr().out
 
 
 def test_svg_accepted_by_experiment(tmp_path):

@@ -15,6 +15,7 @@ from amboost.closedform import (
     penalized_boost_path,
     ridge_equivalent_lambda,
 )
+from amboost import design
 from amboost.design import (
     BlockSpec,
     DesignBlock,
@@ -216,6 +217,26 @@ class TestPartition:
                 DesignBlock(X[:, ::-1], np.zeros((2, 2)))
             # near the largest float, but the sum of squares still fits
             make_partition(np.array([[1e154, 1.0], [1e153, 2.0]]), singleton_blocks(2))
+
+    def test_design_checked_in_one_pass(self, monkeypatch):
+        # the design's column sums were taken twice, then once more per block
+        shapes = []
+        column_squares = design._column_squares
+        monkeypatch.setattr(design, "_column_squares",
+                            lambda X: shapes.append(X.shape) or column_squares(X))
+        X = np.random.default_rng(5).normal(size=(6, 5))
+        specs = [BlockSpec((0, 1), 2.0), BlockSpec((3,)), BlockSpec((4, 2), 0.5, 2 * np.eye(2))]
+        part = make_partition(X, specs)
+        # the other calls check the penalties, whose rows are not the design's
+        assert [shape for shape in shapes if shape[0] == 6] == [(6, 5)]
+        for block, s in zip(part.blocks, specs):
+            alone = DesignBlock(X[:, list(s.columns)], block.P, s.lam)
+            np.testing.assert_array_equal(block.X, alone.X)
+            np.testing.assert_array_equal(block.P, alone.P)
+            assert block.lam == alone.lam
+        # the penalty's shape is still checked per block
+        with pytest.raises(ValueError, match=r"penalty has shape \(3, 3\), expected \(2, 2\)"):
+            make_partition(X, [BlockSpec((0, 1), 1.0, np.eye(3)), BlockSpec((2, 3, 4))])
 
     def test_singleton_blocks(self):
         X = np.random.default_rng(3).normal(size=(6, 4))
