@@ -2,7 +2,10 @@
 
 Each family uses its canonical link (identity, sigmoid, exp, and the
 partial-likelihood structure for proportional hazards). All functions are
-pure and safe for concurrent invocation.
+pure and safe for concurrent invocation. The one cache, a
+:class:`CoxCurvature` computing its vectors on first read, stores values
+that depend only on its inputs: two threads racing on a first read may
+compute the same value twice, which is harmless.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ class LossSpec:
         Event indicators in {0, 1}. Required for ``'coxph'``.
 
     For ``'coxph'`` the ascending stable time order is kept too, and in
-    that order the event mask and the first and last position of every
-    subject's tie group; the times are fixed, so every evaluation reuses
-    them. Two specs are equal when their families are and, for
+    that order the events' positions and the tie-group index: the first
+    position of each of the G distinct times, each subject's group and
+    each group's event count. The times are fixed, so every evaluation
+    reuses them. Two specs are equal when their families are and, for
     ``'coxph'``, their times and events hold equal values.
     """
 
@@ -60,9 +64,10 @@ class LossSpec:
     times: np.ndarray = None
     events: np.ndarray = None
     _order: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _first: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _last: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _event_asc: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _event_pos: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _group: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _deaths: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -82,11 +87,13 @@ class LossSpec:
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "events", c)
             order = np.argsort(t, kind="stable")
-            t_asc = t[order]
+            c_asc = c[order]
+            _, starts, group = np.unique(t[order], return_index=True, return_inverse=True)
             object.__setattr__(self, "_order", order)
-            object.__setattr__(self, "_first", np.searchsorted(t_asc, t_asc, side="left"))
-            object.__setattr__(self, "_last", np.searchsorted(t_asc, t_asc, side="right") - 1)
-            object.__setattr__(self, "_event_asc", c[order] == 1.0)
+            object.__setattr__(self, "_event_pos", np.flatnonzero(c_asc == 1.0))
+            object.__setattr__(self, "_starts", starts)
+            object.__setattr__(self, "_group", group)
+            object.__setattr__(self, "_deaths", np.bincount(group, c_asc, starts.size))
         elif self.times is not None or self.events is not None:
             raise ValueError("times/events only apply to the coxph family")
 
@@ -128,8 +135,9 @@ class GradientEval:
     """Loss value, negative functional gradient and curvature weights.
 
     ``weights`` is what :func:`hessian_weights` returns: a diagonal weight
-    vector for the scalar families and a :class:`CoxCurvature` for
-    proportional hazards.
+    vector for the scalar families, computed with the other two, and a
+    :class:`CoxCurvature` for proportional hazards, whose vectors are
+    computed only when read.
     """
 
     value: float
@@ -145,38 +153,43 @@ class CoxCurvature:
     event e's softmax of ``f`` over its risk set. It is kept as what
     builds it, each an n-vector in time order: the predictor ``f``, the
     event share ``d = sum_e w_e`` and every subject's risk-set log sum.
-    :meth:`gram` gives ``X' H X`` without forming ``H``.
+    Only ``f`` is stored when the curvature is made; ``log_risk`` and
+    ``share`` are computed on their first read, or by the first
+    :meth:`gram`, and kept. :meth:`gram` gives ``X' H X`` without forming
+    ``H``.
     """
 
     spec: LossSpec
     f: np.ndarray
-    share: np.ndarray
-    log_risk: np.ndarray
+
+    @functools.cached_property
+    def log_risk(self):
+        return _risk_log_sums(self.spec, self.f)[self.spec._group]
+
+    @functools.cached_property
+    def share(self):
+        return _cox_event_share(self.spec, self.f, self.log_risk[self.spec._starts])
 
     def gram(self, X):
         """``X' H X`` for a matrix ``X`` of n rows, in O(n p^2) time and O(n p) memory.
 
-        It is ``X' diag(d) X - U' U`` (Breslow ties): row ``u_e`` of ``U``
-        is event e's risk-set softmax mean of the columns of ``X``. Each
-        mean is the exp of a reversed ``logaddexp.accumulate`` of
-        ``f + log x+`` minus that of ``f + log x-``, read at the first
-        index of e's tie group, less its risk-set log sum. Every exponent
-        is at most ``log max|x|``, so nothing overflows or divides 0 by 0
-        for ``|f|`` up to :data:`MAX_PREDICTOR`.
+        It is ``X' diag(d) X - U' U`` (Breslow ties): the row of ``U`` for
+        tie group g is its risk set's softmax mean of the columns of
+        ``X``, counted once per event at that time. Each mean is the exp
+        of the risk-set log sum of ``f + log x+`` minus that of
+        ``f + log x-``, less the group's risk-set log sum of ``f``. Every
+        exponent is at most ``log max|x|``, so nothing overflows or
+        divides 0 by 0 for ``|f|`` up to :data:`MAX_PREDICTOR`.
         """
         spec = self.spec
         X = np.asarray(X, dtype=float)[spec._order]
-        ev = spec._event_asc
-        first = spec._first[ev]
-        log_risk = self.log_risk[ev, None]
-        f = self.f[:, None]
-        U = np.zeros((first.size, X.shape[1]))
+        p = X.shape[1]
         with np.errstate(divide="ignore"):
-            for sign, part in ((1.0, X), (-1.0, -X)):
-                log_part = np.log(np.maximum(part, 0.0)) + f
-                log_sum = np.logaddexp.accumulate(log_part[::-1], axis=0)[::-1]
-                U += sign * np.exp(log_sum[first] - log_risk)
-        return (X * self.share[:, None]).T @ X - U.T @ U
+            log_parts = np.log(np.maximum(np.concatenate((X, -X), axis=1), 0.0))
+            log_sums = _risk_log_sums(spec, log_parts + self.f[:, None])
+        log_means = log_sums - self.log_risk[spec._starts, None]
+        U = np.exp(log_means[:, :p]) - np.exp(log_means[:, p:])
+        return (X * self.share[:, None]).T @ X - (U * spec._deaths[:, None]).T @ U
 
 
 def validate_outcome(spec, y):
@@ -245,28 +258,33 @@ def _check_predictor(f, limit=MAX_PREDICTOR):
     return f
 
 
-def _cox_log_risk(spec, f):
-    """Log of the summed ``exp(f)`` over each subject's risk set, in time order.
+def _risk_log_sums(spec, a):
+    """Log of the summed ``exp(a)`` over each tie group's risk set.
 
-    Walking back from the latest time, ``logaddexp.accumulate`` sums every
-    subject seen so far; a subject reads the value at the first member of
-    its tie group, so its risk set holds the whole group (Breslow ties).
+    ``a`` is in time order: an n-vector, or an n x p matrix whose columns
+    are summed apart; an entry may be -inf. Each tie group's log-sum-exp
+    is vector work, shifted by the group's maximum so that every sum is at
+    least 1; a reversed ``logaddexp.accumulate`` over the G distinct times
+    then adds the later groups, so a group's risk set holds the whole
+    group (Breslow ties). A group of -inf entries only sums to 0, whose
+    log is -inf: a caller passing -inf silences the divide warning.
+    Returns G values (G x p for a matrix), one per distinct time.
     """
-    return np.logaddexp.accumulate(f[spec._order][::-1])[::-1][spec._first]
+    top = np.maximum.reduceat(a, spec._starts, axis=0)
+    top = np.where(top == -np.inf, 0.0, top)  # a group of -inf entries only
+    summed = np.add.reduceat(np.exp(a - top[spec._group]), spec._starts, axis=0)
+    return np.logaddexp.accumulate((top + np.log(summed))[::-1], axis=0)[::-1]
 
 
-def _cox_event_share(spec, f, log_risk):
+def _cox_event_share(spec, f_asc, group_log_risk):
     """Each subject's summed softmax weight over the risk sets it is in.
 
     That is ``exp(f_k)`` times the summed ``exp(-log_risk)`` of the events
-    at or before ``t_k``, one cumulative sum in time order; the result is
-    in input order.
+    at or before ``t_k``: one cumulative sum over the G distinct times,
+    each weighted by its event count. ``f_asc`` and the result are in time
+    order.
     """
-    collected = np.empty_like(f)
-    collected[spec._order] = np.cumsum(
-        np.where(spec._event_asc, np.exp(-log_risk), 0.0)
-    )[spec._last]
-    return np.exp(f) * collected
+    return np.exp(f_asc) * np.cumsum(spec._deaths * np.exp(-group_log_risk))[spec._group]
 
 
 def loss_value(spec, y, f):
@@ -280,8 +298,10 @@ def loss_value(spec, y, f):
     if spec.family == "poisson":
         return float((np.exp(f) - y * f + _special().gammaln(y + 1.0)).sum())
     # coxph: negative log partial likelihood with Breslow tie handling
-    ev = spec._event_asc
-    return float((_cox_log_risk(spec, f)[ev] - f[spec._order][ev]).sum())
+    ev = spec._event_pos
+    f_asc = f[spec._order]
+    log_risk = _risk_log_sums(spec, f_asc)[spec._group]
+    return float((log_risk[ev] - f_asc[ev]).sum())
 
 
 def neg_functional_gradient(spec, y, f):
@@ -291,9 +311,11 @@ def neg_functional_gradient(spec, y, f):
     residuals for L2, ``y - sigmoid(f)`` for binomial, ``y - exp(f)`` for
     poisson, and the event indicator minus accumulated risk-set softmax
     weights for proportional hazards. The latter come from time-sorted
-    data in O(n log n): one reversed ``logaddexp.accumulate`` gives every
-    risk set's log sum, and one cumulative sum over the events of
-    ``exp(-log_risk)`` gives each subject's accumulated weight.
+    data in O(n) vector work plus one sequential pass over the G distinct
+    times: a reversed ``logaddexp.accumulate`` of the tie groups' log sums
+    gives every risk set's log sum, and a cumulative sum of
+    ``exp(-log_risk)`` over the events gives each subject's accumulated
+    weight.
     """
     y = validate_outcome(spec, y)
     f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
@@ -303,7 +325,10 @@ def neg_functional_gradient(spec, y, f):
         return y - _special().expit(f)
     if spec.family == "poisson":
         return y - np.exp(f)
-    return spec.events - _cox_event_share(spec, f, _cox_log_risk(spec, f))
+    f_asc = f[spec._order]
+    share = np.empty_like(f)
+    share[spec._order] = _cox_event_share(spec, f_asc, _risk_log_sums(spec, f_asc))
+    return spec.events - share
 
 
 def hessian_weights(spec, f):
@@ -313,6 +338,8 @@ def hessian_weights(spec, f):
     proportional hazards the Hessian in ``f`` is dense, so a
     :class:`CoxCurvature` is returned instead: it holds O(n) vectors, and
     its ``gram(X)`` gives ``X' H X`` in O(n p^2) without the n x n matrix.
+    The predictor is checked here, in every family; the curvature's risk
+    sums and event shares are computed when it is first read.
     """
     f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
     if spec.family == "l2":
@@ -322,15 +349,17 @@ def hessian_weights(spec, f):
         return s * (1.0 - s)
     if spec.family == "poisson":
         return np.exp(f)
-    log_risk = _cox_log_risk(spec, f)
-    share = _cox_event_share(spec, f, log_risk)
-    return CoxCurvature(spec, f[spec._order], share[spec._order], log_risk)
+    return CoxCurvature(spec, f[spec._order])
 
 
 def evaluate(spec, y, f):
     """Loss value, working response and weights from the three public functions.
 
     Each of them validates its own inputs; nothing is shared between them.
+    The value and the working response are computed here. So are the
+    scalar families' weights; a :class:`CoxCurvature` computes its vectors
+    only when they are read, so a proportional-hazards evaluation makes
+    two risk-set passes.
     """
     return GradientEval(
         value=loss_value(spec, y, f),

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from amboost import losses as losses_mod
 from amboost.errors import NumericError
 from amboost.losses import (
     MAX_PREDICTOR,
@@ -147,6 +148,12 @@ class TestPredictorGuard:
             np.testing.assert_array_equal(_check_predictor(f), f)
             assert _check_predictor(np.array([])).shape == (0,)
             assert loss_value(l2(), np.array([]), np.array([])) == 0.0
+            # no subjects: no tie group, an empty risk-set pass
+            empty, none = coxph([], []), np.array([])
+            assert loss_value(empty, none, none) == 0.0
+            assert neg_functional_gradient(empty, none, none).shape == (0,)
+            np.testing.assert_array_equal(hessian_weights(empty, none).gram(np.ones((0, 2))),
+                                          np.zeros((2, 2)))
 
     def test_squared_loss_has_no_magnitude_guard(self):
         # the squared loss has no exponential to overflow: only a non-finite predictor fails
@@ -240,6 +247,77 @@ class TestHessianWeights:
         assert G.shape == (p, p)
         assert peak < 8 * n * n / 50  # 4 MB
 
+    def test_coxph_curvature_computed_when_read(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        spec = random_cox_spec(rng, 40)
+        spec = coxph(np.ceil(4.0 * spec.times), spec.events)  # tied times
+        f = rng.normal(size=40)
+        X = rng.normal(size=(40, 3))
+        passes = []
+        risk_log_sums = losses_mod._risk_log_sums
+
+        def counted(spec, a):
+            passes.append(a.shape)
+            return risk_log_sums(spec, a)
+
+        monkeypatch.setattr(losses_mod, "_risk_log_sums", counted)
+        evaluate(spec, spec.events, f)
+        assert len(passes) == 2  # the loss and the working response
+        # no pass until a read, then one, whose vectors are kept and equal
+        # what an eager hessian_weights computed
+        f_asc = f[spec._order]
+        group_log_risk = risk_log_sums(spec, f_asc)
+        for read, eager in (
+            ("log_risk", group_log_risk[spec._group]),
+            ("share", losses_mod._cox_event_share(spec, f_asc, group_log_risk)),
+        ):
+            passes.clear()
+            curvature = hessian_weights(spec, f)
+            assert passes == []
+            np.testing.assert_array_equal(getattr(curvature, read), eager)
+            curvature.log_risk, curvature.share
+            assert passes == [(40,)]
+        # a gram adds one pass over X's 2p signed columns
+        passes.clear()
+        curvature = hessian_weights(spec, f)
+        G = curvature.gram(X)
+        assert sorted(passes) == [(40,), (40, 6)]
+        passes.clear()
+        np.testing.assert_array_equal(curvature.gram(X), G)
+        assert passes == [(40, 6)]
+
+    def test_untied_risk_sums_are_the_sequential_sums_bit_for_bit(self):
+        # one subject per group: each group's log sum is top + log(1.0) = f
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 50, 2_000):
+            spec = random_cox_spec(rng, n)
+            assert np.unique(spec.times).size == n
+            for f in (rng.uniform(-MAX_PREDICTOR, MAX_PREDICTOR, size=n), rng.normal(size=n)):
+                f_asc = f[spec._order]
+                sequential = np.logaddexp.accumulate(f_asc[::-1])[::-1]
+                np.testing.assert_array_equal(hessian_weights(spec, f).log_risk, sequential)
+                event = spec.events[spec._order] == 1.0
+                expected = float((sequential - f_asc)[event].sum())
+                assert loss_value(spec, spec.events, f) == expected
+
+    def test_one_tie_group_at_both_ends_of_the_guard(self):
+        # Each group's sum is shifted by its maximum. Unshifted, 20,000 terms
+        # of exp(700) overflow, and exp(-700) times entries of 1e-10 are
+        # subnormal. With every subject tied and one predictor value, each
+        # risk set weighs all n subjects alike: the loss is events * log(n),
+        # and X' H X is events times the population variance of the column.
+        rng = np.random.default_rng(29)
+        n = 20_000
+        events = (rng.uniform(size=n) < 0.5).astype(float)
+        spec = coxph(np.full(n, 3.0), events)
+        n_events = events.sum()
+        loss = loss_value(spec, events, np.full(n, MAX_PREDICTOR))
+        assert abs(loss - n_events * np.log(n)) <= 1e-12 * loss
+        x = rng.uniform(1.0, 2.0, size=n) * 1e-10
+        G = hessian_weights(spec, np.full(n, -MAX_PREDICTOR)).gram(x[:, None])
+        terms = n_events * np.mean(x * x)
+        assert abs(G[0, 0] - n_events * np.var(x)) <= 1e-12 * terms
+
     def test_cox_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(13)
         spec = random_cox_spec(rng, 9)
@@ -272,13 +350,23 @@ class TestSortedCoxAgainstDenseOracle:
     # the loss, and the largest event share -- the largest diagonal entry
     # of sum_e diag(w_e) -- for the working response and the Hessian.
     # For X' H X the terms are X' diag(d) X and U' U, both at most
-    # |X|' diag(d) |X| entrywise, with d the event shares.
+    # |X|' diag(d) |X| entrywise, with d the event shares. d is summed from
+    # the oracle's softmax weights, not taken as events - y_tilde: for an
+    # event whose share is below 1e-16 that difference is 0, and the scale
+    # of the terms then drops with it.
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(cox_instances(), st.integers(0, 2**32 - 1))
+    # all subjects tied (one group) and both ends of the guard in it
+    @example((coxph([2.0] * 6, [1, 0, 1, 1, 0, 1]),
+              np.array([700.0, -700.0, 700.0, -700.0, 0.0, -700.0])), 0)
+    @example((coxph([5.0] * 3, [1, 1, 1]), np.array([-700.0, -700.0, 700.0])), 1)
+    # an event whose share, about 3 exp(-196), vanishes from events - y_tilde
+    @example((coxph([1.0] * 19, np.isin(np.arange(19), (0, 2, 18))),
+              np.where(np.arange(19) == 7, 208.0, np.where(np.arange(19) == 2, 12.0, 0.0))), 1)
     def test_loss_response_and_hessian(self, instance, seed):
         spec, f = instance
         loss, y_tilde, H = dense_cox(spec, f)
-        d = spec.events - y_tilde
+        d = _cox_softmax(spec, f).sum(axis=0)
         share = np.max(d)
         loss_scale = loss + np.sum(np.abs(f[spec.events == 1.0]))
         assert abs(loss_value(spec, spec.events, f) - loss) <= 1e-12 * loss_scale
