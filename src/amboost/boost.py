@@ -161,6 +161,42 @@ def _rank_cutoff(s, shape):
     return max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
 
 
+def _is_penalized(P, lam):
+    """Whether a block's system matrix is ``X^T X + lam P``, not ``X^T X`` alone."""
+    return lam > 0.0 and P is not None and np.any(P != 0)
+
+
+# Elements in one stack of singleton columns factored by one batched call.
+# A stack is a view of a contiguous column range and np.linalg.qr copies
+# it, so this bounds that copy at 512 KB; at n > 65,536 a stack is one
+# column, as a per-block factorization is.
+_STACK_ELEMENTS = 1 << 16
+
+
+def _singleton_sinv2(X, columns):
+    """``s^-2`` of each one-column block ``X[:, c]``, ``c`` in the int array ``columns``.
+
+    The value a :class:`_BlockSolver` keeps for an unpenalized one-column
+    block, computed for many at once: consecutive columns form (k, n, 1)
+    stacks, each factored by one batched QR and one batched SVD of the
+    triangular factors, the per-block calls applied to every matrix of the
+    stack. A zero singular value gives ``0``, so the block's solve
+    ``sinv2 * g`` is the zero its empty ``V`` gives.
+    """
+    n = X.shape[0]
+    width = max(1, _STACK_ELEMENTS // n)
+    s = np.empty(columns.size)
+    lo = 0
+    for hi in [*(np.flatnonzero(np.diff(columns) != 1) + 1), columns.size]:
+        for i in range(lo, hi, width):
+            c, k = columns[i], min(width, hi - i)
+            r = np.linalg.qr(X[:, c : c + k].T[:, :, np.newaxis], mode="r")
+            s[i : i + k] = np.linalg.svd(r, full_matrices=False)[1][:, 0]
+        lo = hi
+    # a one-column block's rank cutoff, n eps s, is below s unless s is 0
+    return np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0) ** 2
+
+
 def _cho_factor(A, lam):
     # scipy.linalg is imported here and below only where a block is
     # penalized: it is most of the library's import time
@@ -192,7 +228,7 @@ class _BlockSolver:
     """
 
     def __init__(self, X, P=None, lam=0.0):
-        self.penalized = lam > 0.0 and P is not None and np.any(P != 0)
+        self.penalized = _is_penalized(P, lam)
         if self.penalized:
             import scipy.linalg
 
@@ -284,6 +320,13 @@ def run_boost(partition, loss, y, config):
     of the same update: one solver over all columns with the penalty
     ``blockdiag(lam_b P_b)``, its steps recorded as :data:`JOINT_SENTINEL`.
 
+    In greedy and cyclic mode the unpenalized one-column blocks are
+    factored in batches, and greedy mode scores them all in one array
+    operation: such a block's right singular vector is ``+-1``, so its
+    solve is exactly ``s^-2 g_b`` and its decrease ``g_b s^-2 g_b``. The
+    path is the same, bit for bit, as with a solver per block. A NaN score
+    never wins, and ties go to the lowest block index.
+
     Parameters
     ----------
     partition : BlockPartition
@@ -311,8 +354,19 @@ def run_boost(partition, loss, y, config):
         solvers = [_BlockSolver(X, partition.penalty_blockdiag(), 1.0)]
         columns, designs = [slice(None)], [X]
     else:
-        solvers = [_BlockSolver(b.X, b.P, b.lam) for b in partition.blocks]
         columns, designs = partition.column_map, [b.X for b in partition.blocks]
+        solvers = [
+            None if block.p == 1 and not _is_penalized(block.P, block.lam)
+            else _BlockSolver(block.X, block.P, block.lam)
+            for block in partition.blocks
+        ]
+    # the unpenalized one-column blocks, their columns and s^-2, and each
+    # one's slot in those arrays; every other block has its solver
+    singles = [b for b, solver in enumerate(solvers) if solver is None]
+    others = [b for b, solver in enumerate(solvers) if solver is not None]
+    single_cols = np.array([columns[b][0] for b in singles], dtype=int)
+    sinv2 = _singleton_sinv2(X, single_cols)
+    slot = {b: i for i, b in enumerate(singles)}
     beta = np.zeros(partition.p)
     f_lin = np.zeros(partition.n)
     terminated = "max_iter"
@@ -325,15 +379,26 @@ def run_boost(partition, loss, y, config):
     for k in range(config.max_iter):
         if mode == "greedy":
             best, best_score, best_inc = 0, -np.inf, None
-            for b, (solver, cols) in enumerate(zip(solvers, columns)):
-                g_b = g[cols]
-                inc = solver.solve_gram(g_b)
-                score = solver.decrease(g_b, inc)
-                if score > best_score:
+            if singles:
+                g_s = g[single_cols]
+                inc_s = sinv2 * g_s
+                score_s = g_s * inc_s
+                score_s[np.isnan(score_s)] = -np.inf
+                i = int(np.argmax(score_s))
+                if score_s[i] > best_score:
+                    best, best_score, best_inc = singles[i], score_s[i], inc_s[i : i + 1]
+            for b in others:
+                g_b = g[columns[b]]
+                inc = solvers[b].solve_gram(g_b)
+                score = solvers[b].decrease(g_b, inc)
+                if score > best_score or (score == best_score and b < best):
                     best, best_score, best_inc = b, score, inc
         else:
             best = k % len(solvers)
-            best_inc = solvers[best].solve_gram(g[columns[best]])
+            if solvers[best] is None:
+                best_inc = sinv2[slot[best]] * g[columns[best]]
+            else:
+                best_inc = solvers[best].solve_gram(g[columns[best]])
         beta[columns[best]] += nu * best_inc
         # np.dot, not @: BLAS gemv also for a strided single-column view
         f_lin += nu * np.dot(designs[best], best_inc)

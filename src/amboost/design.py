@@ -253,7 +253,7 @@ class DesignBlock:
     columns, and the penalty weight is finite and nonnegative. A block with
     ``lam == 0`` is unpenalized whatever its penalty matrix. The blocks of
     :func:`make_partition` take their feature-matrix checks from its one
-    pass over the whole design.
+    pass over the whole design, and check only a penalty the spec supplies.
     """
 
     X: np.ndarray
@@ -264,23 +264,20 @@ class DesignBlock:
         X = _check_matrix(self.X, "block feature matrix")
         _check_column_scale(X, "block feature matrix")
         object.__setattr__(self, "X", X)
-        self._check_penalty_and_weight()
-
-    def _check_penalty_and_weight(self):
         _check_weight(self.lam)
         object.__setattr__(self, "P", _check_penalty(self.P, self.p))
 
     @classmethod
-    def _over_checked_columns(cls, X, P, lam):
-        """A block over columns of a design :func:`make_partition` has checked whole.
+    def _checked(cls, X, P, lam):
+        """A block whose invariants :func:`make_partition` has checked.
 
-        The feature-matrix checks are skipped, as they would repeat that
-        pass column by column; the penalty and weight are checked.
+        It checks the design whole, in one pass, and the weight and a
+        supplied penalty of each spec; a penalty it built itself, zero or
+        the identity, needs no check.
         """
         block = object.__new__(cls)
         for name, value in (("X", X), ("P", P), ("lam", lam)):
             object.__setattr__(block, name, value)
-        block._check_penalty_and_weight()
         return block
 
     @property
@@ -374,6 +371,8 @@ def make_partition(X, specs):
     if X.shape[1] == 0:
         raise ValueError("design matrix has no columns")
     X, squares = _checked_squares(X, "design matrix")
+    overflows = ~np.isfinite(squares)
+    any_overflow = overflows.any()
     p = X.shape[1]
     seen = np.zeros(p, dtype=bool)
     blocks, column_map = [], []
@@ -391,20 +390,21 @@ def make_partition(X, specs):
         if seen[cols].any():
             raise ValueError("block column sets overlap")
         seen[cols] = True
-        if s.penalty is not None:
-            P = np.asarray(s.penalty, dtype=float)
-        elif s.lam > 0:
-            P = np.eye(cols.size)
-        else:
-            P = np.zeros((cols.size, cols.size))
-        if np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
+        if cols.size == 1 or np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
             Xb = X[:, cols[0] : cols[0] + cols.size]
         else:
             Xb = X[:, cols]
         Xb.flags.writeable = False
-        if not np.isfinite(squares[cols]).all():
+        if any_overflow and overflows[cols].any():
             _check_column_scale(Xb, f"block {b}", cols)
-        blocks.append(DesignBlock._over_checked_columns(Xb, P, s.lam))
+        _check_weight(s.lam)
+        if s.penalty is not None:
+            P = _check_penalty(s.penalty, cols.size)
+        elif s.lam > 0:
+            P = np.eye(cols.size)
+        else:
+            P = np.zeros((cols.size, cols.size))
+        blocks.append(DesignBlock._checked(Xb, P, s.lam))
         column_map.append(cols)
     if not seen.all():
         missing = np.flatnonzero(~seen)

@@ -1,5 +1,6 @@
 import csv
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amboost import boost
 from amboost.boost import (
     BoostConfig,
     _BlockSolver,
@@ -30,7 +32,14 @@ from amboost.design import (
     singleton_blocks,
 )
 from amboost.errors import NumericError
-from amboost.losses import binomial, coxph, l2, poisson
+from amboost.losses import (
+    binomial,
+    coxph,
+    l2,
+    loss_value,
+    neg_functional_gradient,
+    poisson,
+)
 from amboost.tableio import write_csv
 
 
@@ -464,6 +473,178 @@ class TestOneBlockModes:
                 )
             np.testing.assert_array_equal(paths[mode].selected, np.zeros(30))
         np.testing.assert_array_equal(paths["joint"].selected, np.full(30, -1))
+
+
+def per_block_path(partition, loss, y, config):
+    """Greedy or cyclic boosting from zero with one ``_BlockSolver`` per block.
+
+    The engine's step with every block, one-column ones included, solved
+    and scored by its own solver in one loop over the blocks, the first
+    strictly best score winning. Returns the betas, the selections and the
+    losses, or ``None`` where the engine would raise a ``NumericError``.
+    """
+    X = partition.X
+    solvers = [_BlockSolver(b.X, b.P, b.lam) for b in partition.blocks]
+    beta, f = np.zeros(partition.p), np.zeros(partition.n)
+    try:
+        value, g = loss_value(loss, y, f), X.T @ neg_functional_gradient(loss, y, f)
+        betas, selected, losses = [beta.copy()], [], [value]
+        for k in range(config.max_iter):
+            if config.mode == "greedy":
+                best, best_score, best_inc = 0, -np.inf, None
+                for b, (solver, cols) in enumerate(zip(solvers, partition.column_map)):
+                    inc = solver.solve_gram(g[cols])
+                    score = solver.decrease(g[cols], inc)
+                    if score > best_score:
+                        best, best_score, best_inc = b, score, inc
+            else:
+                best = k % len(solvers)
+                best_inc = solvers[best].solve_gram(g[partition.column_map[best]])
+            beta[partition.column_map[best]] += config.nu * best_inc
+            f += config.nu * np.dot(partition.blocks[best].X, best_inc)
+            value, g = loss_value(loss, y, f), X.T @ neg_functional_gradient(loss, y, f)
+            betas.append(beta.copy())
+            selected.append(best)
+            losses.append(value)
+    except NumericError:
+        return None
+    return np.asarray(betas), np.asarray(selected, dtype=int), np.asarray(losses)
+
+
+def engine_path(partition, loss, y, config):
+    try:
+        path = run_boost(partition, loss, y, config)
+    except NumericError:
+        return None
+    return path.betas, path.selected, path.losses
+
+
+def assert_same_paths(path, reference):
+    """Betas, selections and losses equal bit for bit (signed zeros included)."""
+    assert (path is None) == (reference is None)
+    for got, want in zip(path or (), reference or ()):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+SINGLETON_KINDS = (
+    "singleton", "zero", "duplicate", "huge", "tiny", "zero_penalty",
+    "ridge_singleton", "block", "ridge_block",
+)
+
+
+@st.composite
+def mixed_singleton_runs(draw):
+    """A partition mixing unpenalized singletons with per-block learners, and a run.
+
+    The unpenalized singletons include an all-zero column, a copy of an
+    earlier column, columns scaled by 1e140 and 1e-140 (where LAPACK's
+    SVD rescales) and a positive weight with a zero penalty. Penalized
+    singletons and blocks of two or three columns are solved per block.
+    The blocks are in column order or reversed.
+    """
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(SINGLETON_KINDS), min_size=1, max_size=10))
+    cols, specs = [], []
+    for kind in kinds:
+        start = sum(c.shape[1] for c in cols)
+        width, lam, P = 1, 0.0, None
+        if kind == "zero":
+            x = np.zeros((n, 1))
+        elif kind == "duplicate" and cols:
+            x = cols[rng.integers(len(cols))][:, :1].copy()
+        elif kind == "huge":
+            x = rng.normal(size=(n, 1)) * 1e140
+        elif kind == "tiny":
+            x = rng.normal(size=(n, 1)) * 1e-140
+        elif kind == "block":
+            width = int(rng.integers(2, 4))
+            x = rng.normal(size=(n, width))
+        elif kind == "ridge_block":
+            width, lam = 2, rng.uniform(0.1, 10.0)
+            x = rng.normal(size=(n, 2))
+        else:
+            x = rng.normal(size=(n, 1)) * 10.0 ** rng.uniform(-2, 2)
+            if kind == "zero_penalty":
+                lam, P = 1.0, np.zeros((1, 1))
+            elif kind == "ridge_singleton":
+                lam = rng.uniform(0.1, 10.0)
+        cols.append(x)
+        specs.append(BlockSpec(tuple(range(start, start + width)), lam, P))
+    if draw(st.booleans()):
+        specs.reverse()
+    X = np.hstack(cols)
+    loss = draw(st.sampled_from([l2(), binomial(), poisson()]))
+    if loss.family == "l2":
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+    elif loss.family == "binomial":
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+    else:
+        y = rng.poisson(2.0, size=n).astype(float)
+    config = BoostConfig(
+        nu=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        max_iter=draw(st.integers(1, 25)),
+        mode=draw(st.sampled_from(["greedy", "cyclic"])),
+    )
+    # columns per batched factorization: one, three, or every run in one
+    stack = draw(st.sampled_from([n, 3 * n, boost._STACK_ELEMENTS]))
+    return make_partition(X, specs), loss, y, config, stack
+
+
+class TestBatchedSingletons:
+    """Unpenalized one-column blocks factored in batches and scored in one array operation."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mixed_singleton_runs())
+    def test_paths_equal_per_block_solvers_bit_for_bit(self, run):
+        partition, loss, y, config, stack = run
+        # A diverging run over a 1e140 column can overflow X'r or its norm
+        # before the loss does; both sides then go on with the same infs.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with mock.patch.object(boost, "_STACK_ELEMENTS", stack):
+                path = engine_path(partition, loss, y, config)
+            reference = per_block_path(partition, loss, y, config)
+        assert_same_paths(path, reference)
+
+    def test_tie_between_duplicated_columns_goes_to_the_lower_index(self):
+        rng = np.random.default_rng(4)
+        x0, x1 = rng.normal(size=(2, 12))
+        X = np.column_stack([x1, x0, x0, x0, np.zeros(12), x0])
+        y = 3.0 * x0 + 0.1 * x1
+        # the duplicated columns' gradients are equal, so their scores tie
+        g = X.T @ y
+        assert g[1] == g[2] == g[3] == g[5]
+        specs = singleton_blocks(6)
+        path = run_boost(make_partition(X, specs), l2(), y, BoostConfig(max_iter=3))
+        np.testing.assert_array_equal(path.selected, [1, 1, 1])
+        # ties with a block solved on its own, [x0, 0], which scores as x0
+        # does, before and after the singletons
+        pair = BlockSpec((3, 4))
+        for order, first in (
+            ([BlockSpec((0,)), pair, BlockSpec((1,)), BlockSpec((2,)), BlockSpec((5,))], 1),
+            ([BlockSpec((0,)), BlockSpec((5,)), BlockSpec((2,)), pair, BlockSpec((1,))], 1),
+            ([pair, BlockSpec((5,)), BlockSpec((0,)), BlockSpec((1,)), BlockSpec((2,))], 0),
+        ):
+            part = make_partition(X, order)
+            path = run_boost(part, l2(), y, BoostConfig(max_iter=3))
+            assert path.selected[0] == first
+            assert_same_paths((path.betas, path.selected, path.losses),
+                              per_block_path(part, l2(), y, BoostConfig(max_iter=3)))
+
+    def test_nan_singleton_score_never_wins(self):
+        # a subnormal column's s^-2 overflows to inf; its gradient is exactly
+        # zero, so its score is inf * 0 = NaN on every step
+        d = 1e-320
+        X = np.array([[d, 0.0], [d, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        y = np.array([1.0, -1.0, 3.0, 1.0])
+        part = make_partition(X, singleton_blocks(2))
+        cfg = BoostConfig(nu=0.5, max_iter=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = run_boost(part, l2(), y, cfg)
+            reference = per_block_path(part, l2(), y, cfg)
+        np.testing.assert_array_equal(path.selected, np.ones(5))
+        assert_same_paths((path.betas, path.selected, path.losses), reference)
 
 
 class TestJointMatchesClosedForm:

@@ -238,6 +238,26 @@ class TestPartition:
         with pytest.raises(ValueError, match=r"penalty has shape \(3, 3\), expected \(2, 2\)"):
             make_partition(X, [BlockSpec((0, 1), 1.0, np.eye(3)), BlockSpec((2, 3, 4))])
 
+    def test_only_a_supplied_penalty_is_checked(self, monkeypatch):
+        # the zero or identity penalty of a spec without one is symmetric PSD
+        # by construction; its eigenvalue check was most of the build time
+        # of a partition of many singletons
+        calls = []
+        psd_spectrum = design._psd_spectrum
+        monkeypatch.setattr(design, "_psd_spectrum",
+                            lambda M, what: calls.append(what) or psd_spectrum(M, what))
+        X = np.random.default_rng(5).normal(size=(6, 5))
+        make_partition(X, singleton_blocks(5))
+        make_partition(X, [BlockSpec((0, 1), 2.0), BlockSpec((2,), 0.5), BlockSpec((3, 4))])
+        assert calls == []
+        make_partition(X, [BlockSpec((0, 1), 2.0, 2 * np.eye(2)), BlockSpec((2,)),
+                           BlockSpec((3,), 0.0, np.ones((1, 1))),
+                           BlockSpec((4,), 1.0, np.zeros((1, 1)))])
+        assert calls == ["penalty matrix"] * 3
+        part = make_partition(X, [BlockSpec((0, 1), 2.0), BlockSpec((2, 3, 4))])
+        np.testing.assert_array_equal(part.blocks[0].P, np.eye(2))
+        np.testing.assert_array_equal(part.blocks[1].P, np.zeros((3, 3)))
+
     def test_singleton_blocks(self):
         X = np.random.default_rng(3).normal(size=(6, 4))
         part = make_partition(X, singleton_blocks(4))

@@ -3,7 +3,9 @@
 Each test runs the engine twice, on an input and on a transformed copy
 whose answer the theory fixes, and compares the two paths; no oracle is
 needed. The partial likelihood sees the times only through their order
-(Cox, JRSS-B 1972), and no loss depends on the order of the rows.
+(Cox, JRSS-B 1972), no loss depends on the order of the rows, and a base
+learner is seen only through its hat matrix (Buhlmann and Yu, JASA 2003),
+which a column's scale does not change.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from amboost.boost import BoostConfig, run_boost
 from amboost.design import make_partition, singleton_blocks
-from amboost.losses import coxph
+from amboost.losses import binomial, coxph, l2, poisson
 
 
 @st.composite
@@ -67,3 +69,57 @@ class TestCoxInvariances:
         np.testing.assert_array_equal(permuted.selected, path.selected)
         scale = np.max(np.abs(path.betas))
         assert np.max(np.abs(permuted.betas - path.betas)) <= 1e-12 * scale
+
+
+@st.composite
+def singleton_runs(draw):
+    """A design of singleton blocks, an outcome of each family and a run."""
+    n = draw(st.integers(5, 40))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-1, 1, size=p)
+    eta = 0.3 * X @ rng.normal(size=p)
+    loss = draw(st.sampled_from([l2(), binomial(), poisson()]))
+    if loss.family == "l2":
+        y = eta + rng.normal(size=n)
+    elif loss.family == "binomial":
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    else:
+        y = rng.poisson(np.exp(eta)).astype(float)
+    cfg = BoostConfig(
+        nu=draw(st.floats(0.05, 0.5)),
+        max_iter=draw(st.integers(1, 30)),
+        mode=draw(st.sampled_from(["greedy", "cyclic"])),
+        divergence_guard=True,
+    )
+    column = draw(st.integers(0, p - 1))
+    c = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.integers(-30, 30))
+    return X, y, loss, cfg, column, c
+
+
+class TestColumnScaling:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(singleton_runs())
+    def test_scaled_column_keeps_selections_and_divides_its_coefficient(self, run):
+        # Scaling by a power of two is exact, and so is every product and
+        # quotient the engine forms from the scaled column. Only the
+        # column's singular value, from LAPACK's QR and SVD, may differ:
+        # their norms may rescale a vector by a factor chosen from its
+        # magnitude, which can move s by an ulp and each later step by a
+        # few. 1e-12 of the largest coefficient bounds 30 steps of that.
+        X, y, loss, cfg, j, c = run
+        scaled = X.copy()
+        scaled[:, j] *= c
+        # a diverging Poisson run can overflow X'r or its norm before the
+        # guard trips, on both sides alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = run_boost(make_partition(X, singleton_blocks(X.shape[1])), loss, y, cfg)
+            other = run_boost(
+                make_partition(scaled, singleton_blocks(X.shape[1])), loss, y, cfg
+            )
+        np.testing.assert_array_equal(other.selected, path.selected)
+        assert other.terminated_by == path.terminated_by
+        unscaled = other.betas.copy()
+        unscaled[:, j] *= c
+        scale = np.max(np.abs(path.betas))
+        assert np.max(np.abs(unscaled - path.betas)) <= 1e-12 * scale
