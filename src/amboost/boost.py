@@ -376,48 +376,51 @@ def run_boost(partition, loss, y, config):
     g = X.T @ ge.y_tilde
     rec = _PathRecorder(beta, ge.value, g)
 
-    for k in range(config.max_iter):
-        if mode == "greedy":
-            best, best_score, best_inc = 0, -np.inf, None
-            if singles:
-                g_s = g[single_cols]
-                inc_s = sinv2 * g_s
-                score_s = g_s * inc_s
-                score_s[np.isnan(score_s)] = -np.inf
-                i = int(np.argmax(score_s))
-                if score_s[i] > best_score:
-                    best, best_score, best_inc = singles[i], score_s[i], inc_s[i : i + 1]
-            for b in others:
-                g_b = g[columns[b]]
-                inc = solvers[b].solve_gram(g_b)
-                score = solvers[b].decrease(g_b, inc)
-                if score > best_score or (score == best_score and b < best):
-                    best, best_score, best_inc = b, score, inc
-        else:
-            best = k % len(solvers)
-            if solvers[best] is None:
-                best_inc = sinv2[slot[best]] * g[columns[best]]
+    # a guarded run records an overflowing gradient as an inf norm and
+    # stops on the loss check or the next evaluation's NumericError
+    with np.errstate(over="ignore" if config.divergence_guard else None):
+        for k in range(config.max_iter):
+            if mode == "greedy":
+                best, best_score, best_inc = 0, -np.inf, None
+                if singles:
+                    g_s = g[single_cols]
+                    inc_s = sinv2 * g_s
+                    score_s = g_s * inc_s
+                    score_s[np.isnan(score_s)] = -np.inf
+                    i = int(np.argmax(score_s))
+                    if score_s[i] > best_score:
+                        best, best_score, best_inc = singles[i], score_s[i], inc_s[i : i + 1]
+                for b in others:
+                    g_b = g[columns[b]]
+                    inc = solvers[b].solve_gram(g_b)
+                    score = solvers[b].decrease(g_b, inc)
+                    if score > best_score or (score == best_score and b < best):
+                        best, best_score, best_inc = b, score, inc
             else:
-                best_inc = solvers[best].solve_gram(g[columns[best]])
-        beta[columns[best]] += nu * best_inc
-        # np.dot, not @: BLAS gemv also for a strided single-column view
-        f_lin += nu * np.dot(designs[best], best_inc)
-        try:
-            ge = losses_mod.evaluate(loss, y, offset + f_lin)
-        except NumericError:
-            if not config.divergence_guard:
-                raise
-            terminated = "divergence"
-            numeric_error = True
-            break
-        g = X.T @ ge.y_tilde
-        rec.record(beta, JOINT_SENTINEL if mode == "joint" else best, ge.value, g)
-        if config.stop_tol > 0.0 and rec.losses[-2] - rec.losses[-1] < config.stop_tol:
-            terminated = "tol"
-            break
-        if config.divergence_guard and _loss_grew(rec.losses[-1], rec.losses[0]):
-            terminated = "divergence"
-            break
+                best = k % len(solvers)
+                if solvers[best] is None:
+                    best_inc = sinv2[slot[best]] * g[columns[best]]
+                else:
+                    best_inc = solvers[best].solve_gram(g[columns[best]])
+            beta[columns[best]] += nu * best_inc
+            # np.dot, not @: BLAS gemv also for a strided single-column view
+            f_lin += nu * np.dot(designs[best], best_inc)
+            try:
+                ge = losses_mod.evaluate(loss, y, offset + f_lin)
+            except NumericError:
+                if not config.divergence_guard:
+                    raise
+                terminated = "divergence"
+                numeric_error = True
+                break
+            g = X.T @ ge.y_tilde
+            rec.record(beta, JOINT_SENTINEL if mode == "joint" else best, ge.value, g)
+            if config.stop_tol > 0.0 and rec.losses[-2] - rec.losses[-1] < config.stop_tol:
+                terminated = "tol"
+                break
+            if config.divergence_guard and _loss_grew(rec.losses[-1], rec.losses[0]):
+                terminated = "divergence"
+                break
 
     return rec.path(terminated, offset, numeric_error)
 

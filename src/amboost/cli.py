@@ -66,7 +66,8 @@ _CLI_DEFAULTS = {
 
 
 def _load_cli_config(args):
-    """Typed sections of ``--config`` over :data:`_CLI_DEFAULTS`, and the seed."""
+    """Typed sections of ``--config`` over :data:`_CLI_DEFAULTS`, and the
+    synthetic design and outcome its ``[data]`` section and the seed draw."""
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
     ini = _load_ini(args.config, tuple(_CLI_DEFAULTS))
@@ -75,16 +76,12 @@ def _load_cli_config(args):
         for name, defaults in _CLI_DEFAULTS.items()
     }
     seed = _typed_seed(args.seed if args.seed is not None else config["experiment"]["seed"])
-    return config, seed
-
-
-def _data_from_config(data, seed):
-    p = data["p"]
-    beta_true = (1.0,) * p
+    data = config["data"]
+    beta_true = (1.0,) * data["p"]
     if data["beta_true"] is not None:
         beta_true = _typed("data", "beta_true", data["beta_true"], (1.0,))
-    X, y = synth_glm_data(data["n"], p, data["rho"], beta_true, data["family"], seed)
-    return X, y, data["family"]
+    X, y = synth_glm_data(data["n"], data["p"], data["rho"], beta_true, data["family"], seed)
+    return config, X, y
 
 
 def _penalty_matrix(penalty, size):
@@ -125,11 +122,10 @@ def _boost_config(run):
 
 
 def _cmd_fit(args):
-    config, seed = _load_cli_config(args)
-    X, y, family = _data_from_config(config["data"], seed)
+    config, X, y = _load_cli_config(args)
     run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
-    path = run_boost(part, GLM_FAMILIES[family](), y, _boost_config(run))
+    path = run_boost(part, GLM_FAMILIES[config["data"]["family"]](), y, _boost_config(run))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "fit_path.csv"
@@ -141,9 +137,8 @@ def _cmd_fit(args):
 
 
 def _cmd_oracle(args):
-    config, seed = _load_cli_config(args)
-    X, y, family = _data_from_config(config["data"], seed)
-    if family != "gaussian":
+    config, X, y = _load_cli_config(args)
+    if config["data"]["family"] != "gaussian":
         raise ConfigError("closed-form paths require the gaussian family")
     oracle = config["oracle"]
     nu, lam, penalty, ks = oracle["nu"], oracle["lam"], oracle["penalty"], oracle["ks"]
@@ -171,9 +166,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_rates(args):
-    config, seed = _load_cli_config(args)
-    X, y, family = _data_from_config(config["data"], seed)
-    if family != "gaussian":
+    config, X, y = _load_cli_config(args)
+    if config["data"]["family"] != "gaussian":
         raise ConfigError("rate certificates apply to the gaussian family")
     run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))

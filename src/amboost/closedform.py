@@ -92,13 +92,13 @@ def penalized_boost_path(X, y, P, lam, nu, k):
     return path_points(X, y, nu, (k,), lam, P)[0]
 
 
-def boost_limit(X, y, lam=0.0, P=None):
+def boost_limit(X, y):
     """Limit of the joint boosting path: the unpenalized min-norm fit.
 
-    Independent of the penalty weight and matrix, which is the pathology:
-    the limit ignores the penalty entirely. Full-column-rank designs give
-    the least-squares solution, rank-deficient ones the pseudoinverse
-    applied to the outcome.
+    A penalized joint path on a full-column-rank design converges to the
+    same fit, which is the pathology: the limit ignores the penalty.
+    Full-column-rank designs give the least-squares solution,
+    rank-deficient ones the pseudoinverse applied to the outcome.
     """
     X, y = _inputs(X, y)
     return np.linalg.lstsq(X, y, rcond=None)[0]

@@ -226,21 +226,18 @@ class DistBoostResult:
         return header, rows
 
 
-def cyclic_boost_ls(X, Z, y, nu, max_iter, update_scale=True):
+def cyclic_boost_ls(X, Z, y, nu, max_iter):
     """Boost mean and scale models in alternation, mean first.
 
     Each of at most ``max_iter`` cycles applies one update of step size
     ``nu`` to the mean model against the working response ``r / sigma^2``
-    and, unless disabled, one to the scale model against
+    and one to the scale model against
     ``r^2 / sigma^2 - 1`` (the negative gradient in the scale model's
     linear predictor). Numeric blow-ups and tenfold loss growth are
     recorded as a divergence termination rather than raised; both
     returned paths carry detector verdicts. Each half-step is the joint
     one-block step of ``run_boost`` on that model's design; a non-finite
     design entry is a ``ValueError`` naming the mean or scale design.
-
-    With the scale updates disabled the run reduces to plain squared-loss
-    boosting of the mean model at unit variance.
     """
     _check_schedule(nu, max_iter, 1)
     # the model checks both designs before a solver sees them
@@ -261,10 +258,9 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter, update_scale=True):
             model.beta += nu * mean_solver.solve_gram(-gb)
             nll, gb, gx = gauss_ls_eval(model, y)
             mean_rec.record(model.beta, JOINT_SENTINEL, nll, gb)
-            if update_scale:
-                model.xi += nu * scale_solver.solve_gram(-gx)
-                nll, gb, gx = gauss_ls_eval(model, y)
-                scale_rec.record(model.xi, JOINT_SENTINEL, nll, gx)
+            model.xi += nu * scale_solver.solve_gram(-gx)
+            nll, gb, gx = gauss_ls_eval(model, y)
+            scale_rec.record(model.xi, JOINT_SENTINEL, nll, gx)
         except (NumericError, np.linalg.LinAlgError):
             terminated = "divergence"
             numeric_error = True

@@ -472,6 +472,7 @@ def _scenario_expfam_convergence(cfg):
         X, y = synth_glm_data(data["n"], p, data["rho"], data["beta_true"], family,
                               data["seed"])
         part = make_partition(X, singleton_blocks(p))
+        series = {}
         for nu in nus:
             cfg_run = BoostConfig(
                 nu=nu, max_iter=run["max_iter"], mode="greedy", divergence_guard=True
@@ -481,9 +482,10 @@ def _scenario_expfam_convergence(cfg):
             curvature = hessian_ub_check(spec_fn(), part, nu, path)
             results[(family, nu)] = (verdict, curvature)
             idx = _thin_indices(len(path.losses), 250)
-            loss_rows += [
-                [family, nu, int(k), float(path.losses[k])] for k in idx
-            ]
+            ks = [int(k) for k in idx]
+            ls = [float(path.losses[k]) for k in idx]
+            loss_rows += [[family, nu, k, loss] for k, loss in zip(ks, ls)]
+            series[f"nu={nu:g}"] = (ks, ls)
             verdict_rows.append(
                 [
                     family,
@@ -494,6 +496,9 @@ def _scenario_expfam_convergence(cfg):
                     path.terminated_by,
                 ]
             )
+        charts[f"loss_{family}"] = dict(
+            series=series, title=f"{family} loss paths", xlabel="k", ylabel="loss",
+        )
     tables["loss_paths"] = (["family", "nu", "k", "loss"], loss_rows)
     tables["verdicts"] = (
         ["family", "nu", "verdict", "curvature_ok", "first_violation_k",
@@ -519,16 +524,6 @@ def _scenario_expfam_convergence(cfg):
     checks.append(
         _check("curvature_compliant_rates_converge", compliant_converge)
     )
-
-    for family in ("binomial", "poisson"):
-        series = {}
-        for nu in nus:
-            ks = [r[2] for r in loss_rows if r[0] == family and r[1] == nu]
-            ls = [r[3] for r in loss_rows if r[0] == family and r[1] == nu]
-            series[f"nu={nu:g}"] = (ks, ls)
-        charts[f"loss_{family}"] = dict(
-            series=series, title=f"{family} loss paths", xlabel="k", ylabel="loss",
-        )
     return tables, checks, charts
 
 

@@ -147,20 +147,18 @@ class EquivalenceReport:
         return f"paths differ first at iterate {self.first_index}: {self.detail}"
 
 
-def equivalence_check(partition, loss, y, nu, n_steps, gradient_of="unpenalized"):
-    """Compare greedy boosting against descent on the same problem.
+def equivalence_check(partition, loss, y, nu, n_steps):
+    """Compare greedy boosting against descent on the unpenalized loss.
 
     Runs both procedures for ``n_steps`` steps and compares the selected
-    block sequences and the iterates element-wise with tolerance 1e-12.
-    With the unpenalized gradient the two match exactly; with the
-    penalized gradient they part ways at the first step where the
-    penalty accumulated in earlier iterations matters.
+    block sequences and the iterates element-wise with tolerance 1e-12;
+    the two match exactly.
     """
     if n_steps == 0:
         return EquivalenceReport(identical=True, n_compared=0)
     boost_cfg = BoostConfig(nu=nu, max_iter=n_steps, mode="greedy")
     boost_path = run_boost(partition, loss, y, boost_cfg)
-    gbcd_cfg = GbcdConfig(nu=nu, max_iter=n_steps, gradient_of=gradient_of)
+    gbcd_cfg = GbcdConfig(nu=nu, max_iter=n_steps)
     gbcd_path = gbcd_gsq(partition, loss, y, gbcd_cfg)
 
     tol = 1e-12 * max(1.0, np.abs(boost_path.betas).max())

@@ -286,6 +286,28 @@ class TestRunBoost:
         with pytest.raises(NumericError):
             run_boost(part, poisson(), y, cfg_raise)
 
+    @pytest.mark.parametrize("mode", ["greedy", "cyclic", "joint"])
+    @pytest.mark.parametrize(
+        "X, y, nu",
+        [
+            # grad @ grad overflows in the recorder at step 2
+            ([[14.0], [-8.0], [4.0], [-17.0]], [6.0, 16.0, 18.0, 17.0], 0.9),
+            # X' y_tilde itself overflows at step 1
+            ([[1e10], [1.0]], [691.0, 0.0], 1.0),
+        ],
+        ids=["recorded_norm", "design_gradient"],
+    )
+    def test_guarded_gradient_overflow_is_a_divergence_without_warning(self, mode, X, y, nu):
+        part = make_partition(np.array(X), single_block(1))
+        cfg = BoostConfig(nu=nu, max_iter=100, mode=mode, divergence_guard=True)
+        path = run_boost(part, poisson(), np.array(y), cfg)
+        assert path.terminated_by == "divergence"
+        assert path.grad_norms[-1] == np.inf
+        assert divergence_detector(path) == "diverging"
+        # unguarded, the overflow still surfaces
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run_boost(part, poisson(), np.array(y), BoostConfig(nu=nu, max_iter=100, mode=mode))
+
     def test_squared_loss_beyond_700_is_not_a_divergence(self):
         # the exp-link overflow guard used to stop an l2 fit at |f| > 700
         rng = np.random.default_rng(19)

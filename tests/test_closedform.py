@@ -156,14 +156,6 @@ class TestBoostLimit:
             boost_limit(np.array([[1.0, 1.0]]), np.array([3.0])), [1.5, 1.5]
         )
 
-    def test_limit_ignores_penalty(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(25, 3))
-        y = rng.normal(size=25)
-        ref = boost_limit(X, y)
-        for lam in (0.1, 1.0, 10.0):
-            np.testing.assert_array_equal(boost_limit(X, y, lam, np.eye(3)), ref)
-
     def test_engine_approaches_min_norm_underdetermined(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(8, 14))  # n < p

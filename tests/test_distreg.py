@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from amboost.closedform import linear_boost_path
 from amboost.distreg import (
     GaussianLSModel,
     biconvexity_check,
@@ -239,19 +238,6 @@ class TestCyclicBoosting:
         assert res.scale_path.n_steps <= 10  # within a few iterations
         res_small = cyclic_boost_ls(X, Z, y, 0.01, 500)
         assert res_small.scale_verdict != "diverging"
-
-    def test_disabled_scale_updates_reduce_to_l2_boosting(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(40, 3))
-        Z = np.ones((40, 1))
-        y = rng.normal(size=40)
-        res = cyclic_boost_ls(X, Z, y, 0.2, 60, update_scale=False)
-        np.testing.assert_array_equal(res.scale_path.betas, np.zeros((1, 1)))
-        for k in (1, 10, 60):
-            oracle = linear_boost_path(X, y, 0.2, k)
-            np.testing.assert_allclose(
-                res.mean_path.betas[k], oracle, rtol=1e-10, atol=1e-12
-            )
 
     def test_schedule_validation(self):
         X, Z, y = self.make_data(np.random.default_rng(9), n=20)

@@ -392,10 +392,9 @@ class TestValidation:
         )
 
     def test_poisson_outcome(self):
-        with pytest.raises(ValueError):
-            loss_value(poisson(), np.array([-1.0, 2.0]), np.zeros(2))
-        with pytest.raises(ValueError):
-            loss_value(poisson(), np.array([0.5, 2.0]), np.zeros(2))
+        for bad in (-1.0, 0.5):
+            with pytest.raises(ValueError, match="^poisson outcomes must be nonnegative integers$"):
+                loss_value(poisson(), np.array([bad, 2.0]), np.zeros(2))
 
     def test_nonfinite_outcome_names_first_index(self):
         y = np.array([0.0, 1.0, np.nan, np.inf])
@@ -403,12 +402,14 @@ class TestValidation:
             loss_value(l2(), y, np.zeros(4))
 
     def test_cox_metadata(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^observed times must be strictly positive$"):
             coxph(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^event indicators must be 0 or 1$"):
             coxph(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coxph requires times and events$"):
             LossSpec("coxph")
+        with pytest.raises(ValueError, match="^times and events must be 1-d of equal length$"):
+            coxph(np.array([1.0, 2.0]), np.array([1.0]))
 
     def test_nonfinite_cox_times_name_first_index(self):
         with pytest.raises(ValueError, match="non-finite value at index 0$"):
@@ -426,8 +427,29 @@ class TestValidation:
                     call(spec, np.asarray(y))
 
     def test_times_only_for_cox(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^times/events only apply to the coxph family$"):
             LossSpec("l2", times=np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: LossSpec("gamma"), "^unknown loss family 'gamma'$"),
+            (lambda: validate_outcome(l2(), np.zeros((2, 1))), "^outcome must be a vector$"),
+            (lambda: validate_outcome(coxph([1.0, 2.0], [1.0, 0.0]), [1.0, 0.0, 1.0]),
+             "^outcome length must match survival metadata$"),
+            (lambda: link_offset(binomial(), np.ones(3)),
+             "^binomial offset undefined for a constant outcome$"),
+            (lambda: link_offset(binomial(), np.zeros(3)),
+             "^binomial offset undefined for a constant outcome$"),
+            (lambda: link_offset(poisson(), np.zeros(3)),
+             "^poisson offset undefined for an all-zero outcome$"),
+        ],
+        ids=["unknown_family", "matrix_outcome", "cox_outcome_length",
+             "binomial_offset_all_ones", "binomial_offset_all_zeros", "poisson_offset"],
+    )
+    def test_error_message(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestSpecEquality:
