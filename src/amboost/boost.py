@@ -85,7 +85,8 @@ class BoostPath:
 
     ``betas`` has one row per iterate including the start, ``losses`` and
     ``grad_norms`` match it, ``selected`` has one entry per step taken
-    (``-1`` for joint updates).
+    (``-1`` for joint updates). Each array holds exactly these iterates,
+    however far short of ``max_iter`` the run stopped, and owns its data.
     """
 
     betas: np.ndarray
@@ -123,33 +124,58 @@ class BoostPath:
         return header, rows
 
 
+# Rows a recorder allocates first; it doubles from there, up to max_iter + 1.
+_FIRST_ROWS = 1024
+
+
 class _PathRecorder:
-    """Iterate history of one run.
+    """Iterate history of one run of at most ``max_iter`` steps.
 
     The only code that constructs a :class:`BoostPath`. Starts from the
-    initial ``(beta, loss, grad)``; every ``record`` appends one step with
-    the block it updated. The gradient norm is ``sqrt(grad @ grad)``, the
+    initial ``(beta, loss, grad)``; every ``record`` writes one step with
+    the block it updated into row ``k`` of arrays that double when full,
+    to at most ``max_iter + 1`` rows, so a run that stops early allocates
+    for the steps it took. The gradient norm is ``sqrt(grad @ grad)``, the
     same sum of squares ``np.linalg.norm`` takes for a 1-d float vector.
     """
 
-    def __init__(self, beta, loss, grad):
-        self.betas = [beta.copy()]
-        self.losses = [loss]
-        self.grad_norms = [math.sqrt(grad @ grad)]
-        self.selected = []
+    def __init__(self, beta, loss, grad, max_iter):
+        self._max_rows = max_iter + 1
+        rows = min(_FIRST_ROWS, self._max_rows)
+        self.betas = np.empty((rows, len(beta)))
+        self.losses = np.empty(rows)
+        self.grad_norms = np.empty(rows)
+        # selected[k] is step k's block; the start's entry is never read
+        self.selected = np.empty(rows, dtype=int)
+        self.n_steps = -1
+        self.record(beta, JOINT_SENTINEL, loss, grad)
 
     def record(self, beta, selected, loss, grad):
-        self.betas.append(beta.copy())
-        self.selected.append(selected)
-        self.losses.append(loss)
-        self.grad_norms.append(math.sqrt(grad @ grad))
+        k = self.n_steps = self.n_steps + 1
+        if k == len(self.losses):
+            rows = min(2 * k, self._max_rows)
+            for name in ("betas", "losses", "grad_norms", "selected"):
+                old = getattr(self, name)
+                new = np.empty((rows,) + old.shape[1:], old.dtype)
+                new[:k] = old
+                setattr(self, name, new)
+        self.betas[k] = beta
+        self.selected[k] = selected
+        self.losses[k] = loss
+        self.grad_norms[k] = math.sqrt(grad @ grad)
 
     def path(self, terminated_by="max_iter", offset=0.0, numeric_error=False):
+        rows = self.n_steps + 1
+        # full arrays become the path's; partly filled ones are cut to copies
+        betas, losses, grad_norms = (
+            a if len(a) == rows else a[:rows].copy()
+            for a in (self.betas, self.losses, self.grad_norms)
+        )
         return BoostPath(
-            betas=np.asarray(self.betas),
-            losses=np.asarray(self.losses),
-            selected=np.asarray(self.selected, dtype=int),
-            grad_norms=np.asarray(self.grad_norms),
+            betas=betas,
+            losses=losses,
+            selected=self.selected[1:rows].copy(),
+            grad_norms=grad_norms,
             terminated_by=terminated_by,
             offset=offset,
             numeric_error=numeric_error,
@@ -263,6 +289,22 @@ class _BlockSolver:
         return g @ inc
 
 
+def _start_gradient(X, y_tilde, y):
+    """``X^T y_tilde`` at a run's start iterate, rejecting an outcome that overflows it.
+
+    The design and the working response are finite there, so a non-finite
+    gradient is an outcome too large for the design: malformed input,
+    raised as a ``ValueError`` before any step, guarded or not.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = X.T @ y_tilde
+    if not np.isfinite(g).all():
+        raise ValueError(
+            f"outcome of magnitude {np.abs(y).max():.3g} overflows the start gradient"
+        )
+    return g
+
+
 def fit_block(block, y_tilde):
     """Fit one base learner against a working response.
 
@@ -373,8 +415,9 @@ def run_boost(partition, loss, y, config):
     numeric_error = False
 
     ge = losses_mod.evaluate(loss, y, offset + f_lin)
-    g = X.T @ ge.y_tilde
-    rec = _PathRecorder(beta, ge.value, g)
+    g = _start_gradient(X, ge.y_tilde, y)
+    rec = _PathRecorder(beta, ge.value, g, config.max_iter)
+    start_loss = ge.value
 
     # a guarded run records an overflowing gradient as an inf norm and
     # stops on the loss check or the next evaluation's NumericError
@@ -405,6 +448,7 @@ def run_boost(partition, loss, y, config):
             beta[columns[best]] += nu * best_inc
             # np.dot, not @: BLAS gemv also for a strided single-column view
             f_lin += nu * np.dot(designs[best], best_inc)
+            prev_loss = ge.value
             try:
                 ge = losses_mod.evaluate(loss, y, offset + f_lin)
             except NumericError:
@@ -415,10 +459,10 @@ def run_boost(partition, loss, y, config):
                 break
             g = X.T @ ge.y_tilde
             rec.record(beta, JOINT_SENTINEL if mode == "joint" else best, ge.value, g)
-            if config.stop_tol > 0.0 and rec.losses[-2] - rec.losses[-1] < config.stop_tol:
+            if config.stop_tol > 0.0 and prev_loss - ge.value < config.stop_tol:
                 terminated = "tol"
                 break
-            if config.divergence_guard and _loss_grew(rec.losses[-1], rec.losses[0]):
+            if config.divergence_guard and _loss_grew(ge.value, start_loss):
                 terminated = "divergence"
                 break
 

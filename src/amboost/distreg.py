@@ -247,8 +247,8 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter):
     scale_solver = _BlockSolver(model.Z)
 
     nll0, gb, gx = gauss_ls_eval(model, y)
-    mean_rec = _PathRecorder(model.beta, nll0, gb)
-    scale_rec = _PathRecorder(model.xi, nll0, gx)
+    mean_rec = _PathRecorder(model.beta, nll0, gb, max_iter)
+    scale_rec = _PathRecorder(model.xi, nll0, gx, max_iter)
     terminated = "max_iter"
     numeric_error = False
 
@@ -256,8 +256,8 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter):
     for _ in range(max_iter):
         try:
             model.beta += nu * mean_solver.solve_gram(-gb)
-            nll, gb, gx = gauss_ls_eval(model, y)
-            mean_rec.record(model.beta, JOINT_SENTINEL, nll, gb)
+            nll_mean, gb, gx = gauss_ls_eval(model, y)
+            mean_rec.record(model.beta, JOINT_SENTINEL, nll_mean, gb)
             model.xi += nu * scale_solver.solve_gram(-gx)
             nll, gb, gx = gauss_ls_eval(model, y)
             scale_rec.record(model.xi, JOINT_SENTINEL, nll, gx)
@@ -265,7 +265,7 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter):
             terminated = "divergence"
             numeric_error = True
             break
-        if _loss_grew(max(mean_rec.losses[-1], scale_rec.losses[-1]), nll0):
+        if _loss_grew(max(nll_mean, nll), nll0):
             terminated = "divergence"
             break
 

@@ -378,6 +378,9 @@ def _scenario_pspline_unpenalized(cfg):
             xlabel="x",
             ylabel="fit",
         )
+        # the tables hold the thinned rows and the charts the final fit:
+        # free both full paths before the next penalty records its own
+        del path, gbcd_path
     tables["summary"] = (
         ["lam", "dist_unpenalized", "dist_penalized", "dist_descent_penalized",
          "penalty_at_unpenalized"],

@@ -21,6 +21,7 @@ from .boost import (
     _check_schedule,
     _PathRecorder,
     _rank_cutoff,
+    _start_gradient,
     fit_block,
     run_boost,
 )
@@ -90,9 +91,10 @@ def gbcd_gsq(partition, loss, y, config):
     beta = np.zeros(partition.p)
     f = np.zeros(partition.n)
 
-    def objective_and_gradient():
+    def objective_and_gradient(start=False):
         value = losses_mod.loss_value(loss, y, f)
-        grad = -(X.T @ losses_mod.neg_functional_gradient(loss, y, f))
+        y_tilde = losses_mod.neg_functional_gradient(loss, y, f)
+        grad = -(_start_gradient(X, y_tilde, y) if start else X.T @ y_tilde)
         if penalized:
             for block, cols in zip(partition.blocks, partition.column_map):
                 if block.lam > 0.0:
@@ -101,8 +103,8 @@ def gbcd_gsq(partition, loss, y, config):
                     value += 0.5 * block.lam * float(beta[cols] @ block.P @ beta[cols])
         return value, grad
 
-    value, grad = objective_and_gradient()
-    rec = _PathRecorder(beta, value, grad)
+    value, grad = objective_and_gradient(start=True)
+    rec = _PathRecorder(beta, value, grad, config.max_iter)
 
     for _ in range(config.max_iter):
         best, best_score, best_dir = 0, -np.inf, None

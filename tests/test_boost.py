@@ -1,4 +1,5 @@
 import csv
+import math
 import warnings
 from unittest import mock
 
@@ -8,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amboost import boost
+from amboost import boost, distreg, gbcd
 from amboost.boost import (
     BoostConfig,
     _BlockSolver,
@@ -31,7 +32,9 @@ from amboost.design import (
     single_block,
     singleton_blocks,
 )
+from amboost.distreg import cyclic_boost_ls
 from amboost.errors import NumericError
+from amboost.gbcd import GbcdConfig, gbcd_gsq
 from amboost.losses import (
     binomial,
     coxph,
@@ -331,6 +334,26 @@ class TestRunBoost:
             with pytest.raises(ValueError, match=r"^outcome of magnitude 1e\+308 overflows"):
                 run_boost(part, l2(), np.array([1e308, 1e308, -1e308]), cfg)
 
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda part, y: run_boost(part, poisson(), y, BoostConfig()),
+            lambda part, y: run_boost(part, poisson(), y, BoostConfig(divergence_guard=True)),
+            lambda part, y: gbcd_gsq(part, poisson(), y, GbcdConfig()),
+        ],
+        ids=["unguarded", "guarded", "gbcd_gsq"],
+    )
+    def test_outcome_overflowing_the_start_gradient_rejected(self, engine):
+        # X' y_tilde overflowed with a RuntimeWarning before any step,
+        # outside the guard's errstate
+        part = make_partition([[1e150], [1.0]], single_block(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                ValueError, match=r"^outcome of magnitude 1e\+200 overflows the start gradient$"
+            ):
+                engine(part, np.array([1e200, 0.0]))
+
     def test_outcome_of_finite_squared_loss_runs(self):
         part = make_partition([[1.0, 2.0], [1.0, -1.0], [1.0, 0.5]], singleton_blocks(2))
         with warnings.catch_warnings():
@@ -398,7 +421,7 @@ class TestGradNorms:
     )
     def test_recorder_matches_linalg_norm_bitwise(self, grads):
         grads = [np.array(g) for g in grads]
-        rec = _PathRecorder(np.zeros(1), 0.0, grads[0])
+        rec = _PathRecorder(np.zeros(1), 0.0, grads[0], len(grads) - 1)
         for g in grads[1:]:
             rec.record(np.zeros(1), 0, 0.0, g)
         norms = rec.path().grad_norms
@@ -412,6 +435,135 @@ class TestGradNorms:
         path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=2))
         # from a zero fit the L2 working response is y itself
         assert path.grad_norms[0] == np.linalg.norm(X.T @ y)
+
+
+class ListRecorder:
+    """A path recorder built from lists, the oracle for the engine's arrays.
+
+    Each step appends a copy of ``beta`` and the Python floats, and
+    ``path`` stacks them with ``np.asarray``.
+    """
+
+    def __init__(self, beta, loss, grad, max_iter):
+        self.betas = [beta.copy()]
+        self.losses = [loss]
+        self.grad_norms = [math.sqrt(grad @ grad)]
+        self.selected = []
+
+    def record(self, beta, selected, loss, grad):
+        self.betas.append(beta.copy())
+        self.selected.append(selected)
+        self.losses.append(loss)
+        self.grad_norms.append(math.sqrt(grad @ grad))
+
+    def path(self, terminated_by="max_iter", offset=0.0, numeric_error=False):
+        return boost.BoostPath(
+            betas=np.asarray(self.betas),
+            losses=np.asarray(self.losses),
+            selected=np.asarray(self.selected, dtype=int),
+            grad_norms=np.asarray(self.grad_norms),
+            terminated_by=terminated_by,
+            offset=offset,
+            numeric_error=numeric_error,
+        )
+
+
+def with_list_recorder(run):
+    """``run()`` with :class:`ListRecorder` in place of every engine's recorder."""
+    with mock.patch.object(boost, "_PathRecorder", ListRecorder), \
+            mock.patch.object(gbcd, "_PathRecorder", ListRecorder), \
+            mock.patch.object(distreg, "_PathRecorder", ListRecorder):
+        return run()
+
+
+def assert_path_bitwise(path, reference):
+    """Same fields, bit for bit, in arrays of exactly the path's rows that own their data."""
+    for field in ("betas", "losses", "selected", "grad_norms"):
+        got, want = getattr(path, field), getattr(reference, field)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.owndata
+    assert len(path.betas) == len(path.losses) == len(path.grad_norms) == path.n_steps + 1
+    assert len(path.selected) == path.n_steps
+    assert (path.terminated_by, path.offset, path.numeric_error) == (
+        reference.terminated_by, reference.offset, reference.numeric_error
+    )
+
+
+class TestPathArrays:
+    """The recorder's growable arrays against lists, beyond its first allocation."""
+
+    def data(self, seed=5, n=30, p=4):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        return X, X @ rng.normal(size=p) + rng.normal(size=n)
+
+    @pytest.mark.parametrize("mode", ["greedy", "joint"])
+    def test_long_run_matches_lists(self, mode):
+        X, y = self.data()
+        specs = singleton_blocks(2) + [BlockSpec([2, 3], 1.0, difference_penalty(2, 1))]
+        part = make_partition(X, specs)
+        cfg = BoostConfig(nu=0.01, max_iter=2500, mode=mode)
+        path = run_boost(part, l2(), y, cfg)
+        assert path.n_steps == 2500 > 2 * boost._FIRST_ROWS
+        assert_path_bitwise(path, with_list_recorder(lambda: run_boost(part, l2(), y, cfg)))
+
+    @pytest.mark.parametrize("max_iter", [0, 2500])
+    def test_gbcd_matches_lists(self, max_iter):
+        X, y = self.data()
+        part = make_partition(X, [BlockSpec([0, 1], 1.0, difference_penalty(2, 1)),
+                                  BlockSpec([2, 3], 0.0, None)])
+        cfg = GbcdConfig(nu=0.01, max_iter=max_iter, gradient_of="penalized")
+        path = gbcd_gsq(part, l2(), y, cfg)
+        assert path.n_steps == max_iter
+        assert_path_bitwise(path, with_list_recorder(lambda: gbcd_gsq(part, l2(), y, cfg)))
+
+    def test_guarded_poisson_divergence_matches_lists(self):
+        # the data of test_divergence_guard_captures_overflow
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(30, 2)) * 3.0
+        f = X @ np.array([2.0, -1.5])
+        y = rng.poisson(np.exp(np.clip(f, None, 20.0))).astype(float)
+        part = make_partition(X, singleton_blocks(2))
+        cfg = BoostConfig(nu=1.0, max_iter=3000, divergence_guard=True)
+        path = run_boost(part, poisson(), y, cfg)
+        assert path.terminated_by == "divergence" and path.n_steps < boost._FIRST_ROWS
+        assert_path_bitwise(path, with_list_recorder(lambda: run_boost(part, poisson(), y, cfg)))
+
+    def test_cyclic_boost_ls_divergence_matches_lists(self):
+        # the heteroscedastic data of TestCyclicBoosting in test_distreg.py
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=200)
+        X = Z = np.column_stack([np.ones(200), x])
+        y = X @ np.array([1.0, 2.0]) + np.exp(Z @ np.array([-0.3, 0.8])) * rng.normal(size=200)
+        res = cyclic_boost_ls(X, Z, y, 0.5, 3000)
+        ref = with_list_recorder(lambda: cyclic_boost_ls(X, Z, y, 0.5, 3000))
+        assert res.mean_path.terminated_by == "divergence"
+        assert_path_bitwise(res.mean_path, ref.mean_path)
+        assert_path_bitwise(res.scale_path, ref.scale_path)
+
+    def test_growth_stops_at_max_iter_plus_one_rows(self):
+        # 1,024 rows double to 2,048 only up to the 1,501 a full run needs,
+        # and the full arrays become the path's without a copy
+        rec = _PathRecorder(np.zeros(2), 0.0, np.zeros(2), 1500)
+        for k in range(1, 1501):
+            rec.record(np.full(2, float(k)), k % 2, float(k), np.ones(2))
+        assert len(rec.betas) == len(rec.losses) == 1501
+        path = rec.path()
+        assert path.betas is rec.betas and path.losses is rec.losses
+        np.testing.assert_array_equal(path.betas[:, 0], np.arange(1501.0))
+        np.testing.assert_array_equal(path.selected, np.arange(1, 1501) % 2)
+
+    def test_huge_max_iter_allocates_for_the_steps_taken(self):
+        # rows up front for max_iter + 1 iterates would be a MemoryError
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20, 3))
+        y = X @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=20)
+        part = make_partition(X, singleton_blocks(3))
+        path = run_boost(part, l2(), y, BoostConfig(nu=0.1, max_iter=10**15, stop_tol=1e-8))
+        assert path.terminated_by == "tol" and 100 < path.n_steps < boost._FIRST_ROWS
+        capped = run_boost(part, l2(), y, BoostConfig(nu=0.1, max_iter=10_000, stop_tol=1e-8))
+        assert_path_bitwise(path, capped)
 
 
 def mixed_design(seed, kinds, n=30):
