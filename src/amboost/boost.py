@@ -289,20 +289,18 @@ class _BlockSolver:
         return g @ inc
 
 
-def _start_gradient(X, y_tilde, y):
-    """``X^T y_tilde`` at a run's start iterate, rejecting an outcome that overflows it.
+def _check_start(y, value=0.0, grad_norm=0.0):
+    """Reject an outcome too large for an engine's start iterate.
 
-    The design and the working response are finite there, so a non-finite
-    gradient is an outcome too large for the design: malformed input,
-    raised as a ``ValueError`` before any step, guarded or not.
+    The design and the outcome are finite, so a non-finite offset, start
+    loss ``value`` or start gradient norm is an outcome that overflows
+    them: malformed input, a ``ValueError`` before any step, guarded or
+    not. Each engine computes these under one ``np.errstate`` and checks
+    an offset before the loss is evaluated at it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = X.T @ y_tilde
-    if not np.isfinite(g).all():
-        raise ValueError(
-            f"outcome of magnitude {np.abs(y).max():.3g} overflows the start gradient"
-        )
-    return g
+    if not (math.isfinite(value) and math.isfinite(grad_norm)):
+        what = "the start gradient" if math.isfinite(value) else "the loss at the start iterate"
+        raise ValueError(f"outcome of magnitude {np.abs(y).max():.3g} overflows {what}")
 
 
 def fit_block(block, y_tilde):
@@ -324,7 +322,7 @@ def fit_block(block, y_tilde):
     if y_tilde.shape != (block.n,):
         raise ValueError("working response length does not match the block")
     X = block.X
-    if block.lam > 0.0 and np.any(block.P != 0):
+    if _is_penalized(block.P, block.lam):
         import scipy.linalg
 
         chol = _cho_factor(X.T @ X + block.lam * block.P, block.lam)
@@ -387,8 +385,6 @@ def run_boost(partition, loss, y, config):
     y = losses_mod.validate_outcome(loss, y)
     if y.shape != (partition.n,):
         raise ValueError("outcome length does not match the partition")
-    losses_mod._check_start_loss(loss, y, centre=config.init == "offset")
-    offset = losses_mod.link_offset(loss, y) if config.init == "offset" else 0.0
 
     X = partition.X
     mode, nu = config.mode, config.nu
@@ -414,9 +410,13 @@ def run_boost(partition, loss, y, config):
     terminated = "max_iter"
     numeric_error = False
 
-    ge = losses_mod.evaluate(loss, y, offset + f_lin)
-    g = _start_gradient(X, ge.y_tilde, y)
-    rec = _PathRecorder(beta, ge.value, g, config.max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = losses_mod.link_offset(loss, y) if config.init == "offset" else 0.0
+        _check_start(y, offset)
+        ge = losses_mod.evaluate(loss, y, offset + f_lin)
+        g = X.T @ ge.y_tilde
+        rec = _PathRecorder(beta, ge.value, g, config.max_iter)
+    _check_start(y, ge.value, rec.grad_norms[0])
     start_loss = ge.value
 
     # a guarded run records an overflowing gradient as an inf norm and
@@ -531,7 +531,9 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
     f = np.zeros_like(y)
     fitted = [f.copy()]
     selected = []
-    res_norms = [float(np.linalg.norm(y))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_norms = [float(np.linalg.norm(y))]
+    _check_start(y, grad_norm=res_norms[0])  # the residual is the negative l2 gradient
     for k in range(n_steps):
         r = y - f
         if rule == "greedy":

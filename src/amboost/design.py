@@ -11,7 +11,6 @@ partition built on it is in use.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -160,25 +159,16 @@ def _check_matrix(X, what):
     return _checked_squares(X, what)[0]
 
 
-def _check_column_scale(X, what, columns=None):
-    """Name the first column of the finite matrix ``X`` whose sum of squares overflows.
+def _check_column_scale(squares, what, columns=None):
+    """Name the first column whose sum of squares, from :func:`_checked_squares`, overflows.
 
-    ``columns`` gives the name of each column, by default its position.
-    A column whose sum reads non-finite is summed again from
-    ``x / max|x|``, as the squared-loss outcome check does, so that the
-    check cannot overflow itself.
+    The matrix is finite and the squares are nonnegative, so a sum is not
+    finite only where it overflows. ``columns`` gives the name of each
+    column, by default its position.
     """
-    for j in np.flatnonzero(~np.isfinite(_column_squares(X))):
-        scale = float(np.abs(X[:, j]).max())
-        z = X[:, j] / scale
-        # Python floats: a product beyond the largest float is inf, not a warning
-        norm = scale * math.sqrt(z @ z)
-        if not math.isfinite(norm * norm):
-            name = j if columns is None else columns[j]
-            raise ValueError(
-                f"{what} column {name} has a sum of squares beyond the largest "
-                f"float (its norm is {norm:.3g})"
-            )
+    for j in np.flatnonzero(~np.isfinite(squares)):
+        name = j if columns is None else columns[j]
+        raise ValueError(f"{what} column {name} has a sum of squares beyond the largest float")
 
 
 def _psd_spectrum(M, what):
@@ -261,8 +251,8 @@ class DesignBlock:
     lam: float = 0.0
 
     def __post_init__(self):
-        X = _check_matrix(self.X, "block feature matrix")
-        _check_column_scale(X, "block feature matrix")
+        X, squares = _checked_squares(self.X, "block feature matrix")
+        _check_column_scale(squares, "block feature matrix")
         object.__setattr__(self, "X", X)
         _check_weight(self.lam)
         object.__setattr__(self, "P", _check_penalty(self.P, self.p))
@@ -371,8 +361,7 @@ def make_partition(X, specs):
     if X.shape[1] == 0:
         raise ValueError("design matrix has no columns")
     X, squares = _checked_squares(X, "design matrix")
-    overflows = ~np.isfinite(squares)
-    any_overflow = overflows.any()
+    any_overflow = not np.isfinite(squares).all()
     p = X.shape[1]
     seen = np.zeros(p, dtype=bool)
     blocks, column_map = [], []
@@ -395,8 +384,8 @@ def make_partition(X, specs):
         else:
             Xb = X[:, cols]
         Xb.flags.writeable = False
-        if any_overflow and overflows[cols].any():
-            _check_column_scale(Xb, f"block {b}", cols)
+        if any_overflow:
+            _check_column_scale(squares[cols], f"block {b}", cols)
         _check_weight(s.lam)
         if s.penalty is not None:
             P = _check_penalty(s.penalty, cols.size)

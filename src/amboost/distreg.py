@@ -18,6 +18,7 @@ from .boost import (
     BoostPath,
     _BlockSolver,
     _check_schedule,
+    _check_start,
     _loss_grew,
     _PathRecorder,
     divergence_detector,
@@ -236,8 +237,9 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter):
     linear predictor). Numeric blow-ups and tenfold loss growth are
     recorded as a divergence termination rather than raised; both
     returned paths carry detector verdicts. Each half-step is the joint
-    one-block step of ``run_boost`` on that model's design; a non-finite
-    design entry is a ``ValueError`` naming the mean or scale design.
+    one-block step of ``run_boost`` on that model's design. A non-finite
+    design entry is a ``ValueError`` naming the mean or scale design, and
+    an outcome that overflows the start loss or gradient is one too.
     """
     _check_schedule(nu, max_iter, 1)
     # the model checks both designs before a solver sees them
@@ -246,9 +248,12 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter):
     mean_solver = _BlockSolver(model.X)
     scale_solver = _BlockSolver(model.Z)
 
-    nll0, gb, gx = gauss_ls_eval(model, y)
-    mean_rec = _PathRecorder(model.beta, nll0, gb, max_iter)
-    scale_rec = _PathRecorder(model.xi, nll0, gx, max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nll0, gb, gx = gauss_ls_eval(model, y)
+        mean_rec = _PathRecorder(model.beta, nll0, gb, max_iter)
+        scale_rec = _PathRecorder(model.xi, nll0, gx, max_iter)
+    for rec in (mean_rec, scale_rec):
+        _check_start(y, nll0, rec.grad_norms[0])
     terminated = "max_iter"
     numeric_error = False
 

@@ -19,9 +19,9 @@ from .boost import (
     BoostConfig,
     _BlockSolver,
     _check_schedule,
+    _check_start,
     _PathRecorder,
     _rank_cutoff,
-    _start_gradient,
     fit_block,
     run_boost,
 )
@@ -83,7 +83,6 @@ def gbcd_gsq(partition, loss, y, config):
     y = losses_mod.validate_outcome(loss, y)
     if y.shape != (partition.n,):
         raise ValueError("outcome length does not match the partition")
-    losses_mod._check_start_loss(loss, y, centre=False)
     solvers = _scaling_solvers(partition)
     X = partition.X
     penalized = config.gradient_of == "penalized"
@@ -91,10 +90,10 @@ def gbcd_gsq(partition, loss, y, config):
     beta = np.zeros(partition.p)
     f = np.zeros(partition.n)
 
-    def objective_and_gradient(start=False):
+    def objective_and_gradient():
         value = losses_mod.loss_value(loss, y, f)
         y_tilde = losses_mod.neg_functional_gradient(loss, y, f)
-        grad = -(_start_gradient(X, y_tilde, y) if start else X.T @ y_tilde)
+        grad = -(X.T @ y_tilde)
         if penalized:
             for block, cols in zip(partition.blocks, partition.column_map):
                 if block.lam > 0.0:
@@ -103,8 +102,10 @@ def gbcd_gsq(partition, loss, y, config):
                     value += 0.5 * block.lam * float(beta[cols] @ block.P @ beta[cols])
         return value, grad
 
-    value, grad = objective_and_gradient(start=True)
-    rec = _PathRecorder(beta, value, grad, config.max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = objective_and_gradient()
+        rec = _PathRecorder(beta, value, grad, config.max_iter)
+    _check_start(y, value, rec.grad_norms[0])
 
     for _ in range(config.max_iter):
         best, best_score, best_dir = 0, -np.inf, None

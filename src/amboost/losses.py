@@ -11,7 +11,6 @@ compute the same value twice, which is harmless.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,32 +209,6 @@ def validate_outcome(spec, y):
             bad = int(np.argmax(y != spec.events))
             raise ValueError(f"coxph outcome must be the events; it differs at index {bad}")
     return y
-
-
-def _check_start_loss(spec, y, centre):
-    """Reject an ``l2`` outcome whose squared loss at the start iterate overflows.
-
-    The start iterate is zero, or the outcome mean when ``centre``. The
-    loss comes from the norm of ``y / max|y|``, so the check itself cannot
-    overflow; with ``centre`` an outcome whose sum could overflow, as its
-    mean then would, is rejected too. An engine calls this once per run,
-    before any arithmetic on the outcome.
-    """
-    if spec.family != "l2":
-        return
-    scale = float(np.abs(y).max(initial=0.0))
-    if scale == 0.0:
-        return
-    z = y / scale
-    if centre:
-        z = z - z.mean()
-    # Python floats: a product beyond the largest float is inf, not a warning
-    norm = scale * math.sqrt(z @ z)
-    if not math.isfinite(norm * norm) or (centre and not math.isfinite(scale * y.size)):
-        raise ValueError(
-            f"outcome of magnitude {scale:.3g} overflows the squared loss "
-            "at the start iterate"
-        )
 
 
 def _check_predictor(f, limit=MAX_PREDICTOR):

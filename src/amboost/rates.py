@@ -102,11 +102,16 @@ def check_bound(path, gamma, loss_opt):
     path : BoostPath
         A recorded run whose losses are checked.
     gamma : float
-        Geometric rate in [0, 1).
+        Geometric rate in [0, 1); any other, where the bound certifies
+        nothing, or a non-finite ``loss_opt`` is a ``ValueError``.
     loss_opt : float
         Optimal loss, from an exact solve for quadratics or a long
         reference run otherwise.
     """
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"rate gamma={gamma!r} is not in [0, 1)")
+    if not np.isfinite(loss_opt):
+        raise ValueError(f"optimal loss loss_opt={loss_opt!r} is not finite")
     gaps = np.asarray(path.losses, dtype=float) - float(loss_opt)
     gap0 = gaps[0]
     if gap0 <= 0.0:

@@ -365,11 +365,45 @@ class TestRunBoost:
             # the start iterate is the mean, where the loss is zero
             huge = np.full(3, 1e200)
             assert run_boost(part, l2(), huge, BoostConfig(init="offset")).losses[0] == 0.0
-            with pytest.raises(ValueError, match="overflows the squared loss"):
+            with pytest.raises(ValueError, match=r"^outcome of magnitude 1e\+200 overflows "
+                               "the loss at the start iterate$"):
                 run_boost(part, l2(), huge, BoostConfig())
-            # a mean that would overflow is rejected, not computed
-            with pytest.raises(ValueError, match="overflows the squared loss"):
+            # a mean that overflows is rejected before the loss is evaluated at it
+            with pytest.raises(ValueError, match=r"^outcome of magnitude 1e\+308 overflows "
+                               "the loss at the start iterate$"):
                 run_boost(part, l2(), np.full(3, 1e308), BoostConfig(init="offset"))
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize(
+        "engine, what",
+        [
+            (lambda: run_boost(make_partition([[100.0], [100.0]], single_block(1)), l2(),
+                               [1e152, 1e152], BoostConfig()), "the start gradient"),
+            (lambda: gbcd_gsq(make_partition([[100.0], [100.0]], single_block(1)), l2(),
+                              [1e152, 1e152], GbcdConfig()), "the start gradient"),
+            (lambda: run_boost(make_partition([[1.0], [2.0], [0.5]], single_block(1)),
+                               poisson(), [1e300, 0.0, 0.0], BoostConfig()),
+             "the start gradient"),
+            (lambda: run_boost(make_partition([[1.0], [2.0], [0.5]], single_block(1)),
+                               poisson(), [1e308, 1e308, 0.0], BoostConfig(init="offset")),
+             "the loss at the start iterate"),
+            (lambda: cyclic_boost_ls([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]],
+                                     [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]],
+                                     [1e200, 0.0, 1.0], 0.1, 3), "the loss at the start iterate"),
+            (lambda: smoother_boost([0.5 * np.eye(3)], [1e200, 1e200, 0.0], 2),
+             "the start gradient"),
+        ],
+        ids=["run_boost_norm", "gbcd_gsq_norm", "poisson_norm", "poisson_offset",
+             "cyclic_boost_ls", "smoother_boost"],
+    )
+    def test_outcome_overflowing_the_start_iterate_rejected(self, engine, what, action):
+        # each escaped as a RuntimeWarning; without the warning filter both
+        # Poisson runs raised a NumericError, cyclic_boost_ls reported a
+        # divergence and the others returned a path
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValueError, match=rf"^outcome of magnitude \S+ overflows {what}$"):
+                engine()
 
     def test_coxph_outcome_other_than_events_rejected(self):
         # the outcome used to be ignored: any vector of the right length ran

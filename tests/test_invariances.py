@@ -5,15 +5,20 @@ whose answer the theory fixes, and compares the two paths; no oracle is
 needed. The partial likelihood sees the times only through their order
 (Cox, JRSS-B 1972), no loss depends on the order of the rows, and a base
 learner is seen only through its hat matrix (Buhlmann and Yu, JASA 2003),
-which a column's scale does not change.
+which a column's scale does not change. Every operation of an ``l2`` run
+is homogeneous in the outcome, so a power-of-two scale of it scales the
+path exactly, up to where the start iterate overflows.
 """
+
+import re
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amboost.boost import BoostConfig, run_boost
-from amboost.design import make_partition, singleton_blocks
+from amboost.design import BlockSpec, difference_penalty, make_partition, singleton_blocks
+from amboost.gbcd import GbcdConfig, gbcd_gsq
 from amboost.losses import binomial, coxph, l2, poisson
 
 
@@ -164,3 +169,61 @@ class TestOutcomeShift:
         r0 = np.max(np.abs(y - y.mean()))
         scale = np.max(np.abs(path.betas))
         assert np.max(np.abs(shifted.betas - path.betas)) <= 1e-12 * (1.0 + abs(c) / r0) * scale
+
+
+@st.composite
+def penalized_l2_problems(draw):
+    """A partition with a penalized three-column block, an ``l2`` outcome and a step size."""
+    n = draw(st.integers(8, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, 5))
+    y = X @ rng.normal(size=5) + rng.normal(size=n)
+    specs = [
+        BlockSpec((0, 1, 2), draw(st.floats(0.5, 5.0)), difference_penalty(3, 2)),
+        BlockSpec((3,)),
+        BlockSpec((4,)),
+    ]
+    return make_partition(X, specs), y, draw(st.floats(0.05, 1.0))
+
+
+# powers of two well inside the float range, then a window across the
+# powers where the start loss or gradient of these outcomes overflows
+SCALE_POWERS = [-60, -1, 1, 60, *range(496, 517)]
+
+
+class TestOutcomeScaling:
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(penalized_l2_problems())
+    def test_power_of_two_outcome_scales_the_path_or_is_rejected(self, problem):
+        # Multiplying by 2**k is exact, and so is every sum, product and
+        # solve the engines form from the outcome, until a value overflows
+        # (or, near k = -1000, underflows). So each run on 2**k y matches
+        # the run on y, betas times 2**k and the same selections, bit for
+        # bit, or its start iterate overflows and it is rejected, for that
+        # k and every larger one. Any other error, or a RuntimeWarning,
+        # fails the test.
+        part, y, nu = problem
+        engines = {
+            f"{mode}/{init}": lambda y, mode=mode, init=init: run_boost(
+                part, l2(), y, BoostConfig(nu=nu, max_iter=10, mode=mode, init=init)
+            )
+            for mode in ("joint", "greedy", "cyclic")
+            for init in ("zero", "offset")
+        }
+        engines["gbcd_gsq"] = lambda y: gbcd_gsq(part, l2(), y, GbcdConfig(nu=nu, max_iter=10))
+        for name, engine in engines.items():
+            path = engine(y)
+            rejected_at = None
+            for k in SCALE_POWERS:
+                try:
+                    scaled = engine(np.ldexp(y, k))
+                except ValueError as exc:
+                    assert re.match(r"outcome of magnitude \S+ overflows ", str(exc)), exc
+                    rejected_at = k if rejected_at is None else rejected_at
+                    continue
+                assert rejected_at is None, f"{name}: 2**{k} y runs, 2**{rejected_at} y did not"
+                np.testing.assert_array_equal(scaled.selected, path.selected)
+                np.testing.assert_array_equal(scaled.betas, np.ldexp(path.betas, k))
+                assert scaled.terminated_by == path.terminated_by
+            # the window crosses the edge: the last power is rejected, the first runs
+            assert rejected_at is not None and rejected_at > SCALE_POWERS[0], name

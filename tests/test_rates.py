@@ -169,6 +169,25 @@ class TestCheckBound:
         assert report.note.startswith("already optimal")
         assert report.all_compliant
 
+    @pytest.mark.parametrize(
+        "gamma, loss_opt, match",
+        [
+            (1.0, 0.0, "gamma"),
+            (1.5, 0.0, "gamma"),
+            (-0.1, 0.0, "gamma"),
+            (np.nan, 0.0, "gamma"),
+            # rejected before the already-optimal early return
+            (1.0, 1e300, "gamma"),
+            (0.5, np.inf, "loss_opt"),
+            (0.5, np.nan, "loss_opt"),
+        ],
+    )
+    def test_rate_or_optimum_outside_its_range_rejected(self, gamma, loss_opt, match):
+        # gamma 1.0 and 1.5 used to certify the path as compliant
+        path, _, _ = self.quadratic_run(seed=6, n_steps=5)
+        with pytest.raises(ValueError, match=match):
+            check_bound(path, gamma, loss_opt)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
