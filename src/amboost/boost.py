@@ -413,7 +413,11 @@ def run_boost(partition, loss, y, config):
     with np.errstate(over="ignore", invalid="ignore"):
         offset = losses_mod.link_offset(loss, y) if config.init == "offset" else 0.0
         _check_start(y, offset)
-        ge = losses_mod.evaluate(loss, y, offset + f_lin)
+        try:
+            ge = losses_mod.evaluate(loss, y, offset + f_lin)
+        except NumericError:
+            # the start predictor is the offset alone: the outcome is too large
+            _check_start(y, math.inf)
         g = X.T @ ge.y_tilde
         rec = _PathRecorder(beta, ge.value, g, config.max_iter)
     _check_start(y, ge.value, rec.grad_norms[0])

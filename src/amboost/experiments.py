@@ -59,49 +59,6 @@ RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 # Family name in configs and synthetic data -> its loss factory.
 GLM_FAMILIES = {"gaussian": l2, "binomial": binomial, "poisson": poisson}
 
-EXPERIMENTS = (
-    "path_matching",
-    "pspline_unpenalized",
-    "rates_sweep",
-    "expfam_convergence",
-    "distreg_divergence",
-    "gsq_equivalence",
-)
-
-_DEFAULTS = {
-    "path_matching": {
-        "data": {"n": 100, "rho": 0.7, "beta_true": (3.0, -2.0)},
-        "run": {"nu": 0.1, "max_iter": 10000, "grid_points": 200,
-                "isotropic_k": 500},
-    },
-    "pspline_unpenalized": {
-        "data": {"n": 400, "n_knots": 10, "degree": 3, "diff_order": 2,
-                 "noise": 0.3},
-        "run": {"nu": 1.0, "max_iter": 50000, "lams": (1.0, 10.0)},
-    },
-    "rates_sweep": {
-        "data": {"n": 200, "p_grid": (2, 5, 10, 20, 40, 60),
-                 "rho_grid": (0.0, 0.5, 0.9)},
-        "run": {"nu": 1.0, "check_instances": 10, "check_iters": 150},
-    },
-    "expfam_convergence": {
-        # the data seed pins a draw where the rate grid splits into
-        # converging and non-converging runs; the split is seed-dependent
-        "data": {"n": 100, "p": 2, "rho": 0.5, "beta_true": (3.0, -2.0),
-                 "seed": 5},
-        "run": {"nus": (0.02, 0.03, 0.04, 0.05, 0.06, 0.07), "max_iter": 1000},
-    },
-    "distreg_divergence": {
-        "data": {"n": 200, "beta_true": (1.0, 2.0), "xi_true": (-0.3, 0.8)},
-        "run": {"nu_large": 0.5, "nu_small": 0.01, "max_iter": 500,
-                "trials": 100},
-    },
-    "gsq_equivalence": {
-        "data": {"n": 60, "p_min": 4, "p_max": 10, "rho": 0.6},
-        "run": {"n_partitions": 20, "n_steps": 200, "nus": (0.1, 0.2, 0.3)},
-    },
-}
-
 # ``[experiment]`` keys of an experiment config file, with their defaults
 _EXPERIMENT_KEYS = {"name": None, "seed": 0, "out": ".", "svg": False}
 
@@ -124,6 +81,7 @@ class ExperimentConfig:
     params: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        # the tuple, not the dict: an unhashable name is a ConfigError too
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
@@ -133,7 +91,7 @@ class ExperimentConfig:
         self.svg = _typed("experiment", "svg", self.svg, _EXPERIMENT_KEYS["svg"])
         self.params = {
             section: _typed_section(section, getattr(self, section),
-                                    _DEFAULTS[self.experiment][section])
+                                    _REGISTRY[self.experiment][1][section])
             for section in ("data", "run")
         }
 
@@ -393,6 +351,9 @@ def _scenario_rates_sweep(cfg):
     tables, checks, charts = {}, [], {}
     data, run = cfg.params["data"], cfg.params["run"]
     n, p_grid, rho_grid, nu = data["n"], data["p_grid"], data["rho_grid"], run["nu"]
+    p_lo, p_hi = min(p_grid), max((p for p in p_grid if p <= n), default=0)
+    if p_hi <= p_lo:
+        raise ConfigError(f"data.p_grid {p_grid} needs two dimensions of at most data.n = {n}")
 
     rows = []
     gammas = {}
@@ -412,7 +373,6 @@ def _scenario_rates_sweep(cfg):
 
     in_range = all(0.0 <= g < 1.0 for g in gammas.values())
     checks.append(_check("gamma_in_unit_interval", in_range))
-    p_lo, p_hi = p_grid[0], max(p for p in p_grid if p <= n)
     rising = all(gammas[(rho, p_hi)] > gammas[(rho, p_lo)] for rho in rho_grid)
     checks.append(
         _check(
@@ -641,14 +601,41 @@ def _scenario_gsq_equivalence(cfg):
     return tables, checks, charts
 
 
-_SCENARIOS = {
-    "path_matching": _scenario_path_matching,
-    "pspline_unpenalized": _scenario_pspline_unpenalized,
-    "rates_sweep": _scenario_rates_sweep,
-    "expfam_convergence": _scenario_expfam_convergence,
-    "distreg_divergence": _scenario_distreg_divergence,
-    "gsq_equivalence": _scenario_gsq_equivalence,
+# name -> (scenario, defaults of its [data] and [run] sections): the one list
+_REGISTRY = {
+    "path_matching": (_scenario_path_matching, {
+        "data": {"n": 100, "rho": 0.7, "beta_true": (3.0, -2.0)},
+        "run": {"nu": 0.1, "max_iter": 10000, "grid_points": 200,
+                "isotropic_k": 500},
+    }),
+    "pspline_unpenalized": (_scenario_pspline_unpenalized, {
+        "data": {"n": 400, "n_knots": 10, "degree": 3, "diff_order": 2,
+                 "noise": 0.3},
+        "run": {"nu": 1.0, "max_iter": 50000, "lams": (1.0, 10.0)},
+    }),
+    "rates_sweep": (_scenario_rates_sweep, {
+        "data": {"n": 200, "p_grid": (2, 5, 10, 20, 40, 60),
+                 "rho_grid": (0.0, 0.5, 0.9)},
+        "run": {"nu": 1.0, "check_instances": 10, "check_iters": 150},
+    }),
+    "expfam_convergence": (_scenario_expfam_convergence, {
+        # the data seed pins a draw where the rate grid splits into
+        # converging and non-converging runs; the split is seed-dependent
+        "data": {"n": 100, "p": 2, "rho": 0.5, "beta_true": (3.0, -2.0),
+                 "seed": 5},
+        "run": {"nus": (0.02, 0.03, 0.04, 0.05, 0.06, 0.07), "max_iter": 1000},
+    }),
+    "distreg_divergence": (_scenario_distreg_divergence, {
+        "data": {"n": 200, "beta_true": (1.0, 2.0), "xi_true": (-0.3, 0.8)},
+        "run": {"nu_large": 0.5, "nu_small": 0.01, "max_iter": 500,
+                "trials": 100},
+    }),
+    "gsq_equivalence": (_scenario_gsq_equivalence, {
+        "data": {"n": 60, "p_min": 4, "p_max": 10, "rho": 0.6},
+        "run": {"n_partitions": 20, "n_steps": 200, "nus": (0.1, 0.2, 0.3)},
+    }),
 }
+EXPERIMENTS = tuple(_REGISTRY)
 
 
 def run_experiment(config):
@@ -662,9 +649,10 @@ def run_experiment(config):
     version, the pinned random-stream algorithm, the file inventory
     with row counts and the pass/fail checks.
     """
+    # a scenario writes nothing, so one that rejects its config leaves no directory
+    tables, checks, charts = _REGISTRY[config.experiment][0](config)
     out = Path(config.out_dir) / config.experiment
     out.mkdir(parents=True, exist_ok=True)
-    tables, checks, charts = _SCENARIOS[config.experiment](config)
     files = {
         name: {"path": f"{name}.csv", "rows": write_csv(out / f"{name}.csv", *table)}
         for name, table in tables.items()
@@ -695,14 +683,22 @@ def run_experiment(config):
 
 
 def load_artifact(out_dir):
-    """Load and integrity-check a previously written artifact directory."""
+    """Load an artifact directory; a damaged manifest or listed file is an IntegrityError."""
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise IntegrityError(f"no manifest found in {out}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    for name, entry in manifest.get("files", {}).items():
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError:
+        manifest = None
+    if not isinstance(manifest, dict):
+        raise IntegrityError(f"manifest {manifest_path} is not a JSON object")
+    missing = [key for key in ("experiment", "seed", "version", "rng", "files", "checks")
+               if key not in manifest]
+    if missing:
+        raise IntegrityError(f"manifest {manifest_path} lacks {', '.join(missing)}")
+    for entry in manifest["files"].values():
         path = out / entry["path"]
         if not path.exists():
             raise IntegrityError(f"manifest references missing file {entry['path']}")
@@ -728,9 +724,6 @@ def emit_report(artifact):
     lines.append("")
     lines.append("files:")
     for name, entry in sorted(m["files"].items()):
-        path = artifact.out_dir / entry["path"]
-        if not path.exists() or path.stat().st_size == 0:
-            raise IntegrityError(f"manifest references missing file {entry['path']}")
         lines.append(f"  {entry['path']}: {entry['rows']} rows")
     for name, rel in sorted(m.get("svgs", {}).items()):
         lines.append(f"  {rel}: chart")

@@ -387,6 +387,10 @@ class TestRunBoost:
             (lambda: run_boost(make_partition([[1.0], [2.0], [0.5]], single_block(1)),
                                poisson(), [1e308, 1e308, 0.0], BoostConfig(init="offset")),
              "the loss at the start iterate"),
+            # a finite offset beyond the predictor guard used to be a NumericError
+            (lambda: run_boost(make_partition([[1.0], [2.0], [0.5]], single_block(1)),
+                               poisson(), [1e305, 0.0, 0.0], BoostConfig(init="offset")),
+             "the loss at the start iterate"),
             (lambda: cyclic_boost_ls([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]],
                                      [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]],
                                      [1e200, 0.0, 1.0], 0.1, 3), "the loss at the start iterate"),
@@ -394,7 +398,7 @@ class TestRunBoost:
              "the start gradient"),
         ],
         ids=["run_boost_norm", "gbcd_gsq_norm", "poisson_norm", "poisson_offset",
-             "cyclic_boost_ls", "smoother_boost"],
+             "poisson_offset_guard", "cyclic_boost_ls", "smoother_boost"],
     )
     def test_outcome_overflowing_the_start_iterate_rejected(self, engine, what, action):
         # each escaped as a RuntimeWarning; without the warning filter both

@@ -95,9 +95,11 @@ class TestRunExperiment:
             a.files["equivalence"].read_bytes() != b.files["equivalence"].read_bytes()
         )
 
-    def test_unknown_experiment_rejected(self, tmp_path):
+    @pytest.mark.parametrize("name", ["nope", ["path_matching"]])
+    def test_unknown_experiment_rejected(self, tmp_path, name):
+        # an unhashable name is a ConfigError, not a TypeError from a dict lookup
         with pytest.raises(ConfigError, match="unknown experiment"):
-            ExperimentConfig(experiment="nope", out_dir=str(tmp_path))
+            ExperimentConfig(experiment=name, out_dir=str(tmp_path))
 
     @pytest.mark.parametrize("section", ["data", "run"])
     def test_unknown_parameter_rejected(self, tmp_path, section):
@@ -212,6 +214,25 @@ class TestRunExperiment:
         assert artifact.all_passed
         assert "paired_path_large" in artifact.files
 
+    @pytest.mark.parametrize(
+        "data, tested",
+        [({"n": 1}, None), ({"p_grid": 5}, None), ({"p_grid": (10, 5)}, "p=5 against p=10")],
+        ids=["n_1", "one_point_grid", "descending_grid"],
+    )
+    def test_rates_sweep_needs_two_dimensions_within_n(self, tmp_path, data, tested):
+        # n=1 raised "max() arg is an empty sequence"; a one-point grid and
+        # a descending one checked p against itself and failed the claim
+        cfg = ExperimentConfig(experiment="rates_sweep", out_dir=str(tmp_path), data=data,
+                               run={"check_instances": 1})
+        if tested is None:
+            with pytest.raises(ConfigError, match=r"^data\.p_grid .* data\.n = "):
+                run_experiment(cfg)
+            assert not (tmp_path / "rates_sweep").exists()
+        else:
+            check = next(c for c in run_experiment(cfg).checks
+                         if c["name"] == "gamma_rises_with_dimension")
+            assert check["passed"] and tested in check["detail"]
+
 
 class TestReport:
     def test_report_lists_files_with_rows(self, tmp_path):
@@ -252,12 +273,32 @@ class TestReport:
                 run={"n_partitions": 3, "n_steps": 40},
             )
         )
-        next(iter(artifact.files.values())).unlink()
+        csv_path = next(iter(artifact.files.values()))
+        csv_path.unlink()
         with pytest.raises(IntegrityError, match="missing file"):
+            load_artifact(artifact.out_dir)
+        csv_path.write_text("")
+        with pytest.raises(IntegrityError, match="empty file"):
             load_artifact(artifact.out_dir)
 
     def test_empty_dir_is_integrity_error(self, tmp_path):
         with pytest.raises(IntegrityError, match="no manifest"):
+            load_artifact(tmp_path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("{not json", "is not a JSON object$"),
+            ("[]", "is not a JSON object$"),
+            ("{}", "lacks experiment, seed, version, rng, files, checks$"),
+            ('{"seed": 0, "version": "0", "rng": "r", "files": {}, "checks": []}',
+             "lacks experiment$"),
+        ],
+    )
+    def test_damaged_manifest_is_integrity_error(self, tmp_path, text, match):
+        # these used to escape as a JSONDecodeError or a KeyError
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(IntegrityError, match=match):
             load_artifact(tmp_path)
 
 
