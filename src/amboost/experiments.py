@@ -683,7 +683,13 @@ def run_experiment(config):
 
 
 def load_artifact(out_dir):
-    """Load an artifact directory; a damaged manifest or listed file is an IntegrityError."""
+    """Load an artifact directory; a damaged manifest or listed file is an IntegrityError.
+
+    Beyond its keys, the manifest's ``files`` must be an object of entries
+    that each have a ``path`` string and ``rows``, its ``checks`` a list of
+    objects that each have a ``name`` and ``passed``, and its ``svgs``,
+    when present, an object: what :func:`emit_report` reads.
+    """
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
@@ -698,9 +704,26 @@ def load_artifact(out_dir):
                if key not in manifest]
     if missing:
         raise IntegrityError(f"manifest {manifest_path} lacks {', '.join(missing)}")
-    for entry in manifest["files"].values():
+    files, checks = manifest["files"], manifest["checks"]
+    if not isinstance(files, dict):
+        raise IntegrityError(f"manifest {manifest_path} files is not an object")
+    if not isinstance(checks, list):
+        raise IntegrityError(f"manifest {manifest_path} checks is not a list")
+    if not isinstance(manifest.get("svgs", {}), dict):
+        raise IntegrityError(f"manifest {manifest_path} svgs is not an object")
+    for what, entries, keys in (("file", files.items(), ("path", "rows")),
+                                ("check", enumerate(checks), ("name", "passed"))):
+        for name, entry in entries:
+            lacking = [key for key in keys if not isinstance(entry, dict) or key not in entry]
+            if lacking:
+                raise IntegrityError(
+                    f"manifest {manifest_path} {what} {name!r} lacks {', '.join(lacking)}"
+                )
+    for name, entry in files.items():
+        if not isinstance(entry["path"], str):
+            raise IntegrityError(f"manifest {manifest_path} file {name!r} path is not a string")
         path = out / entry["path"]
-        if not path.exists():
+        if not path.is_file():
             raise IntegrityError(f"manifest references missing file {entry['path']}")
         if path.stat().st_size == 0:
             raise IntegrityError(f"manifest references empty file {entry['path']}")

@@ -3,9 +3,10 @@
 Each family uses its canonical link (identity, sigmoid, exp, and the
 partial-likelihood structure for proportional hazards). All functions are
 pure and safe for concurrent invocation. The one cache, a
-:class:`CoxCurvature` computing its vectors on first read, stores values
-that depend only on its inputs: two threads racing on a first read may
-compute the same value twice, which is harmless.
+:class:`CoxCurvature` computing the partial likelihood's value, working
+response and curvature vectors on first read, stores values that depend
+only on its inputs: two threads racing on a first read may compute the
+same value twice, which is harmless.
 """
 
 from __future__ import annotations
@@ -146,28 +147,48 @@ class GradientEval:
 
 @dataclass(frozen=True, eq=False)
 class CoxCurvature:
-    """The proportional-hazards Hessian in the fit, kept in O(n) memory.
+    """The Breslow partial likelihood at ``f``: value, working response and Hessian.
 
-    The Hessian ``H = sum_e diag(w_e) - w_e w_e^T`` is dense: ``w_e`` is
-    event e's softmax of ``f`` over its risk set. It is kept as what
-    builds it, each an n-vector in time order: the predictor ``f``, the
-    event share ``d = sum_e w_e`` and every subject's risk-set log sum.
-    Only ``f`` is stored when the curvature is made; ``log_risk`` and
-    ``share`` are computed on their first read, or by the first
-    :meth:`gram`, and kept. :meth:`gram` gives ``X' H X`` without forming
-    ``H``.
+    This is the one place the proportional-hazards loss is computed. Its
+    primary value is ``group_log_risk``, the risk-set log sums of the G
+    distinct times from one :func:`_risk_log_sums` pass; everything else
+    is computed from them. The Hessian ``H = sum_e diag(w_e) - w_e w_e^T``
+    is dense: ``w_e`` is event e's softmax of ``f`` over its risk set. It
+    is kept in O(n) memory as what builds it, each an n-vector in time
+    order: the predictor ``f``, the event share ``d = sum_e w_e`` and
+    every subject's risk-set log sum. Only ``f`` is stored when the
+    curvature is made; each property is computed on its first read, or
+    by the first :meth:`gram`, and kept. ``value`` is the negative log
+    partial likelihood and ``working_response`` the events minus the
+    shares, in input order. :meth:`gram` gives ``X' H X`` without
+    forming ``H``.
     """
 
     spec: LossSpec
     f: np.ndarray
 
     @functools.cached_property
+    def group_log_risk(self):
+        return _risk_log_sums(self.spec, self.f)
+
+    @functools.cached_property
     def log_risk(self):
-        return _risk_log_sums(self.spec, self.f)[self.spec._group]
+        return self.group_log_risk[self.spec._group]
 
     @functools.cached_property
     def share(self):
-        return _cox_event_share(self.spec, self.f, self.log_risk[self.spec._starts])
+        return _cox_event_share(self.spec, self.f, self.group_log_risk)
+
+    @functools.cached_property
+    def value(self):
+        ev = self.spec._event_pos
+        return float((self.group_log_risk[self.spec._group[ev]] - self.f[ev]).sum())
+
+    @functools.cached_property
+    def working_response(self):
+        share = np.empty_like(self.f)
+        share[self.spec._order] = self.share
+        return self.spec.events - share
 
     def gram(self, X):
         """``X' H X`` for a matrix ``X`` of n rows, in O(n p^2) time and O(n p) memory.
@@ -186,7 +207,7 @@ class CoxCurvature:
         with np.errstate(divide="ignore"):
             log_parts = np.log(np.maximum(np.concatenate((X, -X), axis=1), 0.0))
             log_sums = _risk_log_sums(spec, log_parts + self.f[:, None])
-        log_means = log_sums - self.log_risk[spec._starts, None]
+        log_means = log_sums - self.group_log_risk[:, None]
         U = np.exp(log_means[:, :p]) - np.exp(log_means[:, p:])
         return (X * self.share[:, None]).T @ X - (U * spec._deaths[:, None]).T @ U
 
@@ -271,10 +292,7 @@ def loss_value(spec, y, f):
     if spec.family == "poisson":
         return float((np.exp(f) - y * f + _special().gammaln(y + 1.0)).sum())
     # coxph: negative log partial likelihood with Breslow tie handling
-    ev = spec._event_pos
-    f_asc = f[spec._order]
-    log_risk = _risk_log_sums(spec, f_asc)[spec._group]
-    return float((log_risk[ev] - f_asc[ev]).sum())
+    return CoxCurvature(spec, f[spec._order]).value
 
 
 def neg_functional_gradient(spec, y, f):
@@ -283,12 +301,12 @@ def neg_functional_gradient(spec, y, f):
     Returns the working response the base learners are fitted against:
     residuals for L2, ``y - sigmoid(f)`` for binomial, ``y - exp(f)`` for
     poisson, and the event indicator minus accumulated risk-set softmax
-    weights for proportional hazards. The latter come from time-sorted
-    data in O(n) vector work plus one sequential pass over the G distinct
-    times: a reversed ``logaddexp.accumulate`` of the tie groups' log sums
-    gives every risk set's log sum, and a cumulative sum of
-    ``exp(-log_risk)`` over the events gives each subject's accumulated
-    weight.
+    weights for proportional hazards, read from a :class:`CoxCurvature`.
+    Those come from time-sorted data in O(n) vector work plus one
+    sequential pass over the G distinct times: a reversed
+    ``logaddexp.accumulate`` of the tie groups' log sums gives every risk
+    set's log sum, and a cumulative sum of ``exp(-log_risk)`` over the
+    events gives each subject's accumulated weight.
     """
     y = validate_outcome(spec, y)
     f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
@@ -298,10 +316,7 @@ def neg_functional_gradient(spec, y, f):
         return y - _special().expit(f)
     if spec.family == "poisson":
         return y - np.exp(f)
-    f_asc = f[spec._order]
-    share = np.empty_like(f)
-    share[spec._order] = _cox_event_share(spec, f_asc, _risk_log_sums(spec, f_asc))
-    return spec.events - share
+    return CoxCurvature(spec, f[spec._order]).working_response
 
 
 def hessian_weights(spec, f):
@@ -326,14 +341,19 @@ def hessian_weights(spec, f):
 
 
 def evaluate(spec, y, f):
-    """Loss value, working response and weights from the three public functions.
+    """Loss value, working response and weights at ``f``.
 
-    Each of them validates its own inputs; nothing is shared between them.
-    The value and the working response are computed here. So are the
-    scalar families' weights; a :class:`CoxCurvature` computes its vectors
-    only when they are read, so a proportional-hazards evaluation makes
-    two risk-set passes.
+    For the scalar families these come from the three public functions,
+    each validating its own inputs. For proportional hazards the outcome
+    is validated once, then one :func:`hessian_weights` call checks the
+    predictor and gives the :class:`CoxCurvature` whose ``value`` and
+    ``working_response`` are returned with it: one risk-set pass, whose
+    sums the curvature's vectors reuse when they are read.
     """
+    if spec.family == "coxph":
+        validate_outcome(spec, y)
+        curvature = hessian_weights(spec, f)
+        return GradientEval(curvature.value, curvature.working_response, curvature)
     return GradientEval(
         value=loss_value(spec, y, f),
         y_tilde=neg_functional_gradient(spec, y, f),

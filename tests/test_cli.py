@@ -266,6 +266,41 @@ class TestExperimentAndReport:
     def test_report_on_missing_dir_is_config_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "void")]) == 1
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (None, None),
+            # these used to escape as a bare AttributeError or KeyError
+            ({"files": [{"path": "a.csv", "rows": 1}]}, "files is not an object"),
+            ({"files": {"a": {"rows": 1}}}, "file 'a' lacks path"),
+            ({"files": {"a": {"path": "a.csv"}}}, "file 'a' lacks rows"),
+            ({"files": {"a": "a.csv"}}, "file 'a' lacks path, rows"),
+            ({"files": {"a": {"path": 5, "rows": 1}}}, "file 'a' path is not a string"),
+            # a directory used to pass as a listed file
+            ({"files": {"a": {"path": ".", "rows": 1}}}, "references missing file ."),
+            ({"checks": {"c": True}}, "checks is not a list"),
+            ({"checks": [{"name": "c"}]}, "check 0 lacks passed"),
+            ({"checks": [{"passed": True}]}, "check 0 lacks name"),
+            ({"checks": ["c"]}, "check 0 lacks name, passed"),
+            ({"svgs": ["a.svg"]}, "svgs is not an object"),
+        ],
+    )
+    def test_malformed_manifest_is_integrity_error(self, tmp_path, capsys, change, message):
+        manifest = {
+            "experiment": "x", "seed": 0, "version": "0", "rng": "r",
+            "files": {"a": {"path": "a.csv", "rows": 1}},
+            "checks": [{"name": "c", "passed": True}],
+        }
+        (tmp_path / "a.csv").write_text("x\n1\n")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest | (change or {})))
+        code = main(["report", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if change is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            assert err.startswith("config error: manifest ") and err.endswith(f"{message}\n")
+
     def test_unknown_experiment_rejected_by_parser(self, capsys):
         # a usage error is a configuration error (1), never numeric (2)
         assert main(["experiment", "not_a_scenario"]) == 1

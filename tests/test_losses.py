@@ -261,8 +261,12 @@ class TestHessianWeights:
             return risk_log_sums(spec, a)
 
         monkeypatch.setattr(losses_mod, "_risk_log_sums", counted)
-        evaluate(spec, spec.events, f)
-        assert len(passes) == 2  # the loss and the working response
+        ge = evaluate(spec, spec.events, f)
+        # the loss, the working response and the curvature share one pass
+        assert len(passes) == 1
+        passes.clear()
+        ge.weights.log_risk, ge.weights.share
+        assert passes == []
         # no pass until a read, then one, whose vectors are kept and equal
         # what an eager hessian_weights computed
         f_asc = f[spec._order]
@@ -473,12 +477,33 @@ class TestSpecEquality:
 
 
 class TestEvaluateAndOffset:
-    def test_evaluate_bundles(self):
-        y = np.array([1.0, 0.0, 1.0])
-        ge = evaluate(binomial(), y, np.zeros(3))
-        assert ge.value == loss_value(binomial(), y, np.zeros(3))
-        np.testing.assert_allclose(ge.y_tilde, y - 0.5)
-        np.testing.assert_allclose(ge.weights, np.full(3, 0.25))
+    @pytest.mark.parametrize("family", ["l2", "binomial", "poisson", "coxph"])
+    def test_evaluate_bundles(self, family):
+        # bit-equal to the public functions, at both ends of the guard
+        rng = np.random.default_rng(23)
+        spec, y, f = random_instance(family, rng, n=12)
+        if family == "coxph":
+            spec = coxph(np.ceil(3.0 * spec.times), spec.events)  # tied times
+        f[:2] = (MAX_PREDICTOR, -MAX_PREDICTOR)
+        ge = evaluate(spec, y, f)
+        assert ge.value == loss_value(spec, y, f)
+        np.testing.assert_array_equal(ge.y_tilde, neg_functional_gradient(spec, y, f))
+        weights = hessian_weights(spec, f)
+        if family == "coxph":
+            np.testing.assert_array_equal(ge.weights.share, weights.share)
+            loss, grad, _ = dense_cox(spec, f)
+            np.testing.assert_allclose(ge.value, loss, rtol=1e-12)
+            np.testing.assert_allclose(ge.y_tilde, grad, rtol=1e-12, atol=1e-14)
+        else:
+            np.testing.assert_array_equal(ge.weights, weights)
+
+    def test_coxph_evaluate_rejects_the_outcome_before_the_predictor(self):
+        spec = coxph([1.0, 2.0, 2.0], [1.0, 0.0, 1.0])
+        f = np.array([0.0, 2.0 * MAX_PREDICTOR, 0.0])
+        with pytest.raises(NumericError, match="exceeds the overflow guard"):
+            evaluate(spec, spec.events, f)
+        with pytest.raises(ValueError, match="it differs at index 1$"):
+            evaluate(spec, [1.0, 1.0, 1.0], f)
 
     def test_offsets(self):
         assert link_offset(l2(), np.array([1.0, 3.0])) == 2.0
