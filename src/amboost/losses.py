@@ -136,8 +136,10 @@ class GradientEval:
 
     ``weights`` is what :func:`hessian_weights` returns: a diagonal weight
     vector for the scalar families, computed with the other two, and a
-    :class:`CoxCurvature` for proportional hazards, whose vectors are
-    computed only when read.
+    :class:`CoxCurvature` for proportional hazards. That curvature already
+    holds its risk-set sums and shares, from which ``value`` and
+    ``y_tilde`` were read; ``y_tilde`` is its cached ``working_response``
+    itself, so callers must not modify it in place.
     """
 
     value: float
@@ -154,14 +156,13 @@ class CoxCurvature:
     distinct times from one :func:`_risk_log_sums` pass; everything else
     is computed from them. The Hessian ``H = sum_e diag(w_e) - w_e w_e^T``
     is dense: ``w_e`` is event e's softmax of ``f`` over its risk set. It
-    is kept in O(n) memory as what builds it, each an n-vector in time
-    order: the predictor ``f``, the event share ``d = sum_e w_e`` and
-    every subject's risk-set log sum. Only ``f`` is stored when the
-    curvature is made; each property is computed on its first read, or
-    by the first :meth:`gram`, and kept. ``value`` is the negative log
-    partial likelihood and ``working_response`` the events minus the
-    shares, in input order. :meth:`gram` gives ``X' H X`` without
-    forming ``H``.
+    is kept in O(n) memory as what builds it: the predictor ``f`` and
+    the event share ``d = sum_e w_e``, n-vectors in time order, and the
+    G-vector ``group_log_risk``. Only ``f`` is stored when the curvature
+    is made; each property is computed on its first read, or by the
+    first :meth:`gram`, and kept. ``value`` is the negative log partial
+    likelihood and ``working_response`` the events minus the shares, in
+    input order. :meth:`gram` gives ``X' H X`` without forming ``H``.
     """
 
     spec: LossSpec
@@ -170,10 +171,6 @@ class CoxCurvature:
     @functools.cached_property
     def group_log_risk(self):
         return _risk_log_sums(self.spec, self.f)
-
-    @functools.cached_property
-    def log_risk(self):
-        return self.group_log_risk[self.spec._group]
 
     @functools.cached_property
     def share(self):

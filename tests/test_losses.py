@@ -206,6 +206,10 @@ class TestHessianWeights:
         assert np.all(w > 0)
         assert w.max() <= 0.25
 
+    def test_binomial_weights(self):
+        w = hessian_weights(binomial(), np.array([0.0, 0.0, np.log(3.0)]))
+        np.testing.assert_allclose(w, [0.25, 0.25, 0.1875], rtol=1e-15)
+
     def test_l2_unit_weights(self):
         np.testing.assert_array_equal(hessian_weights(l2(), np.zeros(4)), np.ones(4))
 
@@ -265,21 +269,21 @@ class TestHessianWeights:
         # the loss, the working response and the curvature share one pass
         assert len(passes) == 1
         passes.clear()
-        ge.weights.log_risk, ge.weights.share
+        ge.weights.group_log_risk, ge.weights.share
         assert passes == []
         # no pass until a read, then one, whose vectors are kept and equal
         # what an eager hessian_weights computed
         f_asc = f[spec._order]
         group_log_risk = risk_log_sums(spec, f_asc)
         for read, eager in (
-            ("log_risk", group_log_risk[spec._group]),
+            ("group_log_risk", group_log_risk),
             ("share", losses_mod._cox_event_share(spec, f_asc, group_log_risk)),
         ):
             passes.clear()
             curvature = hessian_weights(spec, f)
             assert passes == []
             np.testing.assert_array_equal(getattr(curvature, read), eager)
-            curvature.log_risk, curvature.share
+            curvature.group_log_risk, curvature.share
             assert passes == [(40,)]
         # a gram adds one pass over X's 2p signed columns
         passes.clear()
@@ -299,7 +303,7 @@ class TestHessianWeights:
             for f in (rng.uniform(-MAX_PREDICTOR, MAX_PREDICTOR, size=n), rng.normal(size=n)):
                 f_asc = f[spec._order]
                 sequential = np.logaddexp.accumulate(f_asc[::-1])[::-1]
-                np.testing.assert_array_equal(hessian_weights(spec, f).log_risk, sequential)
+                np.testing.assert_array_equal(hessian_weights(spec, f).group_log_risk, sequential)
                 event = spec.events[spec._order] == 1.0
                 expected = float((sequential - f_asc)[event].sum())
                 assert loss_value(spec, spec.events, f) == expected
