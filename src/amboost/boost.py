@@ -87,6 +87,10 @@ class BoostPath:
     ``grad_norms`` match it, ``selected`` has one entry per step taken
     (``-1`` for joint updates). Each array holds exactly these iterates,
     however far short of ``max_iter`` the run stopped, and owns its data.
+    A run whose ``max_iter + 1`` rows fit the recorder's 16 MiB budget
+    reserves them in one allocation; when it runs to ``max_iter`` the path
+    holds those arrays, and one that stops early holds copies cut to its
+    rows. The huge-page caveat of that reservation is on ``_PathRecorder``.
     """
 
     betas: np.ndarray
@@ -124,7 +128,9 @@ class BoostPath:
         return header, rows
 
 
-# Rows a recorder allocates first; it doubles from there, up to max_iter + 1.
+# A recorder allocates all max_iter + 1 rows at once when its four arrays
+# fit this many bytes; otherwise it starts at _FIRST_ROWS rows and doubles.
+_RESERVE_BYTES = 16 << 20
 _FIRST_ROWS = 1024
 
 
@@ -132,49 +138,63 @@ class _PathRecorder:
     """Iterate history of one run of at most ``max_iter`` steps.
 
     The only code that constructs a :class:`BoostPath`. Starts from the
-    initial ``(beta, loss, grad)``; every ``record`` writes one step with
-    the block it updated into row ``k`` of arrays that double when full,
-    to at most ``max_iter + 1`` rows, so a run that stops early allocates
-    for the steps it took. The gradient norm is ``sqrt(grad @ grad)``, the
-    same sum of squares ``np.linalg.norm`` takes for a 1-d float vector.
+    initial ``(beta, loss, grad)``; every ``record`` writes step ``k`` into
+    row ``k`` of ``betas``, ``losses`` and ``grad_norms`` and its block into
+    ``selected[k - 1]``. When all ``max_iter + 1`` rows fit
+    ``_RESERVE_BYTES`` they are allocated up front, so a full run's arrays
+    become the path's without a copy and no doubling holds an old and a
+    new array at once. Otherwise the arrays start at ``_FIRST_ROWS`` rows
+    and double when full. numpy asks for transparent huge pages for an
+    array of 4 MiB or more, so a reservation that large becomes resident
+    in 2 MiB steps, even for a run that stops after a few steps; the
+    budget bounds that cost. The gradient norm is ``sqrt(grad @ grad)``,
+    the same sum of squares ``np.linalg.norm`` takes for a 1-d float vector.
     """
 
     def __init__(self, beta, loss, grad, max_iter):
         self._max_rows = max_iter + 1
-        rows = min(_FIRST_ROWS, self._max_rows)
+        # a row of betas, losses and grad_norms, and an entry of selected
+        row_bytes = 8 * (len(beta) + 2) + np.dtype(int).itemsize
+        if self._max_rows * row_bytes <= _RESERVE_BYTES:
+            rows = self._max_rows
+        else:
+            rows = min(_FIRST_ROWS, self._max_rows)
         self.betas = np.empty((rows, len(beta)))
         self.losses = np.empty(rows)
         self.grad_norms = np.empty(rows)
-        # selected[k] is step k's block; the start's entry is never read
-        self.selected = np.empty(rows, dtype=int)
-        self.n_steps = -1
-        self.record(beta, JOINT_SENTINEL, loss, grad)
+        self.selected = np.empty(rows - 1, dtype=int)
+        self.n_steps = 0
+        self._write(0, beta, loss, grad)
+
+    def _write(self, k, beta, loss, grad):
+        self.betas[k] = beta
+        self.losses[k] = loss
+        self.grad_norms[k] = math.sqrt(grad @ grad)
 
     def record(self, beta, selected, loss, grad):
         k = self.n_steps = self.n_steps + 1
         if k == len(self.losses):
-            rows = min(2 * k, self._max_rows)
+            # every array is full; each grows by the same number of rows
+            grow = min(k, self._max_rows - k)
             for name in ("betas", "losses", "grad_norms", "selected"):
                 old = getattr(self, name)
-                new = np.empty((rows,) + old.shape[1:], old.dtype)
-                new[:k] = old
+                new = np.empty((len(old) + grow,) + old.shape[1:], old.dtype)
+                new[: len(old)] = old
                 setattr(self, name, new)
-        self.betas[k] = beta
-        self.selected[k] = selected
-        self.losses[k] = loss
-        self.grad_norms[k] = math.sqrt(grad @ grad)
+        self.selected[k - 1] = selected
+        self._write(k, beta, loss, grad)
 
     def path(self, terminated_by="max_iter", offset=0.0, numeric_error=False):
-        rows = self.n_steps + 1
+        spare = len(self.losses) - (self.n_steps + 1)
         # full arrays become the path's; partly filled ones are cut to copies
-        betas, losses, grad_norms = (
-            a if len(a) == rows else a[:rows].copy()
-            for a in (self.betas, self.losses, self.grad_norms)
+        betas, losses, selected, grad_norms = (
+            a[: len(a) - spare].copy() if spare else a
+            for a in (self.betas, self.losses, self.selected, self.grad_norms)
         )
         return BoostPath(
             betas=betas,
             losses=losses,
-            selected=self.selected[1:rows].copy(),
+            selected=selected,
             grad_norms=grad_norms,
             terminated_by=terminated_by,
             offset=offset,
@@ -496,6 +516,11 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
     geometrically with factor ``max_m lambda_max(I - S_m)`` regardless
     of how the smoother is selected.
 
+    The run always takes ``n_steps`` steps, so the path is written into
+    arrays of ``n_steps + 1`` rows allocated before the first step. numpy
+    asks for transparent huge pages for an array of 4 MiB or more, so
+    ``fitted`` then becomes resident in 2 MiB steps.
+
     Parameters
     ----------
     smoothers : sequence of ndarray
@@ -533,10 +558,12 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
 
     rng = np.random.default_rng(seed)
     f = np.zeros_like(y)
-    fitted = [f.copy()]
-    selected = []
+    fitted = np.empty((n_steps + 1, y.size))
+    selected = np.empty(n_steps, dtype=int)
+    res_norms = np.empty(n_steps + 1)
+    fitted[0] = f
     with np.errstate(over="ignore", invalid="ignore"):
-        res_norms = [float(np.linalg.norm(y))]
+        res_norms[0] = np.linalg.norm(y)
     _check_start(y, grad_norm=res_norms[0])  # the residual is the negative l2 gradient
     for k in range(n_steps):
         r = y - f
@@ -548,13 +575,13 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
         else:
             m = int(rng.integers(len(smoothers)))
         f = f + smoothers[m] @ r
-        fitted.append(f.copy())
-        selected.append(m)
-        res_norms.append(float(np.linalg.norm(y - f)))
+        fitted[k + 1] = f
+        selected[k] = m
+        res_norms[k + 1] = np.linalg.norm(y - f)
     return SmootherPath(
-        fitted=np.asarray(fitted),
-        selected=np.asarray(selected, dtype=int),
-        residual_norms=np.asarray(res_norms),
+        fitted=fitted,
+        selected=selected,
+        residual_norms=res_norms,
         contraction=contraction,
     )
 

@@ -26,7 +26,11 @@ def pl_constant(Q):
     with Hessian ``Q``; eigenvalues below ``EIG_TAU`` times the largest
     count as zero.
     """
-    w = _psd_spectrum(Q, "quadratic form")
+    return _smallest_positive(_psd_spectrum(Q, "quadratic form"))
+
+
+def _smallest_positive(w):
+    """The smallest of the ascending eigenvalues ``w`` that counts as non-zero."""
     positive = w[w > EIG_TAU * max(w[-1], 0.0)]
     if positive.size == 0:
         raise ValueError("matrix has no positive eigenvalue")
@@ -42,13 +46,14 @@ def rate_quadratic(Q, n_blocks, nu):
     """Linear rate of greedy block-wise updates on a quadratic objective.
 
     ``1 - (nu (2 - nu) / n_blocks) * (pl / lmax)`` with the constants
-    taken from the spectrum of ``Q``. Increasing in the block count,
+    taken from one decomposition of ``Q``. Increasing in the block count,
     decreasing in the step size on (0, 1]. ``n_blocks``: integer >= 1.
     """
     _check_step(nu)
     _check_count(n_blocks, "n_blocks", 1)
-    mu = pl_constant(Q)
-    lmax = lipschitz_constant(Q)
+    w = _psd_spectrum(Q, "quadratic form")
+    mu = _smallest_positive(w)
+    lmax = float(w[-1])
     return 1.0 - (nu * (2.0 - nu) / n_blocks) * (mu / lmax)
 
 

@@ -528,8 +528,13 @@ def assert_path_bitwise(path, reference):
     )
 
 
+def growing_recorder():
+    """A zero reservation budget: every recorder starts small and doubles."""
+    return mock.patch.object(boost, "_RESERVE_BYTES", 0)
+
+
 class TestPathArrays:
-    """The recorder's growable arrays against lists, beyond its first allocation."""
+    """The recorder's arrays against lists, reserved whole and grown by doubling."""
 
     def data(self, seed=5, n=30, p=4):
         rng = np.random.default_rng(seed)
@@ -542,9 +547,13 @@ class TestPathArrays:
         specs = singleton_blocks(2) + [BlockSpec([2, 3], 1.0, difference_penalty(2, 1))]
         part = make_partition(X, specs)
         cfg = BoostConfig(nu=0.01, max_iter=2500, mode=mode)
-        path = run_boost(part, l2(), y, cfg)
+        ref = with_list_recorder(lambda: run_boost(part, l2(), y, cfg))
+        # reserved whole, and grown twice from 1,024 rows
+        assert_path_bitwise(run_boost(part, l2(), y, cfg), ref)
+        with growing_recorder():
+            path = run_boost(part, l2(), y, cfg)
         assert path.n_steps == 2500 > 2 * boost._FIRST_ROWS
-        assert_path_bitwise(path, with_list_recorder(lambda: run_boost(part, l2(), y, cfg)))
+        assert_path_bitwise(path, ref)
 
     @pytest.mark.parametrize("max_iter", [0, 2500])
     def test_gbcd_matches_lists(self, max_iter):
@@ -564,9 +573,13 @@ class TestPathArrays:
         y = rng.poisson(np.exp(np.clip(f, None, 20.0))).astype(float)
         part = make_partition(X, singleton_blocks(2))
         cfg = BoostConfig(nu=1.0, max_iter=3000, divergence_guard=True)
-        path = run_boost(part, poisson(), y, cfg)
+        ref = with_list_recorder(lambda: run_boost(part, poisson(), y, cfg))
+        # cut from the 3,001 reserved rows, and from the first 1,024 of a grown run
+        assert_path_bitwise(run_boost(part, poisson(), y, cfg), ref)
+        with growing_recorder():
+            path = run_boost(part, poisson(), y, cfg)
         assert path.terminated_by == "divergence" and path.n_steps < boost._FIRST_ROWS
-        assert_path_bitwise(path, with_list_recorder(lambda: run_boost(part, poisson(), y, cfg)))
+        assert_path_bitwise(path, ref)
 
     def test_cyclic_boost_ls_divergence_matches_lists(self):
         # the heteroscedastic data of TestCyclicBoosting in test_distreg.py
@@ -583,14 +596,35 @@ class TestPathArrays:
     def test_growth_stops_at_max_iter_plus_one_rows(self):
         # 1,024 rows double to 2,048 only up to the 1,501 a full run needs,
         # and the full arrays become the path's without a copy
-        rec = _PathRecorder(np.zeros(2), 0.0, np.zeros(2), 1500)
+        with growing_recorder():
+            rec = _PathRecorder(np.zeros(2), 0.0, np.zeros(2), 1500)
+        assert len(rec.betas) == len(rec.selected) + 1 == boost._FIRST_ROWS
         for k in range(1, 1501):
             rec.record(np.full(2, float(k)), k % 2, float(k), np.ones(2))
-        assert len(rec.betas) == len(rec.losses) == 1501
+        assert len(rec.betas) == len(rec.losses) == len(rec.selected) + 1 == 1501
         path = rec.path()
-        assert path.betas is rec.betas and path.losses is rec.losses
+        for field in ("betas", "losses", "selected", "grad_norms"):
+            assert getattr(path, field) is getattr(rec, field)
         np.testing.assert_array_equal(path.betas[:, 0], np.arange(1501.0))
         np.testing.assert_array_equal(path.selected, np.arange(1, 1501) % 2)
+
+    def test_reserves_a_path_that_fits_the_budget(self):
+        # the size of a pspline_unpenalized path, 6.0 MB: one allocation of
+        # 50,001 rows, handed to the path whole
+        rec = _PathRecorder(np.zeros(12), 0.0, np.zeros(12), 50_000)
+        arrays = (rec.betas, rec.losses, rec.selected, rec.grad_norms)
+        assert [len(a) for a in arrays] == [50_001, 50_001, 50_000, 50_001]
+        for k in range(1, 50_001):
+            rec.record(np.full(12, float(k)), k % 3, float(k), np.ones(12))
+        path = rec.path()
+        got = (path.betas, path.losses, path.selected, path.grad_norms)
+        assert all(a is b for a, b in zip(got, arrays))
+        np.testing.assert_array_equal(path.losses, np.arange(50_001.0))
+        np.testing.assert_array_equal(path.selected, np.arange(1, 50_001) % 3)
+        # at p=2,000 a row takes 16,024 bytes: 1,047 rows fit 16 MiB, 1,048 do not
+        z = np.zeros(2000)
+        assert len(_PathRecorder(z, 0.0, z, 1046).betas) == 1047
+        assert len(_PathRecorder(z, 0.0, z, 1047).betas) == boost._FIRST_ROWS
 
     def test_huge_max_iter_allocates_for_the_steps_taken(self):
         # rows up front for max_iter + 1 iterates would be a MemoryError
@@ -600,8 +634,12 @@ class TestPathArrays:
         part = make_partition(X, singleton_blocks(3))
         path = run_boost(part, l2(), y, BoostConfig(nu=0.1, max_iter=10**15, stop_tol=1e-8))
         assert path.terminated_by == "tol" and 100 < path.n_steps < boost._FIRST_ROWS
-        capped = run_boost(part, l2(), y, BoostConfig(nu=0.1, max_iter=10_000, stop_tol=1e-8))
-        assert_path_bitwise(path, capped)
+        # capped at 10,000 the run is reserved whole; lowered, the budget
+        # makes it grow as the 10**15 run does
+        cfg = BoostConfig(nu=0.1, max_iter=10_000, stop_tol=1e-8)
+        assert_path_bitwise(path, run_boost(part, l2(), y, cfg))
+        with growing_recorder():
+            assert_path_bitwise(path, run_boost(part, l2(), y, cfg))
 
 
 def mixed_design(seed, kinds, n=30):
@@ -882,7 +920,42 @@ class TestJointMatchesClosedForm:
             assert err <= 1e-10 * np.linalg.norm(closed), (k, err)
 
 
+def list_smoother_path(smoothers, y, n_steps, rule, seed):
+    """``smoother_boost``'s steps appended to lists, the oracle for its arrays."""
+    rng = np.random.default_rng(seed)
+    f = np.zeros_like(y)
+    fitted, selected, res_norms = [f.copy()], [], [float(np.linalg.norm(y))]
+    for k in range(n_steps):
+        r = y - f
+        if rule == "greedy":
+            m = int(np.argmin([np.linalg.norm(r - S @ r) for S in smoothers]))
+        elif rule == "cyclic":
+            m = k % len(smoothers)
+        else:
+            m = int(rng.integers(len(smoothers)))
+        f = f + smoothers[m] @ r
+        fitted.append(f.copy())
+        selected.append(m)
+        res_norms.append(float(np.linalg.norm(y - f)))
+    return np.asarray(fitted), np.asarray(selected, dtype=int), np.asarray(res_norms)
+
+
 class TestSmootherBoost:
+    @pytest.mark.parametrize("n_steps", [0, 40])
+    @pytest.mark.parametrize("rule", ["greedy", "cyclic", "random"])
+    def test_arrays_match_lists_bitwise(self, rule, n_steps):
+        rng = np.random.default_rng(23)
+        smoothers = []
+        for _ in range(3):
+            Q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+            smoothers.append(Q @ np.diag(rng.uniform(0.05, 1.0, size=9)) @ Q.T)
+        y = rng.normal(size=9)
+        sp = smoother_boost(smoothers, y, n_steps, rule=rule, seed=8)
+        got = (sp.fitted, sp.selected, sp.residual_norms)
+        for a, b in zip(got, list_smoother_path(smoothers, y, n_steps, rule, 8)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
     def test_identity_smoother_one_step(self):
         y = np.array([1.0, -2.0, 0.5])
         sp = smoother_boost([np.eye(3)], y, 1)
