@@ -402,9 +402,7 @@ def run_boost(partition, loss, y, config):
     -------
     BoostPath
     """
-    y = losses_mod.validate_outcome(loss, y)
-    if y.shape != (partition.n,):
-        raise ValueError("outcome length does not match the partition")
+    y = losses_mod.validate_outcome(loss, _check_outcome(y, partition.n))
 
     X = partition.X
     mode, nu = config.mode, config.nu
@@ -536,7 +534,7 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
         Seed for the random selection rule.
     """
     # the smoothers are checked against the outcome's length
-    y = _check_outcome(y, np.size(y))
+    y = _check_outcome(y)
     if rule not in ("greedy", "cyclic", "random"):
         raise ValueError(f"unsupported smoother selection rule {rule!r}")
     _check_count(n_steps, "n_steps", 0)

@@ -223,10 +223,12 @@ def _check_finite_vector(v, what):
         raise ValueError(f"{what} a non-finite value at index {bad}")
 
 
-def _check_outcome(y, n):
-    """``y`` as a float vector of length ``n`` whose entries are finite."""
+def _check_outcome(y, n=None):
+    """``y`` as a float vector whose entries are finite, of length ``n`` when given."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
+    if y.ndim != 1:
+        raise ValueError("outcome must be a vector")
+    if n is not None and y.size != n:
         raise ValueError(f"outcome has shape {y.shape}, expected ({n},)")
     _check_finite_vector(y, "outcome contains")
     return y

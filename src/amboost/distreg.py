@@ -25,6 +25,7 @@ from .boost import (
 )
 from .design import _check_count, _check_matrix, _check_outcome
 from .errors import NumericError
+from .losses import _PREDICTOR_LIMIT, _check_predictor
 
 # exp(2 * eta) must stay inside double range
 MAX_LOG_SCALE = 350.0
@@ -68,21 +69,10 @@ class GaussianLSModel:
 def _scale_and_residual(model, y):
     # a malformed outcome is an input error, not a diverging iterate
     y = _check_outcome(y, model.n)
-    eta = model.Z @ model.xi
-    big = np.abs(eta) > MAX_LOG_SCALE
-    if big.any():
-        bad = int(np.argmax(big))
-        raise NumericError(
-            f"log-scale magnitude {abs(eta[bad]):.3g} at index {bad} exceeds "
-            f"the overflow guard {MAX_LOG_SCALE:g}",
-            index=bad,
-        )
-    sigma2 = np.exp(2.0 * eta)
-    r = y - model.X @ model.beta
-    if not np.isfinite(r).all():
-        bad = int(np.argmax(~np.isfinite(r)))
-        raise NumericError(f"non-finite residual at index {bad}", index=bad)
-    return eta, sigma2, r
+    eta = _check_predictor(model.Z @ model.xi, MAX_LOG_SCALE, what="log-scale")
+    # like the l2 predictor's, the residual's only bound is the largest float
+    r = _check_predictor(y - model.X @ model.beta, _PREDICTOR_LIMIT["l2"], what="residual")
+    return eta, np.exp(2.0 * eta), r
 
 
 def gauss_ls_eval(model, y):

@@ -119,6 +119,16 @@ class RunArtifact:
         return all(c["passed"] for c in self.manifest["checks"])
 
 
+def _check_sizes(n, p, beta_true):
+    """``beta_true`` as a float array of ``p`` entries, for ``n >= 1`` observations."""
+    beta_true = np.asarray(beta_true, dtype=float)
+    if n < 1:
+        raise ConfigError(f"need at least one observation, got n={n}")
+    if p != beta_true.size:
+        raise ConfigError("beta_true length must equal p")
+    return beta_true
+
+
 def synth_glm_data(n, p, rho, beta_true, family, seed):
     """Draw a correlated-feature dataset with a canonical-link outcome.
 
@@ -128,11 +138,7 @@ def synth_glm_data(n, p, rho, beta_true, family, seed):
     ``X beta_true`` is pushed through the family's canonical response
     and sampled; the gaussian family adds unit-variance noise.
     """
-    beta_true = np.asarray(beta_true, dtype=float)
-    if n < 1:
-        raise ConfigError(f"need at least one observation, got n={n}")
-    if p != beta_true.size:
-        raise ConfigError("beta_true length must equal p")
+    beta_true = _check_sizes(n, p, beta_true)
     if not abs(rho) < 1.0 or (p > 1 and rho <= -1.0 / (p - 1)):
         raise ConfigError(f"correlation {rho} invalid for p={p}")
     if family not in GLM_FAMILIES:
@@ -161,11 +167,7 @@ def synth_survival_data(n, p, beta_true, seed):
 
     Censoring times are exponential at 0.3 times the mean hazard.
     """
-    beta_true = np.asarray(beta_true, dtype=float)
-    if n < 1:
-        raise ConfigError(f"need at least one observation, got n={n}")
-    if p != beta_true.size:
-        raise ConfigError("beta_true length must equal p")
+    beta_true = _check_sizes(n, p, beta_true)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal(size=(n, p))
     hazard = np.exp(np.clip(X @ beta_true, -30.0, 30.0))

@@ -25,6 +25,7 @@ from .boost import (
     fit_block,
     run_boost,
 )
+from .design import _check_outcome
 
 GRADIENT_MODES = ("unpenalized", "penalized")
 
@@ -80,9 +81,7 @@ def gbcd_gsq(partition, loss, y, config):
     ``'unpenalized'`` mode, the penalized objective in ``'penalized'``
     mode. Returns the same path record as the boosting engine.
     """
-    y = losses_mod.validate_outcome(loss, y)
-    if y.shape != (partition.n,):
-        raise ValueError("outcome length does not match the partition")
+    y = losses_mod.validate_outcome(loss, _check_outcome(y, partition.n))
     solvers = _scaling_solvers(partition)
     X = partition.X
     penalized = config.gradient_of == "penalized"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import _check_finite_vector
+from .design import _check_finite_vector, _check_outcome
 from .errors import NumericError
 
 FAMILIES = ("l2", "binomial", "poisson", "coxph")
@@ -211,10 +211,7 @@ class CoxCurvature:
 
 def validate_outcome(spec, y):
     """Check that the outcome is admissible; for ``'coxph'`` it is the spec's ``events``."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("outcome must be a vector")
-    _check_finite_vector(y, "outcome contains")
+    y = _check_outcome(y)
     if spec.family == "binomial" and not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("binomial outcomes must be 0 or 1")
     if spec.family == "poisson":
@@ -229,20 +226,28 @@ def validate_outcome(spec, y):
     return y
 
 
-def _check_predictor(f, limit=MAX_PREDICTOR):
+def _check_predictor(f, limit=MAX_PREDICTOR, n=None, what="predictor"):
+    """``f`` as a float vector (of length ``n`` if given) whose shape is checked first.
+
+    A non-finite entry, or one beyond ``limit``, is a diverging iterate:
+    a :class:`NumericError` naming ``what`` and the first bad index.
+    """
     f = np.asarray(f, dtype=float)
-    # one reduction clears every admissible predictor; NaN fails the
-    # comparison, so every bad value takes the path that names it
-    if f.size and np.abs(f).max() <= limit:
+    if f.ndim != 1 or n is not None and f.size != n:
+        expected = "a vector" if n is None else f"({n},)"
+        raise ValueError(f"{what} has shape {f.shape}, expected {expected}")
+    # one bare ufunc reduction clears every admissible predictor; NaN fails
+    # the comparison, so every bad value takes the path that names it
+    if f.size and np.maximum.reduce(np.abs(f)) <= limit:
         return f
     if not np.isfinite(f).all():
         bad = int(np.argmax(~np.isfinite(f)))
-        raise NumericError(f"non-finite predictor at index {bad}", index=bad)
+        raise NumericError(f"non-finite {what} at index {bad}", index=bad)
     big = np.abs(f) > limit
     if big.any():
         bad = int(np.argmax(big))
         raise NumericError(
-            f"predictor magnitude {abs(f[bad]):.3g} at index {bad} exceeds "
+            f"{what} magnitude {abs(f[bad]):.3g} at index {bad} exceeds "
             f"the overflow guard {limit:g}",
             index=bad,
         )
@@ -281,7 +286,7 @@ def _cox_event_share(spec, f_asc, group_log_risk):
 def loss_value(spec, y, f):
     """Evaluate the loss (a negative log-likelihood, L2 uses 0.5*||y-f||^2)."""
     y = validate_outcome(spec, y)
-    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
+    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family], y.size)
     if spec.family == "l2":
         return 0.5 * float(((y - f) ** 2).sum())
     if spec.family == "binomial":
@@ -306,7 +311,7 @@ def neg_functional_gradient(spec, y, f):
     events gives each subject's accumulated weight.
     """
     y = validate_outcome(spec, y)
-    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
+    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family], y.size)
     if spec.family == "l2":
         return y - f
     if spec.family == "binomial":
@@ -323,10 +328,12 @@ def hessian_weights(spec, f):
     proportional hazards the Hessian in ``f`` is dense, so a
     :class:`CoxCurvature` is returned instead: it holds O(n) vectors, and
     its ``gram(X)`` gives ``X' H X`` in O(n p^2) without the n x n matrix.
-    The predictor is checked here, in every family; the curvature's risk
-    sums and event shares are computed when it is first read.
+    The predictor is checked here, in every family, as a vector (of the
+    times' length for proportional hazards); the curvature's risk sums
+    and event shares are computed when it is first read.
     """
-    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family])
+    n = None if spec.times is None else spec.times.size
+    f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family], n)
     if spec.family == "l2":
         return np.ones_like(f)
     if spec.family == "binomial":

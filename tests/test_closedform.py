@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amboost.boost import BoostConfig, run_boost
 from amboost.closedform import (
@@ -210,6 +212,30 @@ class TestImplicitPenalty:
             ip = implicit_penalty(X, y, None, 0.0, nu, k)
             resid = (X.T @ X + ip.gamma) @ path.betas[k] - xty
             assert np.linalg.norm(resid) / np.linalg.norm(xty) < 1e-8
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.integers(2, 30), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 1.0), st.integers(1, 100), st.booleans())
+    def test_ridge_solve_reproduces_engine_over_random_problems(
+        self, p, extra_rows, seed, nu, k, penalized
+    ):
+        # Both sides are one linear map of y, formed two ways: the engine
+        # takes k steps through a factor of X'X + lam P, the oracle one
+        # eigendecomposition of the pencil and one solve with X'X + gamma.
+        # Each loses a few eps times the condition number of X'X. Over 300
+        # seeded draws of this kind the largest gap was 1.2e-13 of the
+        # largest coefficient; 1e-10 leaves three orders of magnitude for
+        # worse-conditioned draws.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(p + extra_rows, p)) * 10.0 ** rng.uniform(-1, 1, size=p)
+        y = X @ rng.normal(size=p) + rng.normal(size=p + extra_rows)
+        B = rng.normal(size=(int(rng.integers(1, p + 1)), p))  # P may be singular
+        lam = float(10.0 ** rng.uniform(-2, 2)) if penalized else 0.0
+        part = make_partition(X, single_block(p, lam, B.T @ B))
+        path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=k, mode="joint"))
+        ip = implicit_penalty(X, y, B.T @ B, lam, nu, k)
+        scale = np.max(np.abs(path.betas[k]))
+        assert np.max(np.abs(ip.beta_check - path.betas[k])) <= 1e-10 * scale
 
     def test_gamma_vanishes_with_k(self):
         rng = np.random.default_rng(12)

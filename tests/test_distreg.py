@@ -104,6 +104,15 @@ class TestDerivatives:
             gauss_ls_eval(model, np.zeros(2))
         assert err.value.index == 1
 
+    @pytest.mark.parametrize("evaluate", [gauss_ls_eval, gauss_ls_hessian])
+    def test_nan_log_scale_is_numeric_error(self, evaluate):
+        # the log-scale guard used to compare magnitudes only, so a NaN
+        # passed it and came back as a NaN loss and NaN Hessian blocks
+        model = GaussianLSModel(np.ones((2, 1)), np.eye(2), np.zeros(1), np.array([np.nan, 0.0]))
+        with pytest.raises(NumericError, match="^non-finite log-scale at index 0$") as err:
+            evaluate(model, np.zeros(2))
+        assert err.value.index == 0
+
     def test_diverging_mean_iterate_is_numeric_error(self):
         # coefficients are not boundary input: a blown-up iterate is a finding
         model = GaussianLSModel(

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from amboost.errors import ConfigError, IntegrityError
+from amboost import distreg
+from amboost.distreg import GaussianLSModel, gauss_ls_eval
+from amboost.errors import ConfigError, IntegrityError, NumericError
 from amboost.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -232,6 +234,46 @@ class TestRunExperiment:
             check = next(c for c in run_experiment(cfg).checks
                          if c["name"] == "gamma_rises_with_dimension")
             assert check["passed"] and tested in check["detail"]
+
+
+class TestDistregNegativeControls:
+    """Each divergence check of ``distreg_divergence`` fails on a broken run.
+
+    The scenario runs at the small config of ``test_distreg_scenario``
+    with ``cyclic_boost_ls``'s evaluation replaced, and only the check
+    that the replacement targets may fail.
+    """
+
+    @staticmethod
+    def checks(tmp_path):
+        cfg = ExperimentConfig(experiment="distreg_divergence", seed=0, out_dir=str(tmp_path),
+                               run={"max_iter": 200, "trials": 20})
+        return {c["name"]: c["passed"] for c in run_experiment(cfg).checks}
+
+    def test_large_step_check_fails_when_the_loss_never_moves(self, tmp_path, monkeypatch):
+        # every evaluation returns the start loss and gradients, so the large
+        # step neither grows the loss nor raises a NumericError
+        def at_start(model, y):
+            start = GaussianLSModel(model.X, model.Z, 0.0 * model.beta, 0.0 * model.xi)
+            return gauss_ls_eval(start, y)
+
+        monkeypatch.setattr(distreg, "gauss_ls_eval", at_start)
+        checks = self.checks(tmp_path)
+        assert checks.pop("large_step_scale_model_diverges") is False
+        assert all(checks.values()), checks
+
+    def test_small_step_check_fails_when_every_step_raises(self, tmp_path, monkeypatch):
+        # every evaluation after the start raises; the start evaluation must
+        # succeed, as a start that fails is an input error and stops the run
+        def diverging(model, y):
+            if model.beta.any() or model.xi.any():
+                raise NumericError("non-finite log-scale at index 0", index=0)
+            return gauss_ls_eval(model, y)
+
+        monkeypatch.setattr(distreg, "gauss_ls_eval", diverging)
+        checks = self.checks(tmp_path)
+        assert checks.pop("small_step_stays_stable") is False
+        assert all(checks.values()), checks
 
 
 class TestReport:

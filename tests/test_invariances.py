@@ -5,9 +5,12 @@ whose answer the theory fixes, and compares the two paths; no oracle is
 needed. The partial likelihood sees the times only through their order
 (Cox, JRSS-B 1972), no loss depends on the order of the rows, and a base
 learner is seen only through its hat matrix (Buhlmann and Yu, JASA 2003),
-which a column's scale does not change. Every operation of an ``l2`` run
-is homogeneous in the outcome, so a power-of-two scale of it scales the
-path exactly, up to where the start iterate overflows.
+which neither a column's scale nor a change of a block's basis, its
+penalty carried along, changes. The binomial loss of ``1 - y`` at ``-f``
+is that of ``y`` at ``f``, so flipped labels negate a path from the zero
+start. Every operation of an ``l2`` run is homogeneous in the outcome,
+so a power-of-two scale of it scales the path exactly, up to where the
+start iterate overflows.
 """
 
 import re
@@ -169,6 +172,94 @@ class TestOutcomeShift:
         r0 = np.max(np.abs(y - y.mean()))
         scale = np.max(np.abs(path.betas))
         assert np.max(np.abs(shifted.betas - path.betas)) <= 1e-12 * (1.0 + abs(c) / r0) * scale
+
+
+def well_conditioned(rng, q):
+    """A random q x q matrix with singular values in [0.5, 2], so condition <= 4."""
+    U, _ = np.linalg.qr(rng.normal(size=(q, q)))
+    V, _ = np.linalg.qr(rng.normal(size=(q, q)))
+    return U @ np.diag(rng.uniform(0.5, 2.0, size=q)) @ V
+
+
+@st.composite
+def reparametrized_l2_runs(draw):
+    """An unpenalized and a penalized three-column block, a singleton and a run."""
+    n = draw(st.integers(8, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, 7)) * 10.0 ** rng.uniform(-1, 1, size=7)
+    y = X @ rng.normal(size=7) + rng.normal(size=n)
+    cfg = BoostConfig(
+        nu=draw(st.floats(0.05, 1.0)),
+        max_iter=draw(st.integers(1, 30)),
+        mode=draw(st.sampled_from(["greedy", "cyclic", "joint"])),
+    )
+    return X, y, draw(st.floats(0.5, 5.0)), well_conditioned(rng, 3), well_conditioned(rng, 3), cfg
+
+
+class TestBlockReparametrization:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(reparametrized_l2_runs())
+    def test_block_basis_change_keeps_selections_and_fit(self, run):
+        # A block is seen only through its hat matrix, which X_b -> X_b A
+        # keeps, and with P -> A'P A its penalized hat matrix too. The
+        # engine factors X_b A, not X_b, so each step's block fit is the
+        # same least-squares solve in another basis, equal up to a few eps
+        # times the block's condition number (columns scaled over 10^+-1,
+        # A's condition at most 4) times |r| <= |y|. Over 1,200 seeded runs
+        # of this kind the largest gap in the fitted values was 588 eps
+        # max|y|; 1e-11 max|y| is 45,000 eps.
+        X, y, lam, A, B, cfg = run
+        P = difference_penalty(3, 2)
+        changed = X.copy()
+        changed[:, 0:3] = X[:, 0:3] @ A
+        changed[:, 3:6] = X[:, 3:6] @ B
+        specs = [BlockSpec((0, 1, 2)), BlockSpec((3, 4, 5), lam, P), BlockSpec((6,))]
+        path = run_boost(make_partition(X, specs), l2(), y, cfg)
+        specs[1] = BlockSpec((3, 4, 5), lam, B.T @ P @ B)
+        other = run_boost(make_partition(changed, specs), l2(), y, cfg)
+        np.testing.assert_array_equal(other.selected, path.selected)
+        assert other.terminated_by == path.terminated_by
+        gap = np.max(np.abs(other.betas @ changed.T - path.betas @ X.T))
+        assert gap <= 1e-11 * np.max(np.abs(y))
+
+
+@st.composite
+def binomial_runs(draw):
+    """A singleton design, a binomial outcome and a run from the zero start."""
+    n = draw(st.integers(5, 40))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-1, 1, size=p)
+    eta = 0.5 * X @ rng.normal(size=p)
+    y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    cfg = BoostConfig(
+        nu=draw(st.floats(0.05, 1.0)),
+        max_iter=draw(st.integers(1, 30)),
+        mode=draw(st.sampled_from(["greedy", "cyclic", "joint"])),
+        init="zero",
+    )
+    return X, y, cfg
+
+
+class TestBinomialLabelFlip:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(binomial_runs())
+    def test_flipped_labels_negate_the_path(self, run):
+        # From a zero start, 1 - y and -f give the same binomial loss and the
+        # negated working response: 1 - y - expit(-f) = -(y - expit(f)). The
+        # two sides differ only in the rounding of expit(-f) against
+        # 1 - expit(f), an ulp of 1 per entry, which moves each step's
+        # increment by a few eps relative. Over 1,200 seeded runs of this
+        # kind the largest gap was 46 eps of the largest coefficient; 1e-12
+        # of it is 4,500 eps.
+        X, y, cfg = run
+        part = make_partition(X, singleton_blocks(X.shape[1]))
+        path = run_boost(part, binomial(), y, cfg)
+        flipped = run_boost(part, binomial(), 1.0 - y, cfg)
+        np.testing.assert_array_equal(flipped.selected, path.selected)
+        assert flipped.terminated_by == path.terminated_by
+        scale = np.max(np.abs(path.betas))
+        assert np.max(np.abs(flipped.betas + path.betas)) <= 1e-12 * scale
 
 
 @st.composite

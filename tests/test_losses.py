@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -169,6 +170,47 @@ class TestPredictorGuard:
                           (coxph([1.0, 2.0, 3.0], [1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]))):
             with pytest.raises(NumericError, match="exceeds the overflow guard 700"):
                 loss_value(spec, out, np.array([0.0, 800.0, 0.0]))
+
+
+# one length-3 outcome of each family, to which each predictor below is checked
+SHAPE_CASES = [
+    (l2(), np.array([0.5, -1.0, 2.0])),
+    (binomial(), np.array([0.0, 1.0, 1.0])),
+    (poisson(), np.array([0.0, 2.0, 1.0])),
+    (coxph([1.0, 2.0, 3.0], [1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0])),
+]
+SHAPE_IDS = ["l2", "binomial", "poisson", "coxph"]
+
+
+class TestPredictorShape:
+    @pytest.mark.parametrize("shape", [(3, 1), (), (2,)], ids=["column", "scalar", "short"])
+    @pytest.mark.parametrize("spec, y", SHAPE_CASES, ids=SHAPE_IDS)
+    def test_wrong_shape_is_rejected_before_its_values(self, spec, y, shape):
+        # A (3, 1) l2 predictor used to broadcast to one loss over 9 pairs and
+        # a (3, 3) gradient, a 0-d one to pass silently, and a short coxph one
+        # to raise a bare IndexError. The NaN entries show the shape is
+        # checked first: they would otherwise be a NumericError.
+        f = np.full(shape, np.nan)
+        message = rf"^predictor has shape {re.escape(str(shape))}, expected \(3,\)$"
+        for call in (loss_value, neg_functional_gradient, evaluate):
+            with pytest.raises(ValueError, match=message):
+                call(spec, y, f)
+
+    @pytest.mark.parametrize("shape", [(3, 1), ()], ids=["column", "scalar"])
+    @pytest.mark.parametrize("spec, y", SHAPE_CASES, ids=SHAPE_IDS)
+    def test_curvature_needs_a_vector(self, spec, y, shape):
+        message = f"^predictor has shape {re.escape(str(shape))}, expected "
+        with pytest.raises(ValueError, match=message):
+            hessian_weights(spec, np.full(shape, np.nan))
+
+    @pytest.mark.parametrize("spec, y", SHAPE_CASES, ids=SHAPE_IDS)
+    def test_curvature_checks_a_length_only_the_spec_knows(self, spec, y):
+        # the scalar families' curvature is pointwise and carries no length
+        if spec.family == "coxph":
+            with pytest.raises(ValueError, match=r"^predictor has shape \(2,\), expected \(3,\)$"):
+                hessian_weights(spec, np.zeros(2))
+        else:
+            assert hessian_weights(spec, np.zeros(2)).shape == (2,)
 
 
 class TestGradients:
