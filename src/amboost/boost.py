@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
-from .design import _check_count, _check_outcome, _check_step, _psd_spectrum
+from .design import (
+    EIG_TAU,
+    _check_count,
+    _check_outcome,
+    _check_step,
+    _is_penalized,
+    _nonzero_singular_values,
+    _psd_spectrum,
+)
 from .errors import NumericError
 
 MODES = ("joint", "greedy", "cyclic")
@@ -202,16 +210,6 @@ class _PathRecorder:
         )
 
 
-def _rank_cutoff(s, shape):
-    """Singular values at or below this count as zero (machine precision)."""
-    return max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-
-
-def _is_penalized(P, lam):
-    """Whether a block's system matrix is ``X^T X + lam P``, not ``X^T X`` alone."""
-    return lam > 0.0 and P is not None and np.any(P != 0)
-
-
 # Elements in one stack of singleton columns factored by one batched call.
 # A stack is a view of a contiguous column range and np.linalg.qr copies
 # it, so this bounds that copy at 512 KB; at n > 65,536 a stack is one
@@ -239,7 +237,7 @@ def _singleton_sinv2(X, columns):
             r = np.linalg.qr(X[:, c : c + k].T[:, :, np.newaxis], mode="r")
             s[i : i + k] = np.linalg.svd(r, full_matrices=False)[1][:, 0]
         lo = hi
-    # a one-column block's rank cutoff, n eps s, is below s unless s is 0
+    # _nonzero_singular_values cuts one column's s at n eps s: it keeps s unless s is 0
     return np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0) ** 2
 
 
@@ -283,11 +281,9 @@ class _BlockSolver:
             (self._potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (self._chol,))
         else:
             # X = QR shares s and V with R; the n-row Q is never formed
-            _, self.s, Vt = np.linalg.svd(
-                np.linalg.qr(X, mode="r"), full_matrices=False
-            )
-            keep = self.s > _rank_cutoff(self.s, X.shape)
-            self._sinv2 = (1.0 / self.s[keep]) ** 2
+            _, s, Vt = np.linalg.svd(np.linalg.qr(X, mode="r"), full_matrices=False)
+            keep = _nonzero_singular_values(s, X.shape)
+            self._sinv2 = (1.0 / s[keep]) ** 2
             self._V = Vt[keep].T
 
     def solve_gram(self, g):
@@ -349,7 +345,7 @@ def fit_block(block, y_tilde):
         beta = scipy.linalg.cho_solve(chol, X.T @ y_tilde)
     else:
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
-        keep = s > _rank_cutoff(s, X.shape)
+        keep = _nonzero_singular_values(s, X.shape)
         beta = Vt[keep].T @ (1.0 / s[keep] * (U[:, keep].T @ y_tilde))
     resid = y_tilde - X @ beta
     return beta, float(resid @ resid)
@@ -541,13 +537,12 @@ def smoother_boost(smoothers, y, n_steps, rule="greedy", seed=0):
     smoothers = [np.asarray(S, dtype=float) for S in smoothers]
     if not smoothers:
         raise ValueError("need at least one smoother")
-    tol = 1e-10
     contraction = 0.0
     for m, S in enumerate(smoothers):
         if S.shape != (y.size, y.size):
             raise ValueError(f"smoother {m} has shape {S.shape}")
         w = _psd_spectrum(S, f"smoother {m}")
-        if w[0] <= tol or w[-1] > 1.0 + tol:
+        if w[0] <= EIG_TAU or w[-1] > 1.0 + EIG_TAU:
             raise ValueError(
                 f"smoother {m} has eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}], "
                 "required inside (0, 1]"

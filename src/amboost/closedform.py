@@ -6,6 +6,17 @@ whose ridge-type solve reproduces each iterate, and the scalar
 ridge-equivalent penalty for isotropic designs. :func:`path_points`
 factors once per call, however many iteration counts it evaluates. All
 computations are stateless and freely concurrent.
+
+The oracles solve in Gram space, with ``X^T X`` rather than ``X``, so
+their relative error grows like ``cond(X)^2 eps``. Without a penalty they
+all admit the same designs: each rejects a design whose ``X^T X`` is
+singular by :func:`design._gram_singular`, ``cond(X)`` from about
+``1 / sqrt(max(n, p) eps)``, 6.7e6 at n=100, as rank deficient. Over 100
+random n=100, p=2 designs at k=3, nu=0.5, against the least-squares
+iterate, :func:`linear_boost_path` was off by a median 4.3e-5 at
+``cond(X)`` = 1e6 and 1.3e-3 at 6e6 (at most 3.1e-4 and 1.2e-2), while
+the joint engine of ``run_boost``, working on ``X`` itself, was off by a
+median 6.4e-10 (at most 3.6e-7) at 1e7.
 """
 
 from __future__ import annotations
@@ -14,9 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _check_count, _check_matrix, _check_outcome, _check_penalty, _check_step, _check_weight
+from .design import (
+    _check_count,
+    _check_matrix,
+    _check_outcome,
+    _check_penalty,
+    _check_step,
+    _check_weight,
+    _gram_singular,
+    _is_penalized,
+)
 
 _EIG_TOL = 1e-12
+_RANK_DEFICIENT = (
+    "design matrix is rank deficient; use the penalized path or the min-norm limit instead"
+)
 
 
 def _inputs(X, y):
@@ -38,26 +61,24 @@ def _system(G, P, lam):
 
 
 def _require_full_rank(X, G):
-    w = np.linalg.eigvalsh(G)
-    cutoff = max(X.shape) * np.finfo(float).eps * max(w[-1], 0.0)
-    if w[0] <= cutoff:
-        raise np.linalg.LinAlgError(
-            "design matrix is rank deficient; use the penalized path or the "
-            "min-norm limit instead"
-        )
+    if _gram_singular(np.linalg.eigvalsh(G), X.shape):
+        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
 
 
-def _sym_pencil(G, A):
+def _sym_pencil(G, A, shape, penalized):
     """Diagonalize A^{-1} G through the symmetric pencil A^{-1/2} G A^{-1/2}.
 
     Returns the shared eigenvalues ``d`` (those of the smoother matrix
     ``(X^T X + lam P)^{-1} X^T X``, inside [0, 1]), the eigenvectors of
-    the symmetrized matrix and the inverse square root of ``A``.
+    the symmetrized matrix and the inverse square root of ``A``. A
+    singular ``A`` is a singular penalized system or, without a penalty
+    (``A = G``), a rank-deficient design of ``shape``.
     """
     wa, Va = np.linalg.eigh(A)
-    cutoff = A.shape[0] * np.finfo(float).eps * max(wa[-1], 0.0)
-    if wa[0] <= cutoff:
-        raise np.linalg.LinAlgError("singular penalized system matrix")
+    if _gram_singular(wa, shape):
+        raise np.linalg.LinAlgError(
+            "singular penalized system matrix" if penalized else _RANK_DEFICIENT
+        )
     Ainv_half = Va @ ((1.0 / np.sqrt(wa))[:, None] * Va.T)
     A_half = Va @ (np.sqrt(wa)[:, None] * Va.T)
     M = Ainv_half @ G @ Ainv_half
@@ -136,7 +157,7 @@ def implicit_penalty(X, y, P, lam, nu, k):
     _check_count(k, "k", 1)
     X, y, G = _gram(X, y)
     _require_full_rank(X, G)
-    d, V, Ainv_half, A_half = _sym_pencil(G, _system(G, P, lam))
+    d, V, Ainv_half, A_half = _sym_pencil(G, _system(G, P, lam), X.shape, _is_penalized(P, lam))
     with np.errstate(over="ignore", divide="ignore"):
         denom = np.expm1(-k * np.log1p(-nu * d))
         g = np.where(np.isfinite(denom), d / np.where(denom > 0, denom, np.inf), 0.0)
@@ -195,7 +216,7 @@ def path_points(X, y, nu, ks, lam=0.0, P=None):
     rows = np.zeros((len(ks), X.shape[1]))
     if max(ks, default=0) == 0:
         return rows
-    d, V, Ainv_half, _ = _sym_pencil(G, A)
+    d, V, Ainv_half, _ = _sym_pencil(G, A, X.shape, _is_penalized(P, lam))
     coef = V.T @ (Ainv_half @ (X.T @ y))
     # per-eigendirection telescoped geometric sum of (1 - nu d)
     pos = d > _EIG_TOL

@@ -21,7 +21,6 @@ from .boost import (
     _check_schedule,
     _check_start,
     _PathRecorder,
-    _rank_cutoff,
     fit_block,
     run_boost,
 )
@@ -60,12 +59,8 @@ def _scaling_solvers(partition):
     solvers = []
     for b, block in enumerate(partition.blocks):
         solver = _BlockSolver(block.X, block.P, block.lam)
-        if not solver.penalized:
-            s = solver.s
-            if s.size == 0 or s[-1] <= _rank_cutoff(s, block.X.shape):
-                raise np.linalg.LinAlgError(
-                    f"block {b} scaling matrix is not positive definite"
-                )
+        if not solver.penalized and solver._V.shape[1] < block.p:
+            raise np.linalg.LinAlgError(f"block {b} scaling matrix is not positive definite")
         solvers.append(solver)
     return solvers
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
-from .design import EIG_TAU, _check_count, _check_step, _psd_spectrum
+from .design import _check_count, _check_step, _nonzero_eigenvalues, _psd_spectrum
 from .errors import NumericError
 
 
@@ -31,7 +31,7 @@ def pl_constant(Q):
 
 def _smallest_positive(w):
     """The smallest of the ascending eigenvalues ``w`` that counts as non-zero."""
-    positive = w[w > EIG_TAU * max(w[-1], 0.0)]
+    positive = w[_nonzero_eigenvalues(w)]
     if positive.size == 0:
         raise ValueError("matrix has no positive eigenvalue")
     return float(positive[0])
@@ -160,14 +160,13 @@ class CurvatureCheck:
 def _inv_sqrt_gram(X, block_id):
     G = X.T @ X
     w, V = np.linalg.eigh(G)
-    cutoff = EIG_TAU * max(w[-1], 0.0)
-    if w[0] <= cutoff:
+    keep = _nonzero_eigenvalues(w)
+    if not keep[0]:
         warnings.warn(
             f"block {block_id} Gram matrix is rank deficient; curvature "
             "ratios computed on its positive eigenspace",
             stacklevel=3,
         )
-    keep = w > cutoff
     return V[:, keep] * (1.0 / np.sqrt(w[keep]))[None, :]
 
 
@@ -182,6 +181,12 @@ def hessian_ub_check(loss, partition, nu, path):
     step-size guarantee breaks down. For proportional hazards each block's
     ``X_b' H X_b`` comes from :meth:`CoxCurvature.gram` in O(n p_b^2),
     without the n x n Hessian.
+
+    A block whose Gram matrix has an eigenvalue at most ``EIG_TAU``
+    times its largest, ``cond(X_b)`` from about 1e5, is compared on its
+    positive eigenspace with a "rank deficient" warning. That is the PSD
+    rule of :func:`design._nonzero_eigenvalues`, not the closed-form
+    oracles' rule, which rejects a design only from about 6.7e6 at n=100.
     """
     _check_step(nu)
     # a loop, not a comprehension, so that stacklevel=3 names the caller

@@ -1,9 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from amboost.cli import main
+from amboost.closedform import linear_boost_path
+from amboost.experiments import synth_glm_data
 
 
 def write_ini(tmp_path, text):
@@ -153,6 +156,31 @@ class TestOracle:
         assert (out / "oracle_path.csv").exists()
         assert (out / "implicit_penalty_k1.csv").exists()
         assert (out / "implicit_penalty_k5.csv").exists()
+
+    def test_unpenalized_path_matches_the_linear_oracle(self, tmp_path):
+        # the sample config's oracle is penalized; lam = 0 takes the
+        # unpenalized branch of path_points
+        cfg = write_ini(
+            tmp_path,
+            "[data]\nn = 50\np = 3\nrho = 0.3\n\n[oracle]\nlam = 0\nks = 0,1,5,40\n",
+        )
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+        X, y = synth_glm_data(50, 3, 0.3, (1.0, 1.0, 1.0), "gaussian", 0)
+        with open(out / "oracle_path.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[0]) for row in rows] == [0, 1, 5, 40]
+        for row in rows:
+            np.testing.assert_allclose(
+                [float(v) for v in row[1:]], linear_boost_path(X, y, 0.1, int(row[0])),
+                rtol=1e-10,
+            )
+
+    def test_unpenalized_rank_deficient_design_is_exit_two(self, tmp_path, capsys):
+        # it used to be reported as a singular penalized system
+        cfg = write_ini(tmp_path, "[data]\nn = 3\np = 4\n\n[oracle]\nlam = 0\n")
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "numeric error: design matrix is rank deficient" in capsys.readouterr().err
 
     def test_non_gaussian_rejected(self, tmp_path):
         cfg = write_ini(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amboost.boost import BoostConfig, run_boost
+from amboost.boost import BoostConfig, _BlockSolver, fit_block, run_boost
 from amboost.closedform import (
     boost_limit,
     implicit_penalty,
@@ -15,7 +15,8 @@ from amboost.closedform import (
     ridge_equivalent_lambda,
     ridge_solve,
 )
-from amboost.design import difference_penalty, make_partition, single_block
+from amboost.design import DesignBlock, difference_penalty, make_partition, single_block
+from amboost.gbcd import _scaling_solvers
 from amboost.losses import l2
 
 
@@ -375,7 +376,7 @@ class TestPathPoints:
         y = np.arange(5.0)
         np.testing.assert_array_equal(path_points(X, y, 0.5, [0, 0]), np.zeros((2, 2)))
         np.testing.assert_array_equal(penalized_boost_path(X, y, None, 0.0, 0.5, 0), np.zeros(2))
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
             path_points(X, y, 0.5, [0, 1])
 
     def test_factors_once_per_call(self, monkeypatch):
@@ -394,6 +395,127 @@ class TestPathPoints:
         pts = path_points(X, rng.normal(size=30), 0.5, range(1, 51), 1.0, np.eye(5))
         assert pts.shape == (50, 5)
         assert len(calls) == 2
+
+
+def conditioned_design(n, p, log_cond, seed=0):
+    """An n x p design with singular values from 1 down to ``10**-log_cond``.
+
+    ``log_cond=None`` gives an exactly rank-deficient design instead: a
+    Gaussian one whose last column repeats its first.
+    """
+    rng = np.random.default_rng(seed)
+    if log_cond is None:
+        X = rng.normal(size=(n, p))
+        X[:, -1] = X[:, 0]
+        return X
+    U, _ = np.linalg.qr(rng.normal(size=(n, p)))
+    V, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    return (U * np.logspace(0, -log_cond, p)) @ V.T
+
+
+ADMISSIBILITY_GRID = [
+    (n, p, log_cond)
+    for n in (5, 100)
+    for p in (2, 4)
+    for log_cond in (*range(2, 13), None)
+]
+
+
+class TestAdmissibility:
+    """The unpenalized oracles admit the same designs; the engines keep theirs.
+
+    The oracles solve in Gram space and reject a design whose condition
+    number reaches ``1 / sqrt(max(n, p) eps)``, about 3.0e7 at n=5 and
+    6.7e6 at n=100. The engines work on the design itself and keep every
+    singular value above ``max(n, p) eps s_max``, the rank
+    ``np.linalg.matrix_rank`` reports, so every grid design with a finite
+    condition number up to 1e12 is full rank to them.
+    """
+
+    ORACLES = {
+        "linear_boost_path": lambda X, y: linear_boost_path(X, y, 0.5, 3),
+        "path_points": lambda X, y: path_points(X, y, 0.5, (3,)),
+        "penalized_boost_path": lambda X, y: penalized_boost_path(X, y, None, 0.0, 0.5, 3),
+        "implicit_penalty": lambda X, y: implicit_penalty(X, y, None, 0.0, 0.5, 3),
+    }
+
+    @staticmethod
+    def outcome(oracle, X, y):
+        try:
+            oracle(X, y)
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+        return "admitted"
+
+    @pytest.mark.parametrize("n, p, log_cond", ADMISSIBILITY_GRID)
+    def test_unpenalized_oracles_agree(self, n, p, log_cond):
+        # path_points used to return an iterate 1.5e-2 off at n=100,
+        # cond(X)=1e7, where linear_boost_path raises, and to call an
+        # exactly rank-deficient design a singular penalized system
+        X = conditioned_design(n, p, log_cond)
+        y = np.random.default_rng(1).normal(size=n)
+        admitted = log_cond is not None and 10.0**log_cond < 1.0 / np.sqrt(
+            max(n, p) * np.finfo(float).eps
+        )
+        expected = "admitted" if admitted else (
+            "design matrix is rank deficient; use the penalized path or the "
+            "min-norm limit instead"
+        )
+        outcomes = {name: self.outcome(oracle, X, y) for name, oracle in self.ORACLES.items()}
+        assert outcomes == dict.fromkeys(self.ORACLES, expected)
+
+    @pytest.mark.parametrize("n, p, log_cond", ADMISSIBILITY_GRID)
+    def test_engines_keep_the_design_space_rank(self, n, p, log_cond):
+        X = conditioned_design(n, p, log_cond)
+        y = np.random.default_rng(1).normal(size=n)
+        rank = p if log_cond is not None else p - 1
+        assert np.linalg.matrix_rank(X) == rank
+        assert _BlockSolver(X)._V.shape[1] == rank
+        # a direction kept or dropped against lstsq's rank moves the
+        # min-norm solution by far more than its rounding, cond(X) eps
+        beta, _ = fit_block(DesignBlock(X, np.zeros((p, p))), y)
+        reference = np.linalg.lstsq(X, y, rcond=None)[0]
+        assert np.linalg.norm(beta - reference) <= 1e-2 * np.linalg.norm(reference)
+        part = make_partition(X, single_block(p))
+        if rank == p:
+            assert len(_scaling_solvers(part)) == 1
+        else:
+            with pytest.raises(np.linalg.LinAlgError, match="^block 0 scaling matrix"):
+                _scaling_solvers(part)
+
+    @pytest.mark.parametrize("log_cond", [2, 4, 6, np.log10(6e6), 7])
+    def test_accuracy_against_least_squares(self, log_cond):
+        # the documented error scales, with margins of 3 to 5 over the
+        # worst of 100 designs: cond(X)^2 eps for the Gram-space oracle up
+        # to its rejection point, cond(X) eps for the joint engine beyond it
+        eps = np.finfo(float).eps
+        cond = 10.0**log_cond
+        for seed in range(10):
+            X = conditioned_design(100, 2, log_cond, seed)
+            y = np.random.default_rng(seed).normal(size=100)
+            target = (1.0 - 0.5**3) * np.linalg.lstsq(X, y, rcond=None)[0]
+            path = run_boost(make_partition(X, single_block(2)), l2(), y,
+                             BoostConfig(nu=0.5, max_iter=3, mode="joint"))
+            assert np.linalg.norm(path.betas[3] - target) <= 1e3 * cond * eps * np.linalg.norm(target)
+            if cond < 6.7e6:
+                beta = linear_boost_path(X, y, 0.5, 3)
+                assert np.linalg.norm(beta - target) <= 10 * cond**2 * eps * np.linalg.norm(target)
+
+    def test_singular_penalized_system_keeps_its_message(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(np.linalg.LinAlgError, match="^singular penalized system matrix$"):
+            path_points(X, np.zeros(4), 0.5, (3,), 1.0, np.diag([1.0, 0.0]))
+
+    def test_penalized_system_held_to_the_n_scaled_cutoff(self):
+        # X^T X + lam P = diag(1, 1e-14 + 1e-18): a condition number of
+        # about 1e14, past n eps = 2.2e-14 at n=100 though within the
+        # p eps = 4.4e-16 the penalized pencil used to allow
+        X = np.zeros((100, 2))
+        X[0, 0], X[1, 1] = 1.0, 1e-9
+        P = np.diag([0.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError, match="^singular penalized system matrix$"):
+            path_points(X, np.ones(100), 0.5, (3,), 1e-14, P)
+        assert np.isfinite(path_points(X, np.ones(100), 0.5, (3,), 1e-12, P)).all()
 
 
 class TestBoundary:

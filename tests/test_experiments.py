@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from amboost import distreg
+from amboost import distreg, experiments, gbcd
+from amboost.boost import BoostConfig, run_boost
+from amboost.closedform import ridge_equivalent_lambda
 from amboost.distreg import GaussianLSModel, gauss_ls_eval
 from amboost.errors import ConfigError, IntegrityError, NumericError
 from amboost.experiments import (
@@ -17,6 +20,7 @@ from amboost.experiments import (
     synth_glm_data,
     synth_survival_data,
 )
+from amboost.rates import hessian_ub_check, rate_quadratic
 
 
 class TestSynthData:
@@ -274,6 +278,76 @@ class TestDistregNegativeControls:
         checks = self.checks(tmp_path)
         assert checks.pop("small_step_stays_stable") is False
         assert all(checks.values()), checks
+
+
+class TestAnalyticNegativeControls:
+    """Each analytic check fails when the ingredient it certifies is wrong.
+
+    A scenario runs at a small override config with one function replaced
+    through ``monkeypatch``; the check that the replacement targets must
+    fail and the scenario's other checks must pass.
+    """
+
+    SMALL = {
+        "path_matching": ({}, {"max_iter": 200, "grid_points": 20, "isotropic_k": 20}),
+        "rates_sweep": ({"n": 60, "p_grid": (2, 5, 10), "rho_grid": (0.0, 0.9)},
+                        {"check_instances": 3, "check_iters": 60}),
+        # one converging rate with a compliant curvature, one that is neither
+        "expfam_convergence": ({}, {"nus": (0.02, 0.07), "max_iter": 100}),
+        "gsq_equivalence": ({}, {"n_partitions": 4, "n_steps": 60}),
+    }
+
+    @classmethod
+    def checks(cls, tmp_path, name):
+        data, run = cls.SMALL[name]
+        cfg = ExperimentConfig(experiment=name, out_dir=str(tmp_path), data=data, run=run)
+        return {c["name"]: c["passed"] for c in run_experiment(cfg).checks}
+
+    def assert_only_failure(self, checks, name):
+        assert checks.pop(name) is False
+        assert checks and all(checks.values()), checks
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_small_configs_pass_unchanged(self, tmp_path, name):
+        assert all(self.checks(tmp_path, name).values())
+
+    def test_ridge_match_fails_for_a_scaled_lambda(self, tmp_path, monkeypatch):
+        def scaled(*args):
+            return 1.01 * ridge_equivalent_lambda(*args)
+
+        monkeypatch.setattr(experiments, "ridge_equivalent_lambda", scaled)
+        self.assert_only_failure(self.checks(tmp_path, "path_matching"), "isotropic_matches_ridge")
+
+    def test_dimension_check_fails_for_a_constant_rate(self, tmp_path, monkeypatch):
+        # the loosest rate in [0, 1): the gap bound it certifies still holds
+        monkeypatch.setattr(experiments, "rate_quadratic", lambda Q, n_blocks, nu: 1.0 - 1e-12)
+        self.assert_only_failure(self.checks(tmp_path, "rates_sweep"), "gamma_rises_with_dimension")
+
+    def test_gap_bound_fails_for_a_halved_rate(self, tmp_path, monkeypatch):
+        def halved(Q, n_blocks, nu):
+            return 0.5 * rate_quadratic(Q, n_blocks, nu)
+
+        monkeypatch.setattr(experiments, "rate_quadratic", halved)
+        self.assert_only_failure(self.checks(tmp_path, "rates_sweep"), "gap_bound_holds")
+
+    def test_curvature_check_fails_when_every_rate_is_compliant(self, tmp_path, monkeypatch):
+        def compliant(loss, partition, nu, path):
+            check = hessian_ub_check(loss, partition, nu, path)
+            return dataclasses.replace(check, ok=True, first_violation=None)
+
+        monkeypatch.setattr(experiments, "hessian_ub_check", compliant)
+        checks = self.checks(tmp_path, "expfam_convergence")
+        self.assert_only_failure(checks, "curvature_compliant_rates_converge")
+
+    def test_equivalence_fails_for_cyclic_descent(self, tmp_path, monkeypatch):
+        # the descent's scaled block update with blocks taken in turn
+        def cyclic(partition, loss, y, config):
+            return run_boost(partition, loss, y,
+                             BoostConfig(nu=config.nu, max_iter=config.max_iter, mode="cyclic"))
+
+        monkeypatch.setattr(gbcd, "gbcd_gsq", cyclic)
+        checks = self.checks(tmp_path, "gsq_equivalence")
+        assert checks == {"greedy_boosting_equals_quadratic_norm_descent": False}
 
 
 class TestReport:

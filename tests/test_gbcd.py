@@ -189,6 +189,14 @@ class TestValidation:
         with pytest.raises(np.linalg.LinAlgError):
             gbcd_gsq(part, l2(), np.ones(10), GbcdConfig())
 
+    def test_wide_block_scaling_rejected(self):
+        # X^T X of a 3 x 4 block has rank 3; its three singular values are
+        # all non-zero, and checking only the smallest of them let it pass
+        X = np.random.default_rng(0).normal(size=(3, 4))
+        part = make_partition(X, [BlockSpec((0, 1, 2, 3))])
+        with pytest.raises(np.linalg.LinAlgError, match="^block 0 scaling matrix"):
+            gbcd_gsq(part, l2(), np.ones(3), GbcdConfig())
+
     def test_singular_scaling_names_block_position(self):
         X = np.ones((10, 3))
         X[:, 0] = np.arange(10.0)  # block 0 full rank, block 1 rank 1
