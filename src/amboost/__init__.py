@@ -54,7 +54,6 @@ from .errors import ConfigError, IntegrityError, NumericError
 from .gbcd import GbcdConfig, equivalence_check, gbcd_gsq
 from .losses import (
     CoxCurvature,
-    GradientEval,
     LossSpec,
     binomial,
     coxph,

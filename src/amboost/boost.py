@@ -265,7 +265,9 @@ class _BlockSolver:
     ``s`` and right singular vectors ``V`` of ``X`` (from the SVD of its
     triangular QR factor) and apply ``V s^-2 V^T`` over the singular
     values above a machine-precision cutoff, the min-norm solution when
-    rank deficient. Penalized solves call LAPACK ``potrs``, the routine
+    rank deficient. ``rank`` counts those values; a penalized block's
+    ``A`` is positive definite, so its rank is its column count.
+    Penalized solves call LAPACK ``potrs``, the routine
     ``scipy.linalg.cho_solve`` wraps, directly: the same bits without the
     wrapper's per-call cost, which dominates at the block sizes boosting
     uses.
@@ -276,6 +278,7 @@ class _BlockSolver:
         if self.penalized:
             import scipy.linalg
 
+            self.rank = X.shape[1]
             self._gram = X.T @ X
             self._chol, self._lower = _cho_factor(self._gram + lam * P, lam)
             (self._potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (self._chol,))
@@ -285,6 +288,7 @@ class _BlockSolver:
             keep = _nonzero_singular_values(s, X.shape)
             self._sinv2 = (1.0 / s[keep]) ** 2
             self._V = Vt[keep].T
+            self.rank = self._sinv2.size
 
     def solve_gram(self, g):
         """Apply the inverse system matrix to a gradient-sized vector."""
@@ -428,14 +432,14 @@ def run_boost(partition, loss, y, config):
         offset = losses_mod.link_offset(loss, y) if config.init == "offset" else 0.0
         _check_start(y, offset)
         try:
-            ge = losses_mod.evaluate(loss, y, offset + f_lin)
+            value, y_tilde, _ = losses_mod.evaluate(loss, y, offset + f_lin)
         except NumericError:
             # the start predictor is the offset alone: the outcome is too large
             _check_start(y, math.inf)
-        g = X.T @ ge.y_tilde
-        rec = _PathRecorder(beta, ge.value, g, config.max_iter)
-    _check_start(y, ge.value, rec.grad_norms[0])
-    start_loss = ge.value
+        g = X.T @ y_tilde
+        rec = _PathRecorder(beta, value, g, config.max_iter)
+    _check_start(y, value, rec.grad_norms[0])
+    start_loss = value
 
     # a guarded run records an overflowing gradient as an inf norm and
     # stops on the loss check or the next evaluation's NumericError
@@ -466,21 +470,21 @@ def run_boost(partition, loss, y, config):
             beta[columns[best]] += nu * best_inc
             # np.dot, not @: BLAS gemv also for a strided single-column view
             f_lin += nu * np.dot(designs[best], best_inc)
-            prev_loss = ge.value
+            prev_loss = value
             try:
-                ge = losses_mod.evaluate(loss, y, offset + f_lin)
+                value, y_tilde, _ = losses_mod.evaluate(loss, y, offset + f_lin)
             except NumericError:
                 if not config.divergence_guard:
                     raise
                 terminated = "divergence"
                 numeric_error = True
                 break
-            g = X.T @ ge.y_tilde
-            rec.record(beta, JOINT_SENTINEL if mode == "joint" else best, ge.value, g)
-            if config.stop_tol > 0.0 and prev_loss - ge.value < config.stop_tol:
+            g = X.T @ y_tilde
+            rec.record(beta, JOINT_SENTINEL if mode == "joint" else best, value, g)
+            if config.stop_tol > 0.0 and prev_loss - value < config.stop_tol:
                 terminated = "tol"
                 break
-            if config.divergence_guard and _loss_grew(ge.value, start_loss):
+            if config.divergence_guard and _loss_grew(value, start_loss):
                 terminated = "divergence"
                 break
 

@@ -156,8 +156,11 @@ def implicit_penalty(X, y, P, lam, nu, k):
     _check_step(nu)
     _check_count(k, "k", 1)
     X, y, G = _gram(X, y)
-    _require_full_rank(X, G)
-    d, V, Ainv_half, A_half = _sym_pencil(G, _system(G, P, lam), X.shape, _is_penalized(P, lam))
+    penalized = _is_penalized(P, lam)
+    if penalized:
+        # without a penalty the pencil's A is G, whose rank it checks
+        _require_full_rank(X, G)
+    d, V, Ainv_half, A_half = _sym_pencil(G, _system(G, P, lam), X.shape, penalized)
     with np.errstate(over="ignore", divide="ignore"):
         denom = np.expm1(-k * np.log1p(-nu * d))
         g = np.where(np.isfinite(denom), d / np.where(denom > 0, denom, np.inf), 0.0)

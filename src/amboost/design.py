@@ -384,8 +384,10 @@ def make_partition(X, specs):
         If the design has no rows, no columns or a non-finite entry
         (named by its row and column), a column's sum of squares
         overflows (named with its block), a column index is not an integer
-        or is a ``bool``, the column sets overlap or fail to cover all
-        columns, or a block's penalty or weight violates its invariants.
+        or is a ``bool``, the column sets overlap (a column named a second
+        time, in the same spec or a later one, is named with its spec) or
+        fail to cover all columns, or a block's penalty or weight violates
+        its invariants.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -397,7 +399,7 @@ def make_partition(X, specs):
     X, squares = _checked_squares(X, "design matrix")
     any_overflow = not np.isfinite(squares).all()
     p = X.shape[1]
-    seen = np.zeros(p, dtype=bool)
+    named = np.zeros(p, dtype=int)
     blocks, column_map = [], []
     for b, s in enumerate(specs):
         if not isinstance(s, BlockSpec):
@@ -410,9 +412,13 @@ def make_partition(X, specs):
         cols = np.asarray(s.columns, dtype=int)
         if cols.size == 0 or cols.min() < 0 or cols.max() >= p:
             raise ValueError(f"column set {s.columns!r} out of range for p={p}")
-        if seen[cols].any():
-            raise ValueError("block column sets overlap")
-        seen[cols] = True
+        # add.at counts a column repeated within one spec too: an engine's
+        # beta[cols] += inc would apply only one of its increments
+        np.add.at(named, cols, 1)
+        for c in cols[named[cols] > 1]:
+            raise ValueError(
+                f"block column sets overlap: block spec {b} names column {c} a second time"
+            )
         if cols.size == 1 or np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
             Xb = X[:, cols[0] : cols[0] + cols.size]
         else:
@@ -429,8 +435,8 @@ def make_partition(X, specs):
             P = np.zeros((cols.size, cols.size))
         blocks.append(DesignBlock._checked(Xb, P, s.lam))
         column_map.append(cols)
-    if not seen.all():
-        missing = np.flatnonzero(~seen)
+    if not named.all():
+        missing = np.flatnonzero(named == 0)
         raise ValueError(f"columns {missing.tolist()} not covered by any block")
     return BlockPartition(tuple(blocks), tuple(column_map), X)
 

@@ -50,7 +50,7 @@ from .distreg import biconvexity_check, cyclic_boost_ls
 from .errors import ConfigError, IntegrityError
 from .gbcd import GbcdConfig, equivalence_check, gbcd_gsq
 from .losses import binomial, l2, loss_value, poisson
-from .rates import check_bound, hessian_ub_check, lipschitz_constant, pl_constant, rate_quadratic
+from .rates import _quadratic_constants, check_bound, hessian_ub_check, rate_quadratic
 from .svgplot import write_line_svg
 from .tableio import write_csv
 
@@ -365,10 +365,7 @@ def _scenario_rates_sweep(cfg):
                 n, p, rho, np.zeros(p), "gaussian",
                 cfg.seed + 1000 * p + int(1e6 * rho),
             )
-            Q = X.T @ X
-            mu = pl_constant(Q)
-            lmax = lipschitz_constant(Q)
-            gamma = rate_quadratic(Q, p, nu)
+            mu, lmax, gamma = _quadratic_constants(X.T @ X, p, nu)
             gammas[(rho, p)] = gamma
             rows.append([p, rho, mu, lmax, gamma])
     tables["rates_grid"] = (["p", "rho", "lambda_pmin", "lambda_max", "gamma"], rows)

@@ -59,7 +59,7 @@ def _scaling_solvers(partition):
     solvers = []
     for b, block in enumerate(partition.blocks):
         solver = _BlockSolver(block.X, block.P, block.lam)
-        if not solver.penalized and solver._V.shape[1] < block.p:
+        if solver.rank < block.p:
             raise np.linalg.LinAlgError(f"block {b} scaling matrix is not positive definite")
         solvers.append(solver)
     return solvers

@@ -2,11 +2,7 @@
 
 Each family uses its canonical link (identity, sigmoid, exp, and the
 partial-likelihood structure for proportional hazards). All functions are
-pure and safe for concurrent invocation. The one cache, a
-:class:`CoxCurvature` computing the partial likelihood's value, working
-response and curvature vectors on first read, stores values that depend
-only on its inputs: two threads racing on a first read may compute the
-same value twice, which is harmless.
+pure and safe for concurrent invocation.
 """
 
 from __future__ import annotations
@@ -130,62 +126,47 @@ def coxph(times, events):
     return LossSpec("coxph", np.asarray(times, float), np.asarray(events, float))
 
 
-@dataclass(frozen=True)
-class GradientEval:
-    """Loss value, negative functional gradient and curvature weights.
-
-    ``weights`` is what :func:`hessian_weights` returns: a diagonal weight
-    vector for the scalar families, computed with the other two, and a
-    :class:`CoxCurvature` for proportional hazards. That curvature already
-    holds its risk-set sums and shares, from which ``value`` and
-    ``y_tilde`` were read; ``y_tilde`` is its cached ``working_response``
-    itself, so callers must not modify it in place.
-    """
-
-    value: float
-    y_tilde: np.ndarray
-    weights: object
-
-
 @dataclass(frozen=True, eq=False)
 class CoxCurvature:
     """The Breslow partial likelihood at ``f``: value, working response and Hessian.
 
-    This is the one place the proportional-hazards loss is computed. Its
-    primary value is ``group_log_risk``, the risk-set log sums of the G
-    distinct times from one :func:`_risk_log_sums` pass; everything else
-    is computed from them. The Hessian ``H = sum_e diag(w_e) - w_e w_e^T``
-    is dense: ``w_e`` is event e's softmax of ``f`` over its risk set. It
-    is kept in O(n) memory as what builds it: the predictor ``f`` and
-    the event share ``d = sum_e w_e``, n-vectors in time order, and the
-    G-vector ``group_log_risk``. Only ``f`` is stored when the curvature
-    is made; each property is computed on its first read, or by the
-    first :meth:`gram`, and kept. ``value`` is the negative log partial
-    likelihood and ``working_response`` the events minus the shares, in
-    input order. :meth:`gram` gives ``X' H X`` without forming ``H``.
+    This is the one place the proportional-hazards loss is computed, all
+    of it when the curvature is made by :meth:`_at`: ``group_log_risk``,
+    the risk-set log sums of the G distinct times, from one
+    :func:`_risk_log_sums` pass, and everything else from those sums.
+    The Hessian ``H = sum_e diag(w_e) - w_e w_e^T`` is dense: ``w_e`` is
+    event e's softmax of ``f`` over its risk set. It is kept in O(n)
+    memory as what builds it: the predictor ``f`` and the event share
+    ``d = sum_e w_e``, n-vectors in time order, and the G-vector
+    ``group_log_risk``. ``value`` is the negative log partial likelihood
+    and ``working_response`` the events minus the shares, in input order.
+    :meth:`gram` gives ``X' H X`` without forming ``H``.
     """
 
     spec: LossSpec
     f: np.ndarray
+    group_log_risk: np.ndarray
+    share: np.ndarray
+    value: float
+    working_response: np.ndarray
 
-    @functools.cached_property
-    def group_log_risk(self):
-        return _risk_log_sums(self.spec, self.f)
+    @classmethod
+    def _at(cls, spec, f):
+        """The curvature at the predictor ``f``, from one risk-set pass.
 
-    @functools.cached_property
-    def share(self):
-        return _cox_event_share(self.spec, self.f, self.group_log_risk)
-
-    @functools.cached_property
-    def value(self):
-        ev = self.spec._event_pos
-        return float((self.group_log_risk[self.spec._group[ev]] - self.f[ev]).sum())
-
-    @functools.cached_property
-    def working_response(self):
-        share = np.empty_like(self.f)
-        share[self.spec._order] = self.share
-        return self.spec.events - share
+        A subject's share is ``exp(f_k)`` times the summed
+        ``exp(-log_risk)`` of the events at or before ``t_k``: one
+        cumulative sum over the G distinct times, each weighted by its
+        event count.
+        """
+        f = f[spec._order]
+        group_log_risk = _risk_log_sums(spec, f)
+        share = np.exp(f) * np.cumsum(spec._deaths * np.exp(-group_log_risk))[spec._group]
+        ev = spec._event_pos
+        value = float((group_log_risk[spec._group[ev]] - f[ev]).sum())
+        share_in_input_order = np.empty_like(f)
+        share_in_input_order[spec._order] = share
+        return cls(spec, f, group_log_risk, share, value, spec.events - share_in_input_order)
 
     def gram(self, X):
         """``X' H X`` for a matrix ``X`` of n rows, in O(n p^2) time and O(n p) memory.
@@ -272,17 +253,6 @@ def _risk_log_sums(spec, a):
     return np.logaddexp.accumulate((top + np.log(summed))[::-1], axis=0)[::-1]
 
 
-def _cox_event_share(spec, f_asc, group_log_risk):
-    """Each subject's summed softmax weight over the risk sets it is in.
-
-    That is ``exp(f_k)`` times the summed ``exp(-log_risk)`` of the events
-    at or before ``t_k``: one cumulative sum over the G distinct times,
-    each weighted by its event count. ``f_asc`` and the result are in time
-    order.
-    """
-    return np.exp(f_asc) * np.cumsum(spec._deaths * np.exp(-group_log_risk))[spec._group]
-
-
 def loss_value(spec, y, f):
     """Evaluate the loss (a negative log-likelihood, L2 uses 0.5*||y-f||^2)."""
     y = validate_outcome(spec, y)
@@ -294,7 +264,7 @@ def loss_value(spec, y, f):
     if spec.family == "poisson":
         return float((np.exp(f) - y * f + _special().gammaln(y + 1.0)).sum())
     # coxph: negative log partial likelihood with Breslow tie handling
-    return CoxCurvature(spec, f[spec._order]).value
+    return CoxCurvature._at(spec, f).value
 
 
 def neg_functional_gradient(spec, y, f):
@@ -318,7 +288,7 @@ def neg_functional_gradient(spec, y, f):
         return y - _special().expit(f)
     if spec.family == "poisson":
         return y - np.exp(f)
-    return CoxCurvature(spec, f[spec._order]).working_response
+    return CoxCurvature._at(spec, f).working_response
 
 
 def hessian_weights(spec, f):
@@ -329,8 +299,7 @@ def hessian_weights(spec, f):
     :class:`CoxCurvature` is returned instead: it holds O(n) vectors, and
     its ``gram(X)`` gives ``X' H X`` in O(n p^2) without the n x n matrix.
     The predictor is checked here, in every family, as a vector (of the
-    times' length for proportional hazards); the curvature's risk sums
-    and event shares are computed when it is first read.
+    times' length for proportional hazards).
     """
     n = None if spec.times is None else spec.times.size
     f = _check_predictor(f, _PREDICTOR_LIMIT[spec.family], n)
@@ -341,28 +310,26 @@ def hessian_weights(spec, f):
         return s * (1.0 - s)
     if spec.family == "poisson":
         return np.exp(f)
-    return CoxCurvature(spec, f[spec._order])
+    return CoxCurvature._at(spec, f)
 
 
 def evaluate(spec, y, f):
-    """Loss value, working response and weights at ``f``.
+    """``(value, y_tilde, weights)``: loss value, working response and weights at ``f``.
 
-    For the scalar families these come from the three public functions,
-    each validating its own inputs. For proportional hazards the outcome
-    is validated once, then one :func:`hessian_weights` call checks the
+    ``weights`` is what :func:`hessian_weights` returns. For the scalar
+    families the three come from the three public functions, each
+    validating its own inputs. For proportional hazards the outcome is
+    validated once, then one :func:`hessian_weights` call checks the
     predictor and gives the :class:`CoxCurvature` whose ``value`` and
-    ``working_response`` are returned with it: one risk-set pass, whose
-    sums the curvature's vectors reuse when they are read.
+    ``working_response`` are returned with it: one risk-set pass.
+    ``y_tilde`` is then the curvature's own ``working_response``, so
+    callers must not modify it in place.
     """
     if spec.family == "coxph":
         validate_outcome(spec, y)
         curvature = hessian_weights(spec, f)
-        return GradientEval(curvature.value, curvature.working_response, curvature)
-    return GradientEval(
-        value=loss_value(spec, y, f),
-        y_tilde=neg_functional_gradient(spec, y, f),
-        weights=hessian_weights(spec, f),
-    )
+        return curvature.value, curvature.working_response, curvature
+    return loss_value(spec, y, f), neg_functional_gradient(spec, y, f), hessian_weights(spec, f)
 
 
 def link_offset(spec, y):

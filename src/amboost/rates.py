@@ -49,12 +49,21 @@ def rate_quadratic(Q, n_blocks, nu):
     taken from one decomposition of ``Q``. Increasing in the block count,
     decreasing in the step size on (0, 1]. ``n_blocks``: integer >= 1.
     """
+    return _quadratic_constants(Q, n_blocks, nu)[2]
+
+
+def _quadratic_constants(Q, n_blocks, nu):
+    """``(pl, lmax, rate)`` of ``Q`` from one decomposition.
+
+    The values of :func:`pl_constant`, :func:`lipschitz_constant` and
+    :func:`rate_quadratic`.
+    """
     _check_step(nu)
     _check_count(n_blocks, "n_blocks", 1)
     w = _psd_spectrum(Q, "quadratic form")
     mu = _smallest_positive(w)
     lmax = float(w[-1])
-    return 1.0 - (nu * (2.0 - nu) / n_blocks) * (mu / lmax)
+    return mu, lmax, 1.0 - (nu * (2.0 - nu) / n_blocks) * (mu / lmax)
 
 
 def rate_general(mu, block_lipschitz, n_blocks, nu):

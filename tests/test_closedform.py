@@ -470,7 +470,7 @@ class TestAdmissibility:
         y = np.random.default_rng(1).normal(size=n)
         rank = p if log_cond is not None else p - 1
         assert np.linalg.matrix_rank(X) == rank
-        assert _BlockSolver(X)._V.shape[1] == rank
+        assert _BlockSolver(X).rank == rank
         # a direction kept or dropped against lstsq's rank moves the
         # min-norm solution by far more than its rounding, cond(X) eps
         beta, _ = fit_block(DesignBlock(X, np.zeros((p, p))), y)

@@ -162,6 +162,18 @@ class TestPartition:
         with pytest.raises(ValueError, match="overlap"):
             make_partition(X, [BlockSpec((0, 1)), BlockSpec((1, 2))])
 
+    def test_column_named_twice_in_one_block_raises(self):
+        # the engines used to record losses below the loss at their recorded
+        # coefficients: beta[cols] += inc applied one of the two increments
+        X = np.random.default_rng(0).normal(size=(20, 2))
+        for specs, b, col in (
+            ([BlockSpec((0, 0)), BlockSpec((1,))], 0, 0),
+            ([BlockSpec((0,)), BlockSpec((1, 0, 1))], 1, 1),
+        ):
+            msg = f"^block column sets overlap: block spec {b} names column {col} a second time$"
+            with pytest.raises(ValueError, match=msg):
+                make_partition(X, specs)
+
     def test_empty_design_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
             make_partition(np.empty((0, 2)), singleton_blocks(2))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from amboost import distreg, experiments, gbcd
+from amboost import distreg, experiments, gbcd, rates
 from amboost.boost import BoostConfig, run_boost
 from amboost.closedform import ridge_equivalent_lambda
 from amboost.distreg import GaussianLSModel, gauss_ls_eval
@@ -244,8 +244,9 @@ class TestDistregNegativeControls:
     """Each divergence check of ``distreg_divergence`` fails on a broken run.
 
     The scenario runs at the small config of ``test_distreg_scenario``
-    with ``cyclic_boost_ls``'s evaluation replaced, and only the check
-    that the replacement targets may fail.
+    with one ingredient replaced (``cyclic_boost_ls``'s evaluation, the
+    Hessian blocks or the reference instance), and only the check that
+    the replacement targets may fail.
     """
 
     @staticmethod
@@ -277,6 +278,42 @@ class TestDistregNegativeControls:
         monkeypatch.setattr(distreg, "gauss_ls_eval", diverging)
         checks = self.checks(tmp_path)
         assert checks.pop("small_step_stays_stable") is False
+        assert all(checks.values()), checks
+
+    def test_psd_check_fails_for_a_negated_mean_block(self, tmp_path, monkeypatch):
+        # the full Hessian of the reference instance stays indefinite
+        hessian = distreg.gauss_ls_hessian
+
+        def negated(model, y):
+            H_bb, H_bx, H_xb, H_xx = hessian(model, y)
+            return -H_bb, H_bx, H_xb, H_xx
+
+        monkeypatch.setattr(distreg, "gauss_ls_hessian", negated)
+        checks = self.checks(tmp_path)
+        assert checks.pop("diagonal_blocks_psd") is False
+        assert all(checks.values()), checks
+
+    def test_unbounded_check_fails_for_a_bounded_scale_curvature(self, tmp_path, monkeypatch):
+        # H_xx / (1 + trace H_xx) stays PSD, with every eigenvalue below 1
+        hessian = distreg.gauss_ls_hessian
+
+        def bounded(model, y):
+            H_bb, H_bx, H_xb, H_xx = hessian(model, y)
+            return H_bb, H_bx, H_xb, H_xx / (1.0 + np.trace(H_xx))
+
+        monkeypatch.setattr(distreg, "gauss_ls_hessian", bounded)
+        checks = self.checks(tmp_path)
+        assert checks.pop("scale_curvature_unbounded") is False
+        assert all(checks.values()), checks
+
+    def test_indefinite_check_fails_for_an_exact_fit_instance(self, tmp_path, monkeypatch):
+        # with a zero residual the cross and scale blocks vanish: the full
+        # Hessian is diag(exp(-2 xi), 0), PSD
+        model, y = distreg.reference_indefinite_instance()
+        exact_fit = dataclasses.replace(model, beta=y.copy())
+        monkeypatch.setattr(distreg, "reference_indefinite_instance", lambda: (exact_fit, y))
+        checks = self.checks(tmp_path)
+        assert checks.pop("reference_counterexample_indefinite") is False
         assert all(checks.values()), checks
 
 
@@ -320,8 +357,30 @@ class TestAnalyticNegativeControls:
 
     def test_dimension_check_fails_for_a_constant_rate(self, tmp_path, monkeypatch):
         # the loosest rate in [0, 1): the gap bound it certifies still holds
+        def constant(Q, n_blocks, nu):
+            mu, lmax, _ = rates._quadratic_constants(Q, n_blocks, nu)
+            return mu, lmax, 1.0 - 1e-12
+
         monkeypatch.setattr(experiments, "rate_quadratic", lambda Q, n_blocks, nu: 1.0 - 1e-12)
+        monkeypatch.setattr(experiments, "_quadratic_constants", constant)
         self.assert_only_failure(self.checks(tmp_path, "rates_sweep"), "gamma_rises_with_dimension")
+
+    def test_rates_sweep_decomposes_each_quadratic_form_once(self, tmp_path, monkeypatch):
+        # the grid's three constants used to take three decompositions each
+        shapes = []
+        spectrum = rates._psd_spectrum
+
+        def counted(M, what):
+            shapes.append(M.shape)
+            return spectrum(M, what)
+
+        monkeypatch.setattr(rates, "_psd_spectrum", counted)
+        assert all(self.checks(tmp_path, "rates_sweep").values())
+        data, run = self.SMALL["rates_sweep"]
+        grid = [(p, p) for _ in data["rho_grid"] for p in data["p_grid"]]
+        # then one rate per bound-compliance instance
+        assert shapes[: len(grid)] == grid
+        assert len(shapes) == len(grid) + run["check_instances"]
 
     def test_gap_bound_fails_for_a_halved_rate(self, tmp_path, monkeypatch):
         def halved(Q, n_blocks, nu):

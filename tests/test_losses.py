@@ -293,7 +293,7 @@ class TestHessianWeights:
         assert G.shape == (p, p)
         assert peak < 8 * n * n / 50  # 4 MB
 
-    def test_coxph_curvature_computed_when_read(self, monkeypatch):
+    def test_coxph_curvature_computed_when_made(self, monkeypatch):
         rng = np.random.default_rng(19)
         spec = random_cox_spec(rng, 40)
         spec = coxph(np.ceil(4.0 * spec.times), spec.events)  # tied times
@@ -307,31 +307,27 @@ class TestHessianWeights:
             return risk_log_sums(spec, a)
 
         monkeypatch.setattr(losses_mod, "_risk_log_sums", counted)
-        ge = evaluate(spec, spec.events, f)
-        # the loss, the working response and the curvature share one pass
-        assert len(passes) == 1
+        value, y_tilde, curvature = evaluate(spec, spec.events, f)
+        # the loss, the working response and the curvature share one pass,
+        # made with the curvature; reading its fields makes none
+        assert passes == [(40,)]
         passes.clear()
-        ge.weights.group_log_risk, ge.weights.share
+        curvature.group_log_risk, curvature.share, curvature.value
         assert passes == []
-        # no pass until a read, then one, whose vectors are kept and equal
-        # what an eager hessian_weights computed
-        f_asc = f[spec._order]
-        group_log_risk = risk_log_sums(spec, f_asc)
-        for read, eager in (
-            ("group_log_risk", group_log_risk),
-            ("share", losses_mod._cox_event_share(spec, f_asc, group_log_risk)),
-        ):
-            passes.clear()
-            curvature = hessian_weights(spec, f)
-            assert passes == []
-            np.testing.assert_array_equal(getattr(curvature, read), eager)
-            curvature.group_log_risk, curvature.share
-            assert passes == [(40,)]
-        # a gram adds one pass over X's 2p signed columns
+        assert value == curvature.value and y_tilde is curvature.working_response
+        np.testing.assert_array_equal(
+            curvature.group_log_risk, risk_log_sums(spec, f[spec._order])
+        )
+        # hessian_weights makes the same pass, with the same vectors
+        made = hessian_weights(spec, f)
+        assert passes == [(40,)]
+        assert made.value == value
+        for name in ("group_log_risk", "share", "working_response"):
+            np.testing.assert_array_equal(getattr(made, name), getattr(curvature, name))
+        # each gram adds one pass over X's 2p signed columns
         passes.clear()
-        curvature = hessian_weights(spec, f)
         G = curvature.gram(X)
-        assert sorted(passes) == [(40,), (40, 6)]
+        assert passes == [(40, 6)]
         passes.clear()
         np.testing.assert_array_equal(curvature.gram(X), G)
         assert passes == [(40, 6)]
@@ -531,17 +527,16 @@ class TestEvaluateAndOffset:
         if family == "coxph":
             spec = coxph(np.ceil(3.0 * spec.times), spec.events)  # tied times
         f[:2] = (MAX_PREDICTOR, -MAX_PREDICTOR)
-        ge = evaluate(spec, y, f)
-        assert ge.value == loss_value(spec, y, f)
-        np.testing.assert_array_equal(ge.y_tilde, neg_functional_gradient(spec, y, f))
-        weights = hessian_weights(spec, f)
+        value, y_tilde, weights = evaluate(spec, y, f)
+        assert value == loss_value(spec, y, f)
+        np.testing.assert_array_equal(y_tilde, neg_functional_gradient(spec, y, f))
         if family == "coxph":
-            np.testing.assert_array_equal(ge.weights.share, weights.share)
+            np.testing.assert_array_equal(weights.share, hessian_weights(spec, f).share)
             loss, grad, _ = dense_cox(spec, f)
-            np.testing.assert_allclose(ge.value, loss, rtol=1e-12)
-            np.testing.assert_allclose(ge.y_tilde, grad, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(value, loss, rtol=1e-12)
+            np.testing.assert_allclose(y_tilde, grad, rtol=1e-12, atol=1e-14)
         else:
-            np.testing.assert_array_equal(ge.weights, weights)
+            np.testing.assert_array_equal(weights, hessian_weights(spec, f))
 
     def test_coxph_evaluate_rejects_the_outcome_before_the_predictor(self):
         spec = coxph([1.0, 2.0, 2.0], [1.0, 0.0, 1.0])
