@@ -3,8 +3,9 @@
 #
 #   .github/output_identity.sh <base-sha>
 #
-# Checks the base commit out into a detached worktree, then runs on both
-# sides, with single-threaded BLAS: every experiment the base lists in
+# Extracts the base commit with git archive into a scratch directory, then
+# runs on both sides, with single-threaded BLAS and RuntimeWarnings raised
+# as errors: every experiment the base lists in
 # amboost.experiments.EXPERIMENTS with --svg at seeds 0 and 1, and fit,
 # oracle and rates on demos/sample_config.ini at seeds 0, 1 and 4. The
 # list comes from the base, so a new experiment joins the check one commit
@@ -18,15 +19,13 @@ set -euo pipefail
 base=${1:?usage: $0 <base-sha>}
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$work/base" >/dev/null 2>&1 || true
-    git -C "$root" worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --quiet --detach "$work/base" "$base"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git -C "$root" archive "$base" | tar -x -C "$work/base"
 
 export OPENBLAS_NUM_THREADS=1
+# an overflow or invalid value fails a run, as in tier-1 and CI's runs
+export PYTHONWARNINGS=error::RuntimeWarning
 EXPERIMENTS=$(PYTHONPATH="$work/base/src" python -c \
     'from amboost.experiments import EXPERIMENTS; print(*EXPERIMENTS)')
 test -n "$EXPERIMENTS"

@@ -70,7 +70,7 @@ def _load_cli_config(args):
     synthetic design and outcome its ``[data]`` section and the seed draw."""
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
-    ini = _load_ini(args.config, tuple(_CLI_DEFAULTS))
+    ini = _load_ini(args.config, _CLI_DEFAULTS)
     config = {
         name: _typed_section(name, ini.get(name, {}), defaults)
         for name, defaults in _CLI_DEFAULTS.items()
@@ -84,37 +84,39 @@ def _load_cli_config(args):
     return config, X, y
 
 
-def _penalty_matrix(penalty, size):
-    """The penalty matrix that ``penalty`` names, for ``size`` coefficients."""
-    if penalty == "ridge":
-        return np.eye(size)
-    if penalty == "diff2":
-        return difference_penalty(size, 2)
-    raise ConfigError(f"unknown penalty {penalty!r}")
+def _learner_penalty(section, values, size):
+    """``(lam, P)`` of config ``section``'s ``penalty`` and ``lam`` for ``size`` coefficients.
+
+    ``none`` is weight 0, ``ridge`` no matrix (the library's identity) and
+    ``diff2`` the second-difference penalty.
+    """
+    penalty, lam = values["penalty"], values["lam"]
+    if penalty in ("none", "ridge"):
+        return (0.0 if penalty == "none" else lam), None
+    if penalty != "diff2":
+        raise ConfigError(f"config key {section}.penalty names an unknown penalty "
+                          f"{penalty!r}; choose from none, ridge, diff2")
+    if size < 3:
+        raise ConfigError(f"config key {section}.penalty = diff2 needs a learner "
+                          f"of at least 3 coefficients, got {size}")
+    return lam, difference_penalty(size, 2)
 
 
 def _blocks_from_config(run, p):
-    blocks, lam, penalty = run["blocks"], run["lam"], run["penalty"]
+    blocks = run["blocks"]
     if blocks == "singleton":
         sizes = [1] * p
     elif blocks == "joint":
         sizes = [p]
     else:
-        sizes = [int(s) for s in blocks.split("+")]
-        if sum(sizes) != p:
-            raise ConfigError(f"block sizes {sizes} do not cover p={p}")
-    specs = []
-    start = 0
-    for size in sizes:
-        cols = tuple(range(start, start + size))
-        start += size
-        if penalty == "none" or lam == 0.0:
-            specs.append(BlockSpec(cols))
-        elif penalty == "diff2" and size < 3:
-            raise ConfigError("diff2 penalty needs blocks of at least 3 columns")
-        else:
-            specs.append(BlockSpec(cols, lam, _penalty_matrix(penalty, size)))
-    return specs
+        parts = blocks.split("+")
+        sizes = [int(s) for s in parts if s.strip().isdecimal()]
+        if len(sizes) != len(parts) or min(sizes) < 1 or sum(sizes) != p:
+            raise ConfigError(f"config key run.blocks must be singleton, joint or positive "
+                              f"block sizes joined by + that sum to p={p}, got {blocks!r}")
+    ends = np.cumsum(sizes).tolist()
+    return [BlockSpec(tuple(range(end - size, end)), *_learner_penalty("run", run, size))
+            for size, end in zip(sizes, ends)]
 
 
 def _boost_config(run):
@@ -141,12 +143,12 @@ def _cmd_oracle(args):
     if config["data"]["family"] != "gaussian":
         raise ConfigError("closed-form paths require the gaussian family")
     oracle = config["oracle"]
-    nu, lam, penalty, ks = oracle["nu"], oracle["lam"], oracle["penalty"], oracle["ks"]
+    nu, ks = oracle["nu"], oracle["ks"]
     gamma_ks = ()
     if oracle["gamma_ks"] is not None:
         gamma_ks = _typed("oracle", "gamma_ks", oracle["gamma_ks"], (0,))
     p = X.shape[1]
-    P = None if lam == 0.0 else _penalty_matrix(penalty, p)
+    lam, P = _learner_penalty("oracle", oracle, p)
     pts = path_points(X, y, nu, ks, lam, P)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

@@ -29,11 +29,11 @@ from .design import (
     _check_count,
     _check_matrix,
     _check_outcome,
-    _check_penalty,
     _check_step,
     _check_weight,
     _gram_singular,
     _is_penalized,
+    _penalty,
 )
 
 _EIG_TOL = 1e-12
@@ -51,13 +51,6 @@ def _inputs(X, y):
 def _gram(X, y):
     X, y = _inputs(X, y)
     return X, y, X.T @ X
-
-
-def _system(G, P, lam):
-    """``G + lam P`` for a penalty weight ``lam``; a missing penalty is zero."""
-    _check_weight(lam)
-    P = np.zeros_like(G) if P is None else _check_penalty(P, G.shape[0])
-    return G + lam * P
 
 
 def _require_full_rank(X, G):
@@ -108,7 +101,7 @@ def penalized_boost_path(X, y, P, lam, nu, k):
     """Iterate k of joint L2 boosting with a quadratic-penalty learner.
 
     The single-iterate case of :func:`path_points`; ``k``: integer >= 0.
-    ``lam=0`` reduces to :func:`linear_boost_path`.
+    Weight 0 or an all-zero ``P`` reduces to :func:`linear_boost_path`.
     """
     return path_points(X, y, nu, (k,), lam, P)[0]
 
@@ -149,18 +142,19 @@ def implicit_penalty(X, y, P, lam, nu, k):
     ``S = (X^T X + lam P)^{-1} X^T X``, evaluated through the symmetric
     pencil so the matrix power cannot overflow. For very large k the
     scalar factors underflow to zero; the result is then reported as the
-    zero matrix with a conditioning warning.
-
-    Requires a full-column-rank design; ``k``: integer >= 1.
+    zero matrix with a conditioning warning. ``P=None`` is the identity
+    when ``lam > 0``, as in a :class:`BlockSpec`. Requires a
+    full-column-rank design; ``k``: integer >= 1.
     """
     _check_step(nu)
     _check_count(k, "k", 1)
     X, y, G = _gram(X, y)
+    P = _penalty(P, lam, X.shape[1])
     penalized = _is_penalized(P, lam)
     if penalized:
         # without a penalty the pencil's A is G, whose rank it checks
         _require_full_rank(X, G)
-    d, V, Ainv_half, A_half = _sym_pencil(G, _system(G, P, lam), X.shape, penalized)
+    d, V, Ainv_half, A_half = _sym_pencil(G, G + lam * P, X.shape, penalized)
     with np.errstate(over="ignore", divide="ignore"):
         denom = np.expm1(-k * np.log1p(-nu * d))
         g = np.where(np.isfinite(denom), d / np.where(denom > 0, denom, np.inf), 0.0)
@@ -194,9 +188,8 @@ def ridge_equivalent_lambda(sigma2, nu, k, lam=0.0):
 
 def ridge_solve(X, y, lam):
     """Plain ridge regression solution ``(X^T X + lam I)^{-1} X^T y``."""
-    _check_weight(lam)
     X, y, G = _gram(X, y)
-    return np.linalg.solve(G + lam * np.eye(G.shape[0]), X.T @ y)
+    return np.linalg.solve(G + lam * _penalty(None, lam, G.shape[0]), X.T @ y)
 
 
 def path_points(X, y, nu, ks, lam=0.0, P=None):
@@ -208,18 +201,20 @@ def path_points(X, y, nu, ks, lam=0.0, P=None):
     eigenvalues of the symmetrized smoother matrix rather than by naive
     matrix powers. The pencil is diagonalized once, and only if some
     ``k >= 1``, so ``k = 0`` gives zeros even for a singular system.
-    ``ks``: integers >= 0; the result has one row per entry.
+    ``P=None`` is the identity when ``lam > 0``, as in a :class:`BlockSpec`,
+    so the rows are the joint engine's iterates on ``single_block(p, lam,
+    P)``. ``ks``: integers >= 0; the result has one row per entry.
     """
     _check_step(nu)
     ks = tuple(ks)
     for k in ks:
         _check_count(k, "k", 0)
     X, y, G = _gram(X, y)
-    A = _system(G, P, lam)
+    P = _penalty(P, lam, X.shape[1])
     rows = np.zeros((len(ks), X.shape[1]))
     if max(ks, default=0) == 0:
         return rows
-    d, V, Ainv_half, _ = _sym_pencil(G, A, X.shape, _is_penalized(P, lam))
+    d, V, Ainv_half, _ = _sym_pencil(G, G + lam * P, X.shape, _is_penalized(P, lam))
     coef = V.T @ (Ainv_half @ (X.T @ y))
     # per-eigendirection telescoped geometric sum of (1 - nu d)
     pos = d > _EIG_TOL

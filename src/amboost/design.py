@@ -48,8 +48,8 @@ def _gram_singular(w, shape):
 
 
 def _is_penalized(P, lam):
-    """Whether a system matrix is ``X^T X + lam P``, not ``X^T X`` alone."""
-    return lam > 0.0 and P is not None and np.any(P != 0)
+    """Whether ``X^T X + lam P``, ``P`` from :func:`_penalty`, is not ``X^T X`` alone."""
+    return lam > 0.0 and np.any(P != 0)
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,16 @@ def _psd_spectrum(M, what):
     return w
 
 
-def _check_penalty(P, p):
-    """``P`` as a float ``p x p`` symmetric PSD matrix."""
+def _penalty(P, lam, p):
+    """The ``p x p`` penalty of a learner of weight ``lam`` and matrix ``P``, checked.
+
+    The one reading of ``(lam, penalty)``: a missing matrix is the identity
+    (ridge) when ``lam > 0`` and zero otherwise, and weight 0 is no penalty
+    whatever the matrix. Only a supplied matrix needs the PSD check.
+    """
+    _check_weight(lam)
+    if P is None:
+        return np.eye(p) if lam > 0 else np.zeros((p, p))
     P = np.asarray(P, dtype=float)
     if P.shape != (p, p):
         raise ValueError(f"penalty has shape {P.shape}, expected ({p}, {p})")
@@ -274,8 +282,8 @@ class DesignBlock:
     and finite (a non-finite entry is named by its row and column), no
     column's sum of squares overflows (the column is named), the
     penalty is finite and symmetric PSD, its dimension matches the number of
-    columns, and the penalty weight is finite and nonnegative. A block with
-    ``lam == 0`` is unpenalized whatever its penalty matrix. The blocks of
+    columns, and the penalty weight is finite and nonnegative. ``P=None``
+    reads as in :func:`_penalty`. The blocks of
     :func:`make_partition` take their feature-matrix checks from its one
     pass over the whole design, and check only a penalty the spec supplies.
     """
@@ -288,8 +296,7 @@ class DesignBlock:
         X, squares = _checked_squares(self.X, "block feature matrix")
         _check_column_scale(squares, "block feature matrix")
         object.__setattr__(self, "X", X)
-        _check_weight(self.lam)
-        object.__setattr__(self, "P", _check_penalty(self.P, self.p))
+        object.__setattr__(self, "P", _penalty(self.P, self.lam, self.p))
 
     @classmethod
     def _checked(cls, X, P, lam):
@@ -317,7 +324,7 @@ class DesignBlock:
 class BlockSpec:
     """Column set, penalty weight and penalty matrix for one block.
 
-    A missing penalty is the identity when ``lam > 0``, else zero.
+    A missing penalty is the identity when ``lam > 0``, else zero (:func:`_penalty`).
     """
 
     columns: tuple
@@ -426,13 +433,7 @@ def make_partition(X, specs):
         Xb.flags.writeable = False
         if any_overflow:
             _check_column_scale(squares[cols], f"block {b}", cols)
-        _check_weight(s.lam)
-        if s.penalty is not None:
-            P = _check_penalty(s.penalty, cols.size)
-        elif s.lam > 0:
-            P = np.eye(cols.size)
-        else:
-            P = np.zeros((cols.size, cols.size))
+        P = _penalty(s.penalty, s.lam, cols.size)
         blocks.append(DesignBlock._checked(Xb, P, s.lam))
         column_map.append(cols)
     if not named.all():

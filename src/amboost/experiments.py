@@ -834,9 +834,9 @@ def _typed_section(section, values, defaults):
 def _load_ini(path, sections):
     """Read an INI file into ``{section: {key: parsed value}}``.
 
-    ``None`` reads as an empty file. Every section must be one of
-    ``sections``; an unreadable or malformed file is a
-    :class:`ConfigError`.
+    ``None`` reads as an empty file. ``sections`` maps each allowed section
+    to its defaults; a key whose default is text keeps its text. An
+    unreadable or malformed file is a :class:`ConfigError`.
     """
     if path is None:
         return {}
@@ -853,7 +853,8 @@ def _load_ini(path, sections):
                 f"unknown config section [{name}]; allowed: {', '.join(sections)}"
             )
     return {
-        name: {k: _parse_value(v) for k, v in values.items()}
+        name: {k: v if isinstance(sections[name].get(k), str) else _parse_value(v)
+               for k, v in values.items()}
         for name, values in ini.items()
     }
 
@@ -866,7 +867,7 @@ def load_config(path, experiment=None, seed=None, out_dir=None, svg=None):
     keys must be parameters of the scenario. Keyword arguments override
     file values; ``path=None`` reads no file.
     """
-    ini = _load_ini(path, ("experiment", "data", "run"))
+    ini = _load_ini(path, {"experiment": _EXPERIMENT_KEYS, "data": {}, "run": {}})
     exp = _typed_section("experiment", ini.get("experiment", {}), _EXPERIMENT_KEYS)
     name = experiment or exp["name"]
     if not name:

@@ -103,6 +103,10 @@ class TestFit:
             ("[run]\ndivergence_guard = maybe\n", "run.divergence_guard"),
             ("[data]\nn = many\n", "data.n"),
             ("[oracle]\nks = 1,x\n", "oracle.ks"),
+            # block sizes used to fail naming no key
+            ("[run]\nblocks = a+b\n", "run.blocks"),
+            ("[run]\nblocks = 1+1+1\n", "run.blocks"),
+            ("[run]\nblocks = 3+-1\n", "run.blocks"),
         ],
     )
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, text, key):
@@ -142,6 +146,12 @@ class TestFit:
         assert code == 2
         assert "numeric error" in capsys.readouterr().err
 
+    def test_text_key_keeps_its_text(self, tmp_path, capsys):
+        # mode = yes used to be read as a flag and reported as 'True'
+        cfg = write_ini(tmp_path, "[run]\nmode = yes\n")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "unknown mode 'yes'" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_path_points_and_penalty_export(self, tmp_path):
@@ -175,6 +185,22 @@ class TestOracle:
                 [float(v) for v in row[1:]], linear_boost_path(X, y, 0.1, int(row[0])),
                 rtol=1e-10,
             )
+
+    def test_no_penalty_ignores_the_weight(self, tmp_path):
+        # [run] took penalty = none, but [oracle] used to reject it
+        paths = []
+        for i, text in enumerate(("penalty = none\nlam = 1\n", "lam = 0\n")):
+            cfg = write_ini(tmp_path, f"[data]\nn = 30\np = 3\n\n[oracle]\n{text}")
+            out = tmp_path / f"o{i}"
+            assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+            paths.append((out / "oracle_path.csv").read_bytes())
+        assert paths[0] == paths[1]
+
+    def test_diff2_on_two_coefficients_names_the_key(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[oracle]\npenalty = diff2\nlam = 1\n")
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert ("config error: config key oracle.penalty = diff2 needs a learner of "
+                "at least 3 coefficients, got 2") in capsys.readouterr().err
 
     def test_unpenalized_rank_deficient_design_is_exit_two(self, tmp_path, capsys):
         # it used to be reported as a singular penalized system
@@ -282,6 +308,18 @@ class TestExperimentAndReport:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["007", "1e3", "runs,2026"])
+    def test_text_key_keeps_its_text(self, tmp_path, monkeypatch, out):
+        # out = 007 used to write under 7/, and runs,2026 to be a list
+        cfg = write_ini(
+            tmp_path,
+            f"[experiment]\nname = gsq_equivalence\nout = {out}\n\n"
+            "[run]\nn_partitions = 2\nn_steps = 10\n",
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "gsq_equivalence", "--config", cfg]) == 0
+        assert (tmp_path / out / "gsq_equivalence" / "manifest.json").exists()
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "art"
         assert main(["experiment", "gsq_equivalence", "--seed", "-1",
@@ -368,3 +406,12 @@ def test_unknown_penalty_is_config_error(tmp_path, capsys, command, section):
     cfg = write_ini(tmp_path, f"[{section}]\npenalty = lasso\nlam = 1\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "unknown penalty 'lasso'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", [("fit", "run"), ("oracle", "oracle")])
+def test_unknown_penalty_without_a_weight_is_config_error(tmp_path, capsys, command, section):
+    # at the default lam = 0 a penalty name used to go unread
+    cfg = write_ini(tmp_path, f"[{section}]\npenalty = lasso\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert (f"config error: config key {section}.penalty names an unknown penalty 'lasso'"
+            in capsys.readouterr().err)

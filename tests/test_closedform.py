@@ -397,6 +397,40 @@ class TestPathPoints:
         assert len(calls) == 2
 
 
+class TestOnePenaltyReading:
+    """A weight with no matrix is the ridge learner to the oracles, the engine and a block."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5), st.integers(2, 20), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 1.0), st.floats(0.01, 20.0),
+           st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    def test_no_matrix_is_the_identity(self, p, extra_rows, seed, nu, lam, ks):
+        # the oracles used to read (lam, None) as no penalty, the engine as ridge
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(p + extra_rows, p))
+        y = X @ rng.normal(size=p) + rng.normal(size=p + extra_rows)
+        eye = np.eye(p)
+        points = path_points(X, y, nu, ks, lam)
+        np.testing.assert_array_equal(points, path_points(X, y, nu, ks, lam, eye))
+        k = max(max(ks), 1)
+        np.testing.assert_array_equal(penalized_boost_path(X, y, None, lam, nu, k),
+                                      penalized_boost_path(X, y, eye, lam, nu, k))
+        ip = implicit_penalty(X, y, None, lam, nu, k)
+        ip_eye = implicit_penalty(X, y, eye, lam, nu, k)
+        assert ip.lam == ip_eye.lam == lam
+        np.testing.assert_array_equal(ip.gamma, ip_eye.gamma)
+        np.testing.assert_array_equal(ip.beta_check, ip_eye.beta_check)
+        part = make_partition(X, single_block(p, lam))
+        path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=k, mode="joint"))
+        for j, closed in zip(ks, points):
+            assert np.linalg.norm(path.betas[j] - closed) <= 1e-10 * np.linalg.norm(closed)
+        for weight, P in ((lam, eye), (0.0, np.zeros((p, p)))):
+            block = DesignBlock(X, None, weight)
+            np.testing.assert_array_equal(block.P, P)
+            np.testing.assert_array_equal(block.P, DesignBlock(X, P, weight).P)
+            assert block.lam == weight
+
+
 def conditioned_design(n, p, log_cond, seed=0):
     """An n x p design with singular values from 1 down to ``10**-log_cond``.
 

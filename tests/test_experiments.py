@@ -382,6 +382,15 @@ class TestAnalyticNegativeControls:
         assert shapes[: len(grid)] == grid
         assert len(shapes) == len(grid) + run["check_instances"]
 
+    def test_unit_interval_check_fails_for_a_shifted_rate(self, tmp_path, monkeypatch):
+        # a shift keeps every difference, so the rates still rise with dimension
+        def shifted(Q, n_blocks, nu):
+            mu, lmax, gamma = rates._quadratic_constants(Q, n_blocks, nu)
+            return mu, lmax, gamma + 1.0
+
+        monkeypatch.setattr(experiments, "_quadratic_constants", shifted)
+        self.assert_only_failure(self.checks(tmp_path, "rates_sweep"), "gamma_in_unit_interval")
+
     def test_gap_bound_fails_for_a_halved_rate(self, tmp_path, monkeypatch):
         def halved(Q, n_blocks, nu):
             return 0.5 * rate_quadratic(Q, n_blocks, nu)
@@ -397,6 +406,11 @@ class TestAnalyticNegativeControls:
         monkeypatch.setattr(experiments, "hessian_ub_check", compliant)
         checks = self.checks(tmp_path, "expfam_convergence")
         self.assert_only_failure(checks, "curvature_compliant_rates_converge")
+
+    def test_poisson_check_fails_when_every_path_converges(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "divergence_detector", lambda path, window: "converging")
+        checks = self.checks(tmp_path, "expfam_convergence")
+        self.assert_only_failure(checks, "poisson_fails_for_some_rate")
 
     def test_equivalence_fails_for_cyclic_descent(self, tmp_path, monkeypatch):
         # the descent's scaled block update with blocks taken in turn
