@@ -70,7 +70,6 @@ from .rates import (
     hessian_ub_check,
     lipschitz_constant,
     pl_constant,
-    rate_general,
     rate_quadratic,
 )
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .boost import BoostConfig, run_boost
-from .closedform import boost_limit, implicit_penalty, path_points
+from .closedform import implicit_penalty, path_points
 from .design import (
     BlockSpec,
     difference_penalty,
@@ -38,8 +38,8 @@ from .experiments import (
     run_experiment,
     synth_glm_data,
 )
-from .losses import l2, loss_value
-from .rates import check_bound, rate_quadratic
+from .losses import l2
+from .rates import _l2_certificate
 from .tableio import write_csv
 
 EXIT_OK = 0
@@ -174,15 +174,12 @@ def _cmd_rates(args):
     run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
     cfg = _boost_config(run)
-    path = run_boost(part, l2(), y, cfg)
-    loss_opt = loss_value(l2(), y, X @ boost_limit(X, y))
-    gamma = rate_quadratic(X.T @ X, part.n_blocks, cfg.nu)
-    report = check_bound(path, gamma, loss_opt)
+    report = _l2_certificate(part, y, run_boost(part, l2(), y, cfg), cfg.nu)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "rate_report.csv"
     write_csv(target, *report.table())
-    print(f"gamma = {gamma:.6f}")
+    print(f"gamma = {report.gamma:.6f}")
     status = "compliant" if report.all_compliant else (
         f"violated first at k={report.first_violation()}"
     )

@@ -49,8 +49,8 @@ from .design import (
 from .distreg import biconvexity_check, cyclic_boost_ls
 from .errors import ConfigError, IntegrityError
 from .gbcd import GbcdConfig, equivalence_check, gbcd_gsq
-from .losses import binomial, l2, loss_value, poisson
-from .rates import _quadratic_constants, check_bound, hessian_ub_check, rate_quadratic
+from .losses import binomial, l2, poisson
+from .rates import _l2_certificate, _quadratic_constants, hessian_ub_check
 from .svgplot import write_line_svg
 from .tableio import write_csv
 
@@ -129,23 +129,31 @@ def _check_sizes(n, p, beta_true):
     return beta_true
 
 
+def _correlated_design(rng, n, p, rho):
+    """``n`` rows of ``p`` standard Gaussians with pairwise correlation ``rho``.
+
+    Built from a Cholesky factor of the equicorrelation matrix (for two
+    features this is ``x2 = rho x1 + sqrt(1 - rho^2) z``); a ``rho`` that
+    leaves it not positive definite, or NaN, is a ``ConfigError``.
+    """
+    if not abs(rho) < 1.0 or (p > 1 and rho <= -1.0 / (p - 1)):
+        raise ConfigError(f"correlation {rho} invalid for p={p}")
+    C = (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
+    return rng.standard_normal(size=(n, p)) @ np.linalg.cholesky(C).T
+
+
 def synth_glm_data(n, p, rho, beta_true, family, seed):
     """Draw a correlated-feature dataset with a canonical-link outcome.
 
-    Features are pairwise correlated Gaussians built from a Cholesky
-    factor of the equicorrelation matrix (for two features this is
-    ``x2 = rho x1 + sqrt(1 - rho^2) z``). The linear predictor
+    Features are drawn by :func:`_correlated_design`. The linear predictor
     ``X beta_true`` is pushed through the family's canonical response
     and sampled; the gaussian family adds unit-variance noise.
     """
     beta_true = _check_sizes(n, p, beta_true)
-    if not abs(rho) < 1.0 or (p > 1 and rho <= -1.0 / (p - 1)):
-        raise ConfigError(f"correlation {rho} invalid for p={p}")
+    rng = np.random.default_rng(seed)
+    X = _correlated_design(rng, n, p, rho)
     if family not in GLM_FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
-    rng = np.random.default_rng(seed)
-    C = (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
-    X = rng.standard_normal(size=(n, p)) @ np.linalg.cholesky(C).T
     f = X @ beta_true
     if family == "gaussian":
         y = f + rng.standard_normal(size=n)
@@ -397,12 +405,10 @@ def _scenario_rates_sweep(cfg):
             part, l2(), y,
             BoostConfig(nu=nu, max_iter=run["check_iters"]),
         )
-        loss_opt = loss_value(l2(), y, X @ boost_limit(X, y))
-        gamma = rate_quadratic(X.T @ X, p, nu)
-        report = check_bound(path, gamma, loss_opt)
+        report = _l2_certificate(part, y, path, nu)
         all_ok = all_ok and report.all_compliant
         comp_rows.append(
-            [trial, p, rho, gamma, report.all_compliant,
+            [trial, p, rho, report.gamma, report.all_compliant,
              report.first_violation() if report.first_violation() is not None else ""]
         )
     tables["bound_compliance"] = (
@@ -573,8 +579,7 @@ def _scenario_gsq_equivalence(cfg):
             cols = cols[size:]
         # correlated features keep greedy progress well above the floating
         # floor for the whole comparison horizon
-        C = (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
-        X = rng.standard_normal(size=(n, p)) @ np.linalg.cholesky(C).T
+        X = _correlated_design(rng, n, p, rho)
         y = rng.standard_normal(size=n)
         part = make_partition(X, specs)
         nu = nus[trial % len(nus)]

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
-from .design import _check_count, _check_step, _nonzero_eigenvalues, _psd_spectrum
+from .closedform import boost_limit
+from .design import _check_count, _check_step, _is_penalized, _nonzero_eigenvalues, _psd_spectrum
 from .errors import NumericError
 
 
@@ -64,21 +65,6 @@ def _quadratic_constants(Q, n_blocks, nu):
     mu = _smallest_positive(w)
     lmax = float(w[-1])
     return mu, lmax, 1.0 - (nu * (2.0 - nu) / n_blocks) * (mu / lmax)
-
-
-def rate_general(mu, block_lipschitz, n_blocks, nu):
-    """Linear rate ``1 - nu * mu / (block_lipschitz * n_blocks)``.
-
-    ``block_lipschitz``, the largest Lipschitz constant over all blocks,
-    must be finite and at least ``mu > 0``. ``n_blocks``: integer >= 1.
-    """
-    if not 0.0 < mu < np.inf:
-        raise ValueError(f"gradient-domination constant mu={mu!r} is not positive and finite")
-    if not mu <= block_lipschitz < np.inf:
-        raise ValueError(f"block_lipschitz={block_lipschitz!r} is not finite and >= mu={mu!r}")
-    _check_step(nu)
-    _check_count(n_blocks, "n_blocks", 1)
-    return 1.0 - nu * mu / (block_lipschitz * n_blocks)
 
 
 @dataclass
@@ -147,6 +133,25 @@ def check_bound(path, gamma, loss_opt):
         compliant=compliant,
         all_compliant=bool(compliant.all()),
     )
+
+
+def _l2_certificate(partition, y, path, nu):
+    """The gap certificate of a squared-loss run over ``partition`` at step ``nu``.
+
+    The one place that decides what such a run is held to:
+    :func:`check_bound` with ``gamma = rate_quadratic(X'X, n_blocks, nu)``
+    and the least-squares loss of the model the run fits, its offset
+    ``path.offset`` held fixed. The bound covers unpenalized learners
+    only, so a penalized block is a ``ValueError`` that names it.
+    """
+    for b, block in enumerate(partition.blocks):
+        if _is_penalized(block.P, block.lam):
+            raise ValueError(f"the gap bound covers unpenalized learners; "
+                             f"block {b} has penalty weight {block.lam:g}")
+    X = partition.X
+    fit = path.offset + X @ boost_limit(X, y - path.offset)
+    loss_opt = losses_mod.loss_value(losses_mod.l2(), y, fit)
+    return check_bound(path, rate_quadratic(X.T @ X, partition.n_blocks, nu), loss_opt)
 
 
 @dataclass

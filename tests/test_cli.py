@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from amboost.cli import main
 from amboost.closedform import linear_boost_path
 from amboost.experiments import synth_glm_data
+
+SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "sample_config.ini"
 
 
 def write_ini(tmp_path, text):
@@ -245,6 +248,33 @@ class TestRates:
         assert (out / "rate_report.csv").exists()
         assert "compliant" in capsys.readouterr().out
 
+    @staticmethod
+    def sample_with(tmp_path, run_lines):
+        """The sample config with ``run_lines`` added to its ``[run]`` section."""
+        text = SAMPLE_CONFIG.read_text().replace("[run]\n", f"[run]\n{run_lines}", 1)
+        return write_ini(tmp_path, text)
+
+    def test_offset_run_is_compliant(self, tmp_path, capsys):
+        # the gaps were measured from the no-offset fit's loss, so this run
+        # used to exit 3, violated first at k=163
+        cfg = self.sample_with(tmp_path, "init = offset\n")
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "gap bound: compliant" in capsys.readouterr().out
+
+    def test_penalized_learner_is_config_error(self, tmp_path, capsys):
+        # the bound covers unpenalized learners; this used to exit 3 at k=74
+        cfg = self.sample_with(tmp_path, "lam = 1000\npenalty = ridge\n")
+        out = tmp_path / "o"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 1
+        assert ("config error: the gap bound covers unpenalized learners; "
+                "block 0 has penalty weight 1000") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weight_without_penalty_is_unpenalized(self, tmp_path, capsys):
+        cfg = self.sample_with(tmp_path, "lam = 5\npenalty = none\n")
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "gap bound: compliant" in capsys.readouterr().out
+
 
 class TestExperimentAndReport:
     def test_experiment_then_report(self, tmp_path, capsys):
@@ -306,6 +336,17 @@ class TestExperimentAndReport:
         assert main(["experiment", "gsq_equivalence", "--config", cfg,
                      "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["1.5", "-0.5", "nan"])
+    def test_invalid_correlation_is_config_error(self, tmp_path, capsys, rho):
+        # the scenario drew its design unchecked: 1.5 and -0.5 (p >= 4) used
+        # to exit 2 from the Cholesky factor, nan to name a design entry
+        cfg = write_ini(tmp_path, f"[data]\nrho = {rho}\n")
+        out = tmp_path / "art"
+        assert main(["experiment", "gsq_equivalence", "--config", cfg,
+                     "--out", str(out)]) == 1
+        assert f"config error: correlation {rho} invalid for p=" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("out", ["007", "1e3", "runs,2026"])

@@ -31,7 +31,7 @@ from amboost.design import (
 from amboost.distreg import biconvexity_check, cyclic_boost_ls
 from amboost.gbcd import GbcdConfig
 from amboost.losses import l2
-from amboost.rates import rate_general, rate_quadratic
+from amboost.rates import rate_quadratic
 
 
 def scipy_basis(x, spec):
@@ -404,7 +404,6 @@ class TestCountRule:
             "k", 1, lambda v: ridge_equivalent_lambda(1.0, 0.5, v)),
         "rate_quadratic.n_blocks": (
             "n_blocks", 1, lambda v: rate_quadratic(np.eye(2), v, 0.5)),
-        "rate_general.n_blocks": ("n_blocks", 1, lambda v: rate_general(1.0, 2.0, v, 0.5)),
         "biconvexity_check.trials": (
             "trials", 1, lambda v: biconvexity_check(*_ls_data(), trials=v)),
         "SplineSpec.n_knots": ("n_knots", 2, lambda v: SplineSpec(n_knots=v)),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from amboost import distreg, experiments, gbcd, rates
-from amboost.boost import BoostConfig, run_boost
+from amboost.boost import BoostConfig, divergence_detector, run_boost
 from amboost.closedform import ridge_equivalent_lambda
 from amboost.distreg import GaussianLSModel, gauss_ls_eval
 from amboost.errors import ConfigError, IntegrityError, NumericError
@@ -361,7 +361,7 @@ class TestAnalyticNegativeControls:
             mu, lmax, _ = rates._quadratic_constants(Q, n_blocks, nu)
             return mu, lmax, 1.0 - 1e-12
 
-        monkeypatch.setattr(experiments, "rate_quadratic", lambda Q, n_blocks, nu: 1.0 - 1e-12)
+        monkeypatch.setattr(rates, "rate_quadratic", lambda Q, n_blocks, nu: 1.0 - 1e-12)
         monkeypatch.setattr(experiments, "_quadratic_constants", constant)
         self.assert_only_failure(self.checks(tmp_path, "rates_sweep"), "gamma_rises_with_dimension")
 
@@ -395,7 +395,7 @@ class TestAnalyticNegativeControls:
         def halved(Q, n_blocks, nu):
             return 0.5 * rate_quadratic(Q, n_blocks, nu)
 
-        monkeypatch.setattr(experiments, "rate_quadratic", halved)
+        monkeypatch.setattr(rates, "rate_quadratic", halved)
         self.assert_only_failure(self.checks(tmp_path, "rates_sweep"), "gap_bound_holds")
 
     def test_curvature_check_fails_when_every_rate_is_compliant(self, tmp_path, monkeypatch):
@@ -406,6 +406,26 @@ class TestAnalyticNegativeControls:
         monkeypatch.setattr(experiments, "hessian_ub_check", compliant)
         checks = self.checks(tmp_path, "expfam_convergence")
         self.assert_only_failure(checks, "curvature_compliant_rates_converge")
+
+    def test_binomial_check_fails_when_a_binomial_path_oscillates(self, tmp_path, monkeypatch):
+        # the binomial runs come first; their curvature is marked violated so
+        # that the compliant-rates check does not fail with them
+        nus = self.SMALL["expfam_convergence"][1]["nus"]
+        verdicts = iter(["oscillating"] * len(nus))
+
+        def binomial_oscillates(path, window):
+            return next(verdicts, None) or divergence_detector(path, window)
+
+        def binomial_violated(loss, partition, nu, path):
+            check = hessian_ub_check(loss, partition, nu, path)
+            if loss.family != "binomial":
+                return check
+            return dataclasses.replace(check, ok=False, first_violation=(0, 0))
+
+        monkeypatch.setattr(experiments, "divergence_detector", binomial_oscillates)
+        monkeypatch.setattr(experiments, "hessian_ub_check", binomial_violated)
+        checks = self.checks(tmp_path, "expfam_convergence")
+        self.assert_only_failure(checks, "binomial_converges_at_every_rate")
 
     def test_poisson_check_fails_when_every_path_converges(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "divergence_detector", lambda path, window: "converging")

@@ -9,14 +9,15 @@ from scipy.linalg import eigh
 from test_losses import dense_cox
 
 from amboost.boost import BoostConfig, divergence_detector, run_boost
+from amboost.closedform import boost_limit
 from amboost.design import BlockSpec, make_partition, single_block, singleton_blocks
-from amboost.losses import binomial, coxph, l2, poisson
+from amboost.losses import binomial, coxph, l2, loss_value, poisson
 from amboost.rates import (
+    _l2_certificate,
     check_bound,
     hessian_ub_check,
     lipschitz_constant,
     pl_constant,
-    rate_general,
     rate_quadratic,
 )
 from amboost.tableio import write_csv
@@ -72,10 +73,6 @@ class TestRates:
         Q = np.diag([0.1, 1.0])
         assert rate_quadratic(Q, 5, 1.0) == pytest.approx(0.98)
 
-    def test_general_plugin(self):
-        assert rate_general(1.0, 1.0, 1, 1.0) == 0.0
-        assert rate_general(1.0, 4.0, 2, 0.5) == pytest.approx(0.9375)
-
     def test_monotone_in_blocks_and_step(self):
         rng = np.random.default_rng(1)
         w = rng.uniform(0.1, 5.0, size=6)
@@ -91,43 +88,15 @@ class TestRates:
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_general_dominates_quadratic_rate(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            w = np.sort(rng.uniform(0.01, 4.0, size=5))
-            Q = np.diag(w)
-            for nu in (0.2, 0.6, 1.0):
-                g_tilde = rate_general(w[0], w[-1], 3, nu)
-                g = rate_quadratic(Q, 3, nu)
-                assert g_tilde >= g - 1e-12
-
     def test_invalid_constants(self):
         with pytest.raises(ValueError):
-            rate_general(0.0, 1.0, 1, 1.0)
-        with pytest.raises(ValueError):
-            rate_general(2.0, 1.0, 1, 1.0)
-        with pytest.raises(ValueError):
             rate_quadratic(np.eye(2), 2, 0.0)
-
-    @pytest.mark.parametrize(
-        "mu, block_lipschitz, msg",
-        [(np.nan, 1.0, "^gradient-domination constant mu=nan"),
-         (np.inf, np.inf, "^gradient-domination constant mu=inf"),
-         (1.0, np.inf, "^block_lipschitz=inf"), (1.0, np.nan, "^block_lipschitz=nan")],
-    )
-    def test_non_finite_constant_named(self, mu, block_lipschitz, msg):
-        # NaN used to return NaN, and an infinite Lipschitz constant the
-        # vacuous rate 1.0
-        with pytest.raises(ValueError, match=msg):
-            rate_general(mu, block_lipschitz, 1, 0.5)
 
     @pytest.mark.parametrize("nu", [0.0, 1.5, np.nan])
     def test_invalid_step_size_named(self, nu):
         msg = re.escape(f"step size nu must be in (0, 1], got {nu!r}")
         with pytest.raises(ValueError, match=msg):
             rate_quadratic(np.eye(2), 2, nu)
-        with pytest.raises(ValueError, match=msg):
-            rate_general(1.0, 2.0, 1, nu)
         part = make_partition(np.eye(3)[:, :2], singleton_blocks(2))
         path = run_boost(part, l2(), np.ones(3), BoostConfig(nu=0.5, max_iter=2))
         with pytest.raises(ValueError, match=msg):
@@ -224,6 +193,70 @@ class TestCheckBound:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "gap", "bound", "compliant"]
         assert len(rows) == 22
+
+
+class TestL2Certificate:
+    """``rates._l2_certificate``, the one assembly of a squared-loss run's bound."""
+
+    @staticmethod
+    def run(seed, p, extra_rows, nu, shift, init):
+        rng = np.random.default_rng(seed)
+        n = p + extra_rows
+        X = rng.normal(size=(n, p))
+        y = shift + X @ rng.normal(size=p) + rng.normal(size=n)
+        part = make_partition(X, singleton_blocks(p))
+        path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=60, init=init))
+        return X, y, part, path
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        extra_rows=st.integers(1, 30),
+        nu=st.floats(0.05, 1.0),
+        shift=st.floats(-50.0, 50.0),
+    )
+    def test_offset_runs_meet_the_bound(self, seed, p, extra_rows, nu, shift):
+        # the gaps used to be measured from the no-offset least-squares
+        # loss, which an offset run never reaches
+        _, y, part, path = self.run(seed, p, extra_rows, nu, shift, "offset")
+        assert path.offset == np.mean(y)
+        report = _l2_certificate(part, y, path, nu)
+        assert report.all_compliant, f"violated at k={report.first_violation()}"
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        extra_rows=st.integers(1, 30),
+        nu=st.floats(0.05, 1.0),
+        shift=st.floats(-50.0, 50.0),
+    )
+    def test_zero_start_matches_the_plain_least_squares_bound(
+        self, seed, p, extra_rows, nu, shift
+    ):
+        X, y, part, path = self.run(seed, p, extra_rows, nu, shift, "zero")
+        report = _l2_certificate(part, y, path, nu)
+        loss_opt = loss_value(l2(), y, X @ boost_limit(X, y))
+        plain = check_bound(path, rate_quadratic(X.T @ X, p, nu), loss_opt)
+        assert report.gamma == plain.gamma
+        np.testing.assert_array_equal(report.gaps, plain.gaps)
+        np.testing.assert_array_equal(report.bounds, plain.bounds)
+
+    @pytest.mark.parametrize("lam, P", [(1000.0, None), (0.5, np.array([[2.0]]))])
+    def test_penalized_block_rejected_by_name(self, lam, P):
+        X, y, _, _ = self.run(0, 3, 10, 0.5, 0.0, "zero")
+        part = make_partition(X, [BlockSpec((0, 1)), BlockSpec((2,), lam, P)])
+        path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=5))
+        msg = f"^the gap bound covers unpenalized learners; block 1 has penalty weight {lam:g}$"
+        with pytest.raises(ValueError, match=msg):
+            _l2_certificate(part, y, path, 0.5)
+
+    def test_zero_weight_is_no_penalty(self):
+        X, y, _, _ = self.run(1, 3, 10, 0.5, 0.0, "zero")
+        part = make_partition(X, [BlockSpec((0,), 0.0, np.eye(1)), BlockSpec((1, 2))])
+        path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=40))
+        assert _l2_certificate(part, y, path, 0.5).all_compliant
 
 
 class TestCurvatureBound:
