@@ -119,15 +119,27 @@ def _blocks_from_config(run, p):
             for size, end in zip(sizes, ends)]
 
 
-def _boost_config(run):
-    return BoostConfig(**{f.name: run[f.name] for f in fields(BoostConfig)})
+def _boost_config(section, values):
+    """The :class:`BoostConfig` of the fields config ``section`` sets.
+
+    Each value is checked alone by its field's rule, so a rejected one is a
+    ``ConfigError`` that names its key.
+    """
+    given = {f.name: values[f.name] for f in fields(BoostConfig) if f.name in values}
+    for key, value in given.items():
+        try:
+            BoostConfig(**{key: value})
+        except ValueError as exc:
+            raise ConfigError(f"config key {section}.{key}: {exc}") from None
+    return BoostConfig(**given)
 
 
 def _cmd_fit(args):
     config, X, y = _load_cli_config(args)
     run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
-    path = run_boost(part, GLM_FAMILIES[config["data"]["family"]](), y, _boost_config(run))
+    path = run_boost(part, GLM_FAMILIES[config["data"]["family"]](), y,
+                     _boost_config("run", run))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "fit_path.csv"
@@ -143,7 +155,7 @@ def _cmd_oracle(args):
     if config["data"]["family"] != "gaussian":
         raise ConfigError("closed-form paths require the gaussian family")
     oracle = config["oracle"]
-    nu, ks = oracle["nu"], oracle["ks"]
+    nu, ks = _boost_config("oracle", oracle).nu, oracle["ks"]
     gamma_ks = ()
     if oracle["gamma_ks"] is not None:
         gamma_ks = _typed("oracle", "gamma_ks", oracle["gamma_ks"], (0,))
@@ -173,8 +185,8 @@ def _cmd_rates(args):
         raise ConfigError("rate certificates apply to the gaussian family")
     run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
-    cfg = _boost_config(run)
-    report = _l2_certificate(part, y, run_boost(part, l2(), y, cfg), cfg.nu)
+    cfg = _boost_config("run", run)
+    report = _l2_certificate(part, y, run_boost(part, l2(), y, cfg), cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "rate_report.csv"

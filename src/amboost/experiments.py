@@ -153,7 +153,8 @@ def synth_glm_data(n, p, rho, beta_true, family, seed):
     rng = np.random.default_rng(seed)
     X = _correlated_design(rng, n, p, rho)
     if family not in GLM_FAMILIES:
-        raise ConfigError(f"unknown family {family!r}")
+        raise ConfigError(f"config key data.family names an unknown family {family!r}; "
+                          "choose from gaussian, binomial, poisson")
     f = X @ beta_true
     if family == "gaussian":
         y = f + rng.standard_normal(size=n)
@@ -401,11 +402,8 @@ def _scenario_rates_sweep(cfg):
         )
         y = y + X @ rng.standard_normal(p)
         part = make_partition(X, singleton_blocks(p))
-        path = run_boost(
-            part, l2(), y,
-            BoostConfig(nu=nu, max_iter=run["check_iters"]),
-        )
-        report = _l2_certificate(part, y, path, nu)
+        cfg_run = BoostConfig(nu=nu, max_iter=run["check_iters"])
+        report = _l2_certificate(part, y, run_boost(part, l2(), y, cfg_run), cfg_run)
         all_ok = all_ok and report.all_compliant
         comp_rows.append(
             [trial, p, rho, report.gamma, report.all_compliant,
@@ -567,10 +565,18 @@ def _scenario_gsq_equivalence(cfg):
     data, run = cfg.params["data"], cfg.params["run"]
     rng = np.random.default_rng(cfg.seed)
     n, rho, nus, n_steps = data["n"], data["rho"], run["nus"], run["n_steps"]
+    p_min, p_max = data["p_min"], data["p_max"]
+    if not 1 <= p_min <= p_max:
+        raise ConfigError("config keys data.p_min and data.p_max need "
+                          "1 <= data.p_min <= data.p_max")
+    # a block of more columns than rows has a singular scaling matrix
+    if n < min(4, p_max):
+        raise ConfigError("config key data.n is below min(4, data.p_max), "
+                          "the size of the largest block the scenario draws")
     rows = []
     all_identical = True
     for trial in range(run["n_partitions"]):
-        p = int(rng.integers(data["p_min"], data["p_max"] + 1))
+        p = int(rng.integers(p_min, p_max + 1))
         cols = list(range(p))
         specs = []
         while cols:

@@ -135,15 +135,22 @@ def check_bound(path, gamma, loss_opt):
     )
 
 
-def _l2_certificate(partition, y, path, nu):
-    """The gap certificate of a squared-loss run over ``partition`` at step ``nu``.
+def _l2_certificate(partition, y, path, config):
+    """The gap certificate of a squared-loss run over ``partition`` made with ``config``.
 
     The one place that decides what such a run is held to:
-    :func:`check_bound` with ``gamma = rate_quadratic(X'X, n_blocks, nu)``
-    and the least-squares loss of the model the run fits, its offset
-    ``path.offset`` held fixed. The bound covers unpenalized learners
-    only, so a penalized block is a ``ValueError`` that names it.
+    :func:`check_bound` with ``gamma = rate_quadratic(X'X, n_blocks,
+    config.nu)`` and the least-squares loss of the model the run fits,
+    its offset ``path.offset`` held fixed. The bound covers unpenalized
+    learners taken jointly or by greedy selection only. A cyclic step may
+    take a block whose gradient is near zero, so a cyclic ``config.mode``
+    is a ``ValueError`` that says so, and a penalized block one that
+    names it.
     """
+    if config.mode == "cyclic":
+        raise ValueError("the gap bound is a per-step bound for greedy and joint "
+                         "updates; a cyclic step may take a block whose gradient is "
+                         "near zero, so cyclic runs are not certified")
     for b, block in enumerate(partition.blocks):
         if _is_penalized(block.P, block.lam):
             raise ValueError(f"the gap bound covers unpenalized learners; "
@@ -151,7 +158,8 @@ def _l2_certificate(partition, y, path, nu):
     X = partition.X
     fit = path.offset + X @ boost_limit(X, y - path.offset)
     loss_opt = losses_mod.loss_value(losses_mod.l2(), y, fit)
-    return check_bound(path, rate_quadratic(X.T @ X, partition.n_blocks, nu), loss_opt)
+    return check_bound(path, rate_quadratic(X.T @ X, partition.n_blocks, config.nu),
+                       loss_opt)
 
 
 @dataclass

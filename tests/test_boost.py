@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amboost import boost, distreg, gbcd
@@ -1068,12 +1068,55 @@ class TestDivergenceDetector:
         path = self._path(losses, betas)
         assert divergence_detector(path, window=10) == "converging"
 
-    def test_sign_alternation_is_oscillating(self):
-        a = 0.7
-        betas = np.array([[a * (-1) ** k] for k in range(20)])
-        losses = np.full(20, 3.0)
+    @pytest.mark.parametrize("cycle", [(5.0, 4.0), (4942.8, 668.1, 997.3)])
+    def test_loss_cycle_of_any_period_is_oscillating(self, cycle):
+        # the second is the period-3 Poisson cycle of expfam_convergence at
+        # nu=0.1, which the per-coefficient sign test called converging
+        losses = np.resize(cycle, 40)
+        path = self._path(losses, np.zeros((40, 1)))
+        assert divergence_detector(path, window=20) == "oscillating"
+
+    def test_flat_loss_with_alternating_coefficients_is_converging(self):
+        # the removed sign test called this path oscillating
+        betas = np.array([[0.7 * (-1) ** k] for k in range(20)])
+        path = self._path(np.full(20, 3.0), betas)
+        assert divergence_detector(path, window=8) == "converging"
+
+    def test_rounding_rises_after_a_descent_to_zero_are_converging(self):
+        # rises of a tenth of a loss of 1e-30 are rounding of the start loss
+        # of 1, not a cycle; the damped coefficient bounce is not one either
+        jitter = 1e-30 * (1.0 + 0.1 * np.resize([0.0, 1.0], 20))
+        losses = np.concatenate([np.logspace(0, -30, 31), jitter])
+        betas = np.cumsum((-0.6) ** np.arange(51))[:, None]
         path = self._path(losses, betas)
-        assert divergence_detector(path, window=8) == "oscillating"
+        # a scale taken from the window alone would call these rises a cycle
+        assert np.diff(losses[-21:]).max() > 1e-12 * losses[-21:].max()
+        assert divergence_detector(path, window=20) == "converging"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        extra_rows=st.integers(0, 10),
+        nu=st.floats(0.0, 1.0, exclude_min=True),
+        mode=st.sampled_from(boost.MODES),
+        lam=st.sampled_from([0.0, 0.5, 100.0]),
+    )
+    # interpolating runs whose losses near 1e-32 rise by a tenth of
+    # themselves, which a tolerance scaled by the window alone calls a cycle
+    @example(seed=4079487078, p=2, extra_rows=0, nu=0.5670558183853956, mode="greedy", lam=0.0)
+    @example(seed=2632959285, p=4, extra_rows=0, nu=0.9895368240333908, mode="greedy", lam=0.5)
+    def test_every_l2_run_is_converging(self, seed, p, extra_rows, nu, mode, lam):
+        # an l2 run at nu <= 1 never raises its loss; at extra_rows = 0 the
+        # loss falls to rounding of zero, where its jitter is no cycle
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(p + extra_rows, p))
+        y = rng.normal(size=p + extra_rows)
+        specs = singleton_blocks(p) if lam == 0.0 else [
+            BlockSpec(tuple(range(j, min(j + 2, p))), lam) for j in range(0, p, 2)]
+        path = run_boost(make_partition(X, specs), l2(), y,
+                         BoostConfig(nu=nu, max_iter=200, mode=mode))
+        assert divergence_detector(path, window=20) == "converging"
 
     def test_loss_blowup_is_diverging(self):
         losses = np.concatenate([np.ones(10), [1e3]])

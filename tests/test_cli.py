@@ -275,6 +275,18 @@ class TestRates:
         assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert "gap bound: compliant" in capsys.readouterr().out
 
+    def test_cyclic_run_is_config_error(self, tmp_path, capsys):
+        # the greedy per-step bound does not cover a cyclic step, which may
+        # take a block whose gradient is near zero; this used to exit 3 at k=1
+        text = (SAMPLE_CONFIG.read_text().replace("mode = greedy", "mode = cyclic")
+                .replace("rho = 0.4", "rho = 0.0")
+                .replace("beta_true = 2,-1,0.5,0", "beta_true = 0,0,0,2"))
+        out = tmp_path / "o"
+        assert main(["rates", "--config", write_ini(tmp_path, text), "--out", str(out)]) == 1
+        assert ("config error: the gap bound is a per-step bound for greedy and joint "
+                "updates") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperimentAndReport:
     def test_experiment_then_report(self, tmp_path, capsys):
@@ -337,6 +349,38 @@ class TestExperimentAndReport:
                      "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # n = 3 used to exit 2 from a singular block scaling matrix,
+            # p_min > p_max to name no key, p_max = 0 to find no columns
+            ("n = 3", "config key data.n is below min(4, data.p_max)"),
+            ("p_min = 8\np_max = 5", "config keys data.p_min and data.p_max need"),
+            ("p_min = 0\np_max = 0", "config keys data.p_min and data.p_max need"),
+            ("n = 4", None),
+        ],
+    )
+    def test_gsq_sizes_name_their_key(self, tmp_path, capsys, lines, message):
+        cfg = write_ini(tmp_path, f"[data]\n{lines}\n\n[run]\nn_partitions = 3\nn_steps = 20\n")
+        out = tmp_path / "art"
+        code = main(["experiment", "gsq_equivalence", "--config", cfg, "--out", str(out)])
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 1
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_period_three_poisson_cycle_is_non_converging(self, tmp_path, capsys):
+        # the Poisson loss cycles 4942.8, 668.1, 997.3; the per-coefficient
+        # sign test called this path converging, so the check used to fail
+        cfg = write_ini(tmp_path, "[run]\nnus = 0.1\n")
+        assert main(["experiment", "expfam_convergence", "--config", cfg,
+                     "--out", str(tmp_path / "art")]) == 0
+        assert "[PASS] poisson_fails_for_some_rate  (non-converging rates: [0.1])" in (
+            capsys.readouterr().out
+        )
 
     @pytest.mark.parametrize("rho", ["1.5", "-0.5", "nan"])
     def test_invalid_correlation_is_config_error(self, tmp_path, capsys, rho):
@@ -440,6 +484,25 @@ def test_svg_accepted_by_experiment(tmp_path):
                  "--out", str(out), "--svg"]) == 0
     manifest = json.loads((out / "gsq_equivalence" / "manifest.json").read_text())
     assert manifest["config"]["svg"] is True
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("fit", "[run]\nnu = 2\n", "run.nu: step size nu must be in (0, 1], got 2.0"),
+        ("rates", "[run]\nnu = 2\n", "run.nu: step size nu must be in (0, 1], got 2.0"),
+        ("oracle", "[oracle]\nnu = 2\n", "oracle.nu: step size nu must be in (0, 1], got 2.0"),
+        ("fit", "[run]\nmode = yes\n", "run.mode: unknown mode 'yes'"),
+        ("rates", "[run]\nmax_iter = 0\n", "run.max_iter: max_iter=0 is not an integer >= 1"),
+        ("fit", "[data]\nfamily = foo\n", "data.family names an unknown family 'foo'; "
+                                           "choose from gaussian, binomial, poisson"),
+    ],
+)
+def test_out_of_range_value_names_its_key(tmp_path, capsys, command, text, message):
+    # these used to print the library's message, which names no key
+    cfg = write_ini(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: config key {message}\n"
 
 
 @pytest.mark.parametrize("command, section", [("fit", "run"), ("oracle", "oracle")])

@@ -221,7 +221,7 @@ class TestL2Certificate:
         # loss, which an offset run never reaches
         _, y, part, path = self.run(seed, p, extra_rows, nu, shift, "offset")
         assert path.offset == np.mean(y)
-        report = _l2_certificate(part, y, path, nu)
+        report = _l2_certificate(part, y, path, BoostConfig(nu=nu))
         assert report.all_compliant, f"violated at k={report.first_violation()}"
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -236,7 +236,7 @@ class TestL2Certificate:
         self, seed, p, extra_rows, nu, shift
     ):
         X, y, part, path = self.run(seed, p, extra_rows, nu, shift, "zero")
-        report = _l2_certificate(part, y, path, nu)
+        report = _l2_certificate(part, y, path, BoostConfig(nu=nu))
         loss_opt = loss_value(l2(), y, X @ boost_limit(X, y))
         plain = check_bound(path, rate_quadratic(X.T @ X, p, nu), loss_opt)
         assert report.gamma == plain.gamma
@@ -250,13 +250,13 @@ class TestL2Certificate:
         path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=5))
         msg = f"^the gap bound covers unpenalized learners; block 1 has penalty weight {lam:g}$"
         with pytest.raises(ValueError, match=msg):
-            _l2_certificate(part, y, path, 0.5)
+            _l2_certificate(part, y, path, BoostConfig(nu=0.5))
 
     def test_zero_weight_is_no_penalty(self):
         X, y, _, _ = self.run(1, 3, 10, 0.5, 0.0, "zero")
         part = make_partition(X, [BlockSpec((0,), 0.0, np.eye(1)), BlockSpec((1, 2))])
         path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=40))
-        assert _l2_certificate(part, y, path, 0.5).all_compliant
+        assert _l2_certificate(part, y, path, BoostConfig(nu=0.5)).all_compliant
 
 
 class TestCurvatureBound:
