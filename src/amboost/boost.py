@@ -39,12 +39,6 @@ def _loss_grew(current, reference):
     return current - reference > (GUARD_GROWTH - 1.0) * max(abs(reference), 1e-12)
 
 
-def _check_schedule(nu, max_iter, min_iter):
-    """Reject ``nu`` NaN or outside (0, 1], and a ``max_iter`` not an integer >= ``min_iter``."""
-    _check_step(nu)
-    _check_count(max_iter, "max_iter", min_iter)
-
-
 @dataclass(frozen=True)
 class BoostConfig:
     """Run configuration for the boosting engine.
@@ -78,7 +72,8 @@ class BoostConfig:
     divergence_guard: bool = False
 
     def __post_init__(self):
-        _check_schedule(self.nu, self.max_iter, 1)
+        _check_step(self.nu)
+        _check_count(self.max_iter, "max_iter", 1)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.init not in INITS:
@@ -93,7 +88,9 @@ class BoostPath:
 
     ``betas`` has one row per iterate including the start, ``losses`` and
     ``grad_norms`` match it, ``selected`` has one entry per step taken
-    (``-1`` for joint updates). Each array holds exactly these iterates,
+    (``-1`` for joint updates). ``config`` is the configuration the run
+    was made with: a :class:`BoostConfig`, or the ``GbcdConfig`` of a
+    ``gbcd_gsq`` run. Each array holds exactly these iterates,
     however far short of ``max_iter`` the run stopped, and owns its data.
     A run whose ``max_iter + 1`` rows fit the recorder's 16 MiB budget
     reserves them in one allocation; when it runs to ``max_iter`` the path
@@ -106,6 +103,7 @@ class BoostPath:
     selected: np.ndarray
     grad_norms: np.ndarray
     terminated_by: str
+    config: object
     offset: float = 0.0
     numeric_error: bool = False
 
@@ -143,12 +141,13 @@ _FIRST_ROWS = 1024
 
 
 class _PathRecorder:
-    """Iterate history of one run of at most ``max_iter`` steps.
+    """Iterate history of one run made with ``config``, at most ``max_iter`` steps.
 
-    The only code that constructs a :class:`BoostPath`. Starts from the
-    initial ``(beta, loss, grad)``; every ``record`` writes step ``k`` into
-    row ``k`` of ``betas``, ``losses`` and ``grad_norms`` and its block into
-    ``selected[k - 1]``. When all ``max_iter + 1`` rows fit
+    The only code that constructs a :class:`BoostPath`, and the path
+    records ``config``. Starts from the initial ``(beta, loss, grad)``;
+    every ``record`` writes step ``k`` into row ``k`` of ``betas``,
+    ``losses`` and ``grad_norms`` and its block into ``selected[k - 1]``.
+    When all ``max_iter + 1`` rows fit
     ``_RESERVE_BYTES`` they are allocated up front, so a full run's arrays
     become the path's without a copy and no doubling holds an old and a
     new array at once. Otherwise the arrays start at ``_FIRST_ROWS`` rows
@@ -159,8 +158,9 @@ class _PathRecorder:
     the same sum of squares ``np.linalg.norm`` takes for a 1-d float vector.
     """
 
-    def __init__(self, beta, loss, grad, max_iter):
-        self._max_rows = max_iter + 1
+    def __init__(self, beta, loss, grad, config):
+        self._config = config
+        self._max_rows = config.max_iter + 1
         # a row of betas, losses and grad_norms, and an entry of selected
         row_bytes = 8 * (len(beta) + 2) + np.dtype(int).itemsize
         if self._max_rows * row_bytes <= _RESERVE_BYTES:
@@ -205,6 +205,7 @@ class _PathRecorder:
             selected=selected,
             grad_norms=grad_norms,
             terminated_by=terminated_by,
+            config=self._config,
             offset=offset,
             numeric_error=numeric_error,
         )
@@ -437,7 +438,7 @@ def run_boost(partition, loss, y, config):
             # the start predictor is the offset alone: the outcome is too large
             _check_start(y, math.inf)
         g = X.T @ y_tilde
-        rec = _PathRecorder(beta, value, g, config.max_iter)
+        rec = _PathRecorder(beta, value, g, config)
     _check_start(y, value, rec.grad_norms[0])
     start_loss = value
 

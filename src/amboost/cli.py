@@ -185,8 +185,7 @@ def _cmd_rates(args):
         raise ConfigError("rate certificates apply to the gaussian family")
     run = config["run"]
     part = make_partition(X, _blocks_from_config(run, X.shape[1]))
-    cfg = _boost_config("run", run)
-    report = _l2_certificate(part, y, run_boost(part, l2(), y, cfg), cfg)
+    report = _l2_certificate(part, y, run_boost(part, l2(), y, _boost_config("run", run)))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "rate_report.csv"

@@ -15,9 +15,9 @@ import numpy as np
 
 from .boost import (
     JOINT_SENTINEL,
+    BoostConfig,
     BoostPath,
     _BlockSolver,
-    _check_schedule,
     _check_start,
     _loss_grew,
     _PathRecorder,
@@ -227,11 +227,13 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter):
     linear predictor). Numeric blow-ups and tenfold loss growth are
     recorded as a divergence termination rather than raised; both
     returned paths carry detector verdicts. Each half-step is the joint
-    one-block step of ``run_boost`` on that model's design. A non-finite
-    design entry is a ``ValueError`` naming the mean or scale design, and
-    an outcome that overflows the start loss or gradient is one too.
+    one-block step of ``run_boost`` on that model's design, so both paths
+    record ``BoostConfig(nu=nu, max_iter=max_iter, mode="joint")``, whose
+    checks reject a bad ``nu`` or ``max_iter``. A non-finite design entry
+    is a ``ValueError`` naming the mean or scale design, and an outcome
+    that overflows the start loss or gradient is one too.
     """
-    _check_schedule(nu, max_iter, 1)
+    config = BoostConfig(nu=nu, max_iter=max_iter, mode="joint")
     # the model checks both designs before a solver sees them
     model = GaussianLSModel(X, Z, np.zeros(np.shape(X)[1:]), np.zeros(np.shape(Z)[1:]))
     y = np.asarray(y, dtype=float)
@@ -240,8 +242,8 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter):
 
     with np.errstate(over="ignore", invalid="ignore"):
         nll0, gb, gx = gauss_ls_eval(model, y)
-        mean_rec = _PathRecorder(model.beta, nll0, gb, max_iter)
-        scale_rec = _PathRecorder(model.xi, nll0, gx, max_iter)
+        mean_rec = _PathRecorder(model.beta, nll0, gb, config)
+        scale_rec = _PathRecorder(model.xi, nll0, gx, config)
     for rec in (mean_rec, scale_rec):
         _check_start(y, nll0, rec.grad_norms[0])
     terminated = "max_iter"

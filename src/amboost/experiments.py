@@ -402,8 +402,9 @@ def _scenario_rates_sweep(cfg):
         )
         y = y + X @ rng.standard_normal(p)
         part = make_partition(X, singleton_blocks(p))
-        cfg_run = BoostConfig(nu=nu, max_iter=run["check_iters"])
-        report = _l2_certificate(part, y, run_boost(part, l2(), y, cfg_run), cfg_run)
+        report = _l2_certificate(
+            part, y, run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=run["check_iters"]))
+        )
         all_ok = all_ok and report.all_compliant
         comp_rows.append(
             [trial, p, rho, report.gamma, report.all_compliant,
@@ -440,12 +441,11 @@ def _scenario_expfam_convergence(cfg):
         part = make_partition(X, singleton_blocks(p))
         series = {}
         for nu in nus:
-            cfg_run = BoostConfig(
+            path = run_boost(part, spec_fn(), y, BoostConfig(
                 nu=nu, max_iter=run["max_iter"], mode="greedy", divergence_guard=True
-            )
-            path = run_boost(part, spec_fn(), y, cfg_run)
+            ))
             verdict = divergence_detector(path, window=20)
-            curvature = hessian_ub_check(spec_fn(), part, nu, path)
+            curvature = hessian_ub_check(spec_fn(), part, path)
             results[(family, nu)] = (verdict, curvature)
             idx = _thin_indices(len(path.losses), 250)
             ks = [int(k) for k in idx]

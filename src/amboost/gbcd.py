@@ -18,13 +18,12 @@ from . import losses as losses_mod
 from .boost import (
     BoostConfig,
     _BlockSolver,
-    _check_schedule,
     _check_start,
     _PathRecorder,
     fit_block,
     run_boost,
 )
-from .design import _check_outcome
+from .design import _check_count, _check_outcome, _check_step
 
 GRADIENT_MODES = ("unpenalized", "penalized")
 
@@ -45,7 +44,8 @@ class GbcdConfig:
     gradient_of: str = "unpenalized"
 
     def __post_init__(self):
-        _check_schedule(self.nu, self.max_iter, 0)
+        _check_step(self.nu)
+        _check_count(self.max_iter, "max_iter", 0)
         if self.gradient_of not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_of {self.gradient_of!r}")
 
@@ -74,7 +74,8 @@ def gbcd_gsq(partition, loss, y, config):
 
     The recorded loss is the differentiated objective: the plain loss in
     ``'unpenalized'`` mode, the penalized objective in ``'penalized'``
-    mode. Returns the same path record as the boosting engine.
+    mode. Returns the same path record as the boosting engine, with
+    ``config`` on it.
     """
     y = losses_mod.validate_outcome(loss, _check_outcome(y, partition.n))
     solvers = _scaling_solvers(partition)
@@ -98,7 +99,7 @@ def gbcd_gsq(partition, loss, y, config):
 
     with np.errstate(over="ignore", invalid="ignore"):
         value, grad = objective_and_gradient()
-        rec = _PathRecorder(beta, value, grad, config.max_iter)
+        rec = _PathRecorder(beta, value, grad, config)
     _check_start(y, value, rec.grad_norms[0])
 
     for _ in range(config.max_iter):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
+from .boost import BoostConfig
 from .closedform import boost_limit
 from .design import _check_count, _check_step, _is_penalized, _nonzero_eigenvalues, _psd_spectrum
 from .errors import NumericError
@@ -135,18 +136,24 @@ def check_bound(path, gamma, loss_opt):
     )
 
 
-def _l2_certificate(partition, y, path, config):
-    """The gap certificate of a squared-loss run over ``partition`` made with ``config``.
+def _l2_certificate(partition, y, path):
+    """The gap certificate of a squared-loss boosting run over ``partition``.
 
     The one place that decides what such a run is held to:
-    :func:`check_bound` with ``gamma = rate_quadratic(X'X, n_blocks,
-    config.nu)`` and the least-squares loss of the model the run fits,
-    its offset ``path.offset`` held fixed. The bound covers unpenalized
-    learners taken jointly or by greedy selection only. A cyclic step may
-    take a block whose gradient is near zero, so a cyclic ``config.mode``
-    is a ``ValueError`` that says so, and a penalized block one that
-    names it.
+    :func:`check_bound` with ``gamma = rate_quadratic(X'X, n_blocks, nu)``
+    for the step size ``nu`` the run recorded in ``path.config``, and the
+    least-squares loss of the model the run fits, its offset
+    ``path.offset`` held fixed. A path whose config is not a
+    :class:`BoostConfig`, such as a ``gbcd_gsq`` path, is a
+    ``ValueError`` that says so. The bound covers unpenalized learners
+    taken jointly or by greedy selection only. A cyclic step may take a
+    block whose gradient is near zero, so a path of a cyclic run is a
+    ``ValueError`` that says so, and a penalized block one that names it.
     """
+    config = path.config
+    if not isinstance(config, BoostConfig):
+        raise ValueError("the gap bound certifies boosting runs; this path's "
+                         "config is not a BoostConfig")
     if config.mode == "cyclic":
         raise ValueError("the gap bound is a per-step bound for greedy and joint "
                          "updates; a cyclic step may take a block whose gradient is "
@@ -168,13 +175,13 @@ class CurvatureCheck:
 
     ``ratios[k, b]`` is the largest generalized eigenvalue of the loss
     curvature against the block Gram matrix at iterate k; the bound
-    requires it to stay at or below ``1/nu``. ``first_violation`` is the
-    first offending ``(k, block)`` pair, with block ``-1`` standing for
-    a numeric overflow while evaluating the curvature.
+    requires it to stay at or below ``1/nu``, with ``nu`` the step size in
+    the path's ``config``. ``first_violation`` is the first offending
+    ``(k, block)`` pair, with block ``-1`` standing for a numeric
+    overflow while evaluating the curvature.
     """
 
     ok: bool
-    nu: float
     ratios: np.ndarray
     first_violation: tuple = None
 
@@ -192,9 +199,10 @@ def _inv_sqrt_gram(X, block_id):
     return V[:, keep] * (1.0 / np.sqrt(w[keep]))[None, :]
 
 
-def hessian_ub_check(loss, partition, nu, path):
+def hessian_ub_check(loss, partition, path):
     """Check the curvature upper bound ``hessian_bb <= (1/nu) X_b' X_b``.
 
+    ``nu`` is the step size the run recorded in ``path.config``.
     Evaluates the loss curvature at every recorded iterate and compares
     its block diagonal against the scaled block Gram matrices. For the
     squared loss this holds for any step size; for the binomial loss the
@@ -210,12 +218,11 @@ def hessian_ub_check(loss, partition, nu, path):
     rule of :func:`design._nonzero_eigenvalues`, not the closed-form
     oracles' rule, which rejects a design only from about 6.7e6 at n=100.
     """
-    _check_step(nu)
     # a loop, not a comprehension, so that stacklevel=3 names the caller
     roots = []
     for b, block in enumerate(partition.blocks):
         roots.append(_inv_sqrt_gram(block.X, b))
-    limit = 1.0 / nu
+    limit = 1.0 / path.config.nu
     tol = 1e-9 * limit
     n_iter = len(path.betas)
     ratios = np.full((n_iter, partition.n_blocks), np.nan)
@@ -243,7 +250,6 @@ def hessian_ub_check(loss, partition, nu, path):
             break
     return CurvatureCheck(
         ok=first is None,
-        nu=float(nu),
         ratios=ratios[: (first[0] + 1) if first else n_iter],
         first_violation=first,
     )

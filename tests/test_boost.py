@@ -469,7 +469,7 @@ class TestGradNorms:
     )
     def test_recorder_matches_linalg_norm_bitwise(self, grads):
         grads = [np.array(g) for g in grads]
-        rec = _PathRecorder(np.zeros(1), 0.0, grads[0], len(grads) - 1)
+        rec = _PathRecorder(np.zeros(1), 0.0, grads[0], GbcdConfig(max_iter=len(grads) - 1))
         for g in grads[1:]:
             rec.record(np.zeros(1), 0, 0.0, g)
         norms = rec.path().grad_norms
@@ -492,7 +492,8 @@ class ListRecorder:
     ``path`` stacks them with ``np.asarray``.
     """
 
-    def __init__(self, beta, loss, grad, max_iter):
+    def __init__(self, beta, loss, grad, config):
+        self.config = config
         self.betas = [beta.copy()]
         self.losses = [loss]
         self.grad_norms = [math.sqrt(grad @ grad)]
@@ -511,6 +512,7 @@ class ListRecorder:
             selected=np.asarray(self.selected, dtype=int),
             grad_norms=np.asarray(self.grad_norms),
             terminated_by=terminated_by,
+            config=self.config,
             offset=offset,
             numeric_error=numeric_error,
         )
@@ -607,7 +609,7 @@ class TestPathArrays:
         # 1,024 rows double to 2,048 only up to the 1,501 a full run needs,
         # and the full arrays become the path's without a copy
         with growing_recorder():
-            rec = _PathRecorder(np.zeros(2), 0.0, np.zeros(2), 1500)
+            rec = _PathRecorder(np.zeros(2), 0.0, np.zeros(2), BoostConfig(max_iter=1500))
         assert len(rec.betas) == len(rec.selected) + 1 == boost._FIRST_ROWS
         for k in range(1, 1501):
             rec.record(np.full(2, float(k)), k % 2, float(k), np.ones(2))
@@ -621,7 +623,7 @@ class TestPathArrays:
     def test_reserves_a_path_that_fits_the_budget(self):
         # the size of a pspline_unpenalized path, 6.0 MB: one allocation of
         # 50,001 rows, handed to the path whole
-        rec = _PathRecorder(np.zeros(12), 0.0, np.zeros(12), 50_000)
+        rec = _PathRecorder(np.zeros(12), 0.0, np.zeros(12), BoostConfig(max_iter=50_000))
         arrays = (rec.betas, rec.losses, rec.selected, rec.grad_norms)
         assert [len(a) for a in arrays] == [50_001, 50_001, 50_000, 50_001]
         for k in range(1, 50_001):
@@ -633,8 +635,8 @@ class TestPathArrays:
         np.testing.assert_array_equal(path.selected, np.arange(1, 50_001) % 3)
         # at p=2,000 a row takes 16,024 bytes: 1,047 rows fit 16 MiB, 1,048 do not
         z = np.zeros(2000)
-        assert len(_PathRecorder(z, 0.0, z, 1046).betas) == 1047
-        assert len(_PathRecorder(z, 0.0, z, 1047).betas) == boost._FIRST_ROWS
+        assert len(_PathRecorder(z, 0.0, z, BoostConfig(max_iter=1046)).betas) == 1047
+        assert len(_PathRecorder(z, 0.0, z, BoostConfig(max_iter=1047)).betas) == boost._FIRST_ROWS
 
     def test_huge_max_iter_allocates_for_the_steps_taken(self):
         # rows up front for max_iter + 1 iterates would be a MemoryError
@@ -681,6 +683,22 @@ def mixed_design(seed, kinds, n=30):
     X = np.hstack(cols)
     y = X @ rng.normal(size=X.shape[1]) + rng.normal(size=n)
     return X, specs, y
+
+
+def test_each_engine_records_the_config_it_ran_with():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(30, 3))
+    y = X @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=30)
+    part = make_partition(X, singleton_blocks(3))
+    for mode in boost.MODES:
+        cfg = BoostConfig(nu=0.3, max_iter=5, mode=mode, init="offset")
+        assert run_boost(part, l2(), y, cfg).config is cfg
+    cfg = GbcdConfig(nu=0.3, max_iter=5, gradient_of="penalized")
+    assert gbcd_gsq(part, l2(), y, cfg).config is cfg
+    # each half-step of the two-model run is a joint one-block step
+    res = cyclic_boost_ls(X, X[:, :2], y, 0.3, 5)
+    joint = BoostConfig(nu=0.3, max_iter=5, mode="joint")
+    assert res.mean_path.config == res.scale_path.config == joint
 
 
 class TestGreedyMatchesResidualOracle:
@@ -1059,6 +1077,7 @@ class TestDivergenceDetector:
             selected=np.zeros(k, dtype=int),
             grad_norms=np.zeros(k + 1),
             terminated_by="max_iter",
+            config=BoostConfig(),
             numeric_error=numeric_error,
         )
 

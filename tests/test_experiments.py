@@ -332,11 +332,13 @@ class TestAnalyticNegativeControls:
         # one converging rate with a compliant curvature, one that is neither
         "expfam_convergence": ({}, {"nus": (0.02, 0.07), "max_iter": 100}),
         "gsq_equivalence": ({}, {"n_partitions": 4, "n_steps": 60}),
+        # the size of the benchmark's tiny run
+        "pspline_unpenalized": ({"n": 100, "n_knots": 6}, {"max_iter": 500, "lams": (0.01,)}),
     }
 
     @classmethod
-    def checks(cls, tmp_path, name):
-        data, run = cls.SMALL[name]
+    def checks(cls, tmp_path, name, config=None):
+        data, run = config or cls.SMALL[name]
         cfg = ExperimentConfig(experiment=name, out_dir=str(tmp_path), data=data, run=run)
         return {c["name"]: c["passed"] for c in run_experiment(cfg).checks}
 
@@ -399,8 +401,8 @@ class TestAnalyticNegativeControls:
         self.assert_only_failure(self.checks(tmp_path, "rates_sweep"), "gap_bound_holds")
 
     def test_curvature_check_fails_when_every_rate_is_compliant(self, tmp_path, monkeypatch):
-        def compliant(loss, partition, nu, path):
-            check = hessian_ub_check(loss, partition, nu, path)
+        def compliant(loss, partition, path):
+            check = hessian_ub_check(loss, partition, path)
             return dataclasses.replace(check, ok=True, first_violation=None)
 
         monkeypatch.setattr(experiments, "hessian_ub_check", compliant)
@@ -416,8 +418,8 @@ class TestAnalyticNegativeControls:
         def binomial_oscillates(path, window):
             return next(verdicts, None) or divergence_detector(path, window)
 
-        def binomial_violated(loss, partition, nu, path):
-            check = hessian_ub_check(loss, partition, nu, path)
+        def binomial_violated(loss, partition, path):
+            check = hessian_ub_check(loss, partition, path)
             if loss.family != "binomial":
                 return check
             return dataclasses.replace(check, ok=False, first_violation=(0, 0))
@@ -431,6 +433,53 @@ class TestAnalyticNegativeControls:
         monkeypatch.setattr(experiments, "divergence_detector", lambda path, window: "converging")
         checks = self.checks(tmp_path, "expfam_convergence")
         self.assert_only_failure(checks, "poisson_fails_for_some_rate")
+
+    def test_poisson_check_fails_without_the_rise_rule(self, tmp_path, monkeypatch):
+        # at nu=0.1 the Poisson loss cycles with period 3 and never grows
+        # tenfold: only the rule that a converging loss never rises names it
+        config = ({}, {"nus": (0.1,), "max_iter": 1000})
+        assert all(self.checks(tmp_path, "expfam_convergence", config).values())
+
+        def diverging_rules_only(path, window):
+            verdict = divergence_detector(path, window)
+            return "converging" if verdict == "oscillating" else verdict
+
+        monkeypatch.setattr(experiments, "divergence_detector", diverging_rules_only)
+        checks = self.checks(tmp_path, "expfam_convergence", config)
+        self.assert_only_failure(checks, "poisson_fails_for_some_rate")
+
+    def test_unpenalized_check_fails_for_a_capped_run(self, tmp_path, monkeypatch):
+        def capped(partition, loss, y, config):
+            return run_boost(partition, loss, y, dataclasses.replace(config, max_iter=20))
+
+        monkeypatch.setattr(experiments, "run_boost", capped)
+        checks = self.checks(tmp_path, "pspline_unpenalized")
+        self.assert_only_failure(checks, "boosting_reaches_unpenalized_lam_0.01")
+
+    def test_penalized_check_fails_for_the_penalized_fit(self, tmp_path, monkeypatch):
+        # the penalized solution is 1.76 from the unpenalized one, so a fit
+        # at it also fails boosting_reaches_unpenalized: this check cannot
+        # fail alone while the two solutions lie more than 1e-2 apart
+        def penalized(partition, loss, y, config):
+            path = run_boost(partition, loss, y, config)
+            (block,) = partition.blocks
+            path.betas[-1] = np.linalg.solve(block.X.T @ block.X + block.lam * block.P,
+                                             block.X.T @ y)
+            return path
+
+        monkeypatch.setattr(experiments, "run_boost", penalized)
+        checks = self.checks(tmp_path, "pspline_unpenalized")
+        assert checks.pop("boosting_reaches_unpenalized_lam_0.01") is False
+        self.assert_only_failure(checks, "boosting_avoids_penalized_lam_0.01")
+
+    def test_descent_check_fails_for_the_unpenalized_gradient(self, tmp_path, monkeypatch):
+        def unpenalized(partition, loss, y, config):
+            config = dataclasses.replace(config, gradient_of="unpenalized")
+            return gbcd.gbcd_gsq(partition, loss, y, config)
+
+        monkeypatch.setattr(experiments, "gbcd_gsq", unpenalized)
+        checks = self.checks(tmp_path, "pspline_unpenalized")
+        self.assert_only_failure(checks, "descent_reaches_penalized_lam_0.01")
 
     def test_equivalence_fails_for_cyclic_descent(self, tmp_path, monkeypatch):
         # the descent's scaled block update with blocks taken in turn

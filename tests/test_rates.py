@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from test_losses import dense_cox
 from amboost.boost import BoostConfig, divergence_detector, run_boost
 from amboost.closedform import boost_limit
 from amboost.design import BlockSpec, make_partition, single_block, singleton_blocks
+from amboost.gbcd import GbcdConfig, gbcd_gsq
 from amboost.losses import binomial, coxph, l2, loss_value, poisson
 from amboost.rates import (
     _l2_certificate,
@@ -97,10 +99,6 @@ class TestRates:
         msg = re.escape(f"step size nu must be in (0, 1], got {nu!r}")
         with pytest.raises(ValueError, match=msg):
             rate_quadratic(np.eye(2), 2, nu)
-        part = make_partition(np.eye(3)[:, :2], singleton_blocks(2))
-        path = run_boost(part, l2(), np.ones(3), BoostConfig(nu=0.5, max_iter=2))
-        with pytest.raises(ValueError, match=msg):
-            hessian_ub_check(l2(), part, nu, path)
 
 
 class TestCheckBound:
@@ -221,7 +219,7 @@ class TestL2Certificate:
         # loss, which an offset run never reaches
         _, y, part, path = self.run(seed, p, extra_rows, nu, shift, "offset")
         assert path.offset == np.mean(y)
-        report = _l2_certificate(part, y, path, BoostConfig(nu=nu))
+        report = _l2_certificate(part, y, path)
         assert report.all_compliant, f"violated at k={report.first_violation()}"
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -236,7 +234,7 @@ class TestL2Certificate:
         self, seed, p, extra_rows, nu, shift
     ):
         X, y, part, path = self.run(seed, p, extra_rows, nu, shift, "zero")
-        report = _l2_certificate(part, y, path, BoostConfig(nu=nu))
+        report = _l2_certificate(part, y, path)
         loss_opt = loss_value(l2(), y, X @ boost_limit(X, y))
         plain = check_bound(path, rate_quadratic(X.T @ X, p, nu), loss_opt)
         assert report.gamma == plain.gamma
@@ -250,13 +248,13 @@ class TestL2Certificate:
         path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=5))
         msg = f"^the gap bound covers unpenalized learners; block 1 has penalty weight {lam:g}$"
         with pytest.raises(ValueError, match=msg):
-            _l2_certificate(part, y, path, BoostConfig(nu=0.5))
+            _l2_certificate(part, y, path)
 
     def test_zero_weight_is_no_penalty(self):
         X, y, _, _ = self.run(1, 3, 10, 0.5, 0.0, "zero")
         part = make_partition(X, [BlockSpec((0,), 0.0, np.eye(1)), BlockSpec((1, 2))])
         path = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=40))
-        assert _l2_certificate(part, y, path, BoostConfig(nu=0.5)).all_compliant
+        assert _l2_certificate(part, y, path).all_compliant
 
 
 class TestCurvatureBound:
@@ -277,7 +275,7 @@ class TestCurvatureBound:
         part = make_partition(X, singleton_blocks(2))
         for nu in (0.02, 0.5, 1.0):
             path = run_boost(part, spec, y, BoostConfig(nu=nu, max_iter=200))
-            result = hessian_ub_check(spec, part, nu, path)
+            result = hessian_ub_check(spec, part, path)
             assert result.ok
 
     def test_l2_never_violates(self):
@@ -286,7 +284,7 @@ class TestCurvatureBound:
         y = rng.normal(size=30)
         part = make_partition(X, singleton_blocks(3))
         path = run_boost(part, l2(), y, BoostConfig(nu=1.0, max_iter=50))
-        assert hessian_ub_check(l2(), part, 1.0, path).ok
+        assert hessian_ub_check(l2(), part, path).ok
 
     def test_poisson_violation_before_divergence(self):
         X, y, spec = self.glm_data("poisson")
@@ -294,7 +292,7 @@ class TestCurvatureBound:
         nu = 0.07
         cfg = BoostConfig(nu=nu, max_iter=1000, divergence_guard=True)
         path = run_boost(part, spec, y, cfg)
-        result = hessian_ub_check(spec, part, nu, path)
+        result = hessian_ub_check(spec, part, path)
         assert not result.ok
         assert divergence_detector(path, window=20) != "converging"
         # the curvature bound breaks strictly before the path ends
@@ -312,7 +310,7 @@ class TestCurvatureBound:
         part = make_partition(X, [BlockSpec((0, 2)), BlockSpec((1,))])
         nu = 0.5
         path = run_boost(part, spec, events, BoostConfig(nu=nu, max_iter=30))
-        result = hessian_ub_check(spec, part, nu, path)
+        result = hessian_ub_check(spec, part, path)
         assert result.ok and result.ratios.shape == (len(path.betas), 2)
         for k, beta in enumerate(path.betas):
             H = dense_cox(spec, path.offset + X @ beta)[2]
@@ -327,7 +325,7 @@ class TestCurvatureBound:
         y = np.ones(10)
         path = run_boost(part, l2(), y, BoostConfig(nu=1.0, max_iter=3, mode="joint"))
         with pytest.warns(UserWarning, match="rank deficient"):
-            result = hessian_ub_check(l2(), part, 1.0, path)
+            result = hessian_ub_check(l2(), part, path)
         assert result.ok
 
     def test_rank_deficient_warning_names_block_position(self):
@@ -336,5 +334,58 @@ class TestCurvatureBound:
         part = make_partition(X, [BlockSpec((0,)), BlockSpec((1, 2))])
         path = run_boost(part, l2(), np.ones(10), BoostConfig(nu=1.0, max_iter=3))
         with pytest.warns(UserWarning, match="^block 1 Gram matrix is rank deficient") as rec:
-            hessian_ub_check(l2(), part, 1.0, path)
+            hessian_ub_check(l2(), part, path)
         assert rec[0].filename == __file__  # the warning points at the caller
+
+
+class TestRecordedConfig:
+    """The certificate and the curvature check read the step size and mode from the path."""
+
+    @pytest.mark.parametrize("nu", [0.1, 1.0])
+    @pytest.mark.parametrize("mode, init", [("greedy", "zero"), ("greedy", "offset"),
+                                            ("joint", "offset")])
+    def test_certificate_holds_a_run_to_its_own_step(self, mode, init, nu):
+        # the bound the certificate took with the run's config beside the path
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 4))
+        y = 3.0 + X @ rng.normal(size=4) + rng.normal(size=40)
+        part = make_partition(X, singleton_blocks(4))
+        path = run_boost(part, l2(), y, BoostConfig(nu=nu, max_iter=80, mode=mode, init=init))
+        fit = path.offset + X @ boost_limit(X, y - path.offset)
+        plain = check_bound(path, rate_quadratic(X.T @ X, 4, nu), loss_value(l2(), y, fit))
+        report = _l2_certificate(part, y, path)
+        assert report.gamma == plain.gamma
+        np.testing.assert_array_equal(report.gaps, plain.gaps)
+        np.testing.assert_array_equal(report.bounds, plain.bounds)
+
+    @pytest.mark.parametrize("family, nu", [("binomial", 1.0), ("poisson", 0.07)])
+    def test_curvature_check_compares_against_the_recorded_step(self, family, nu):
+        # the ratios do not depend on the step: a copy of the path that
+        # records a tiny one gives every iterate's, and the run's own check
+        # stops at the first that exceeds 1/nu
+        X, y, spec = TestCurvatureBound().glm_data(family)
+        part = make_partition(X, singleton_blocks(2))
+        cfg = BoostConfig(nu=nu, max_iter=300, divergence_guard=True)
+        path = run_boost(part, spec, y, cfg)
+        tiny = dataclasses.replace(path, config=dataclasses.replace(cfg, nu=1e-6))
+        full = hessian_ub_check(spec, part, tiny)
+        assert full.ok and full.ratios.shape == (len(path.betas), 2)
+        over = np.argwhere(full.ratios > (1.0 + 1e-9) / nu)
+        result = hessian_ub_check(spec, part, path)
+        assert result.ok == (over.size == 0) == (family == "binomial")
+        rows = over[0][0] + 1 if over.size else len(path.betas)
+        assert result.ratios.tobytes() == full.ratios[:rows].tobytes()
+        assert result.first_violation == (tuple(int(i) for i in over[0]) if over.size else None)
+
+    def test_descent_and_cyclic_paths_are_not_certified(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(20, 2))
+        y = rng.normal(size=20)
+        part = make_partition(X, singleton_blocks(2))
+        descent = gbcd_gsq(part, l2(), y, GbcdConfig(max_iter=5))
+        with pytest.raises(ValueError, match="^the gap bound certifies boosting runs; "
+                                             "this path's config is not a BoostConfig$"):
+            _l2_certificate(part, y, descent)
+        cyclic = run_boost(part, l2(), y, BoostConfig(nu=0.5, max_iter=5, mode="cyclic"))
+        with pytest.raises(ValueError, match="cyclic runs are not certified$"):
+            _l2_certificate(part, y, cyclic)
