@@ -128,9 +128,6 @@ class ImplicitPenalty:
     """
 
     gamma: np.ndarray
-    k: int
-    nu: float
-    lam: float
     beta_check: np.ndarray
     conditioning_warning: bool = False
 
@@ -162,7 +159,7 @@ def implicit_penalty(X, y, P, lam, nu, k):
     gamma = A_half @ (V @ (g[:, None] * V.T)) @ A_half
     gamma = 0.5 * (gamma + gamma.T)
     beta_check = np.linalg.solve(G + gamma, X.T @ y)
-    return ImplicitPenalty(gamma, int(k), float(nu), float(lam), beta_check, warning)
+    return ImplicitPenalty(gamma, beta_check, warning)
 
 
 def ridge_equivalent_lambda(sigma2, nu, k, lam=0.0):

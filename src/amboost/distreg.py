@@ -227,13 +227,14 @@ def cyclic_boost_ls(X, Z, y, nu, max_iter):
     linear predictor). Numeric blow-ups and tenfold loss growth are
     recorded as a divergence termination rather than raised; both
     returned paths carry detector verdicts. Each half-step is the joint
-    one-block step of ``run_boost`` on that model's design, so both paths
-    record ``BoostConfig(nu=nu, max_iter=max_iter, mode="joint")``, whose
-    checks reject a bad ``nu`` or ``max_iter``. A non-finite design entry
+    one-block step of ``run_boost`` on that model's design, guarded as
+    above, so both paths record ``BoostConfig(nu=nu, max_iter=max_iter,
+    mode="joint", divergence_guard=True)``, whose checks reject a bad
+    ``nu`` or ``max_iter``. A non-finite design entry
     is a ``ValueError`` naming the mean or scale design, and an outcome
     that overflows the start loss or gradient is one too.
     """
-    config = BoostConfig(nu=nu, max_iter=max_iter, mode="joint")
+    config = BoostConfig(nu=nu, max_iter=max_iter, mode="joint", divergence_guard=True)
     # the model checks both designs before a solver sees them
     model = GaussianLSModel(X, Z, np.zeros(np.shape(X)[1:]), np.zeros(np.shape(Z)[1:]))
     y = np.asarray(y, dtype=float)

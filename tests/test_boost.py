@@ -695,9 +695,9 @@ def test_each_engine_records_the_config_it_ran_with():
         assert run_boost(part, l2(), y, cfg).config is cfg
     cfg = GbcdConfig(nu=0.3, max_iter=5, gradient_of="penalized")
     assert gbcd_gsq(part, l2(), y, cfg).config is cfg
-    # each half-step of the two-model run is a joint one-block step
+    # each half-step of the two-model run is a guarded joint one-block step
     res = cyclic_boost_ls(X, X[:, :2], y, 0.3, 5)
-    joint = BoostConfig(nu=0.3, max_iter=5, mode="joint")
+    joint = BoostConfig(nu=0.3, max_iter=5, mode="joint", divergence_guard=True)
     assert res.mean_path.config == res.scale_path.config == joint
 
 

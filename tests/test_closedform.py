@@ -417,7 +417,6 @@ class TestOnePenaltyReading:
                                       penalized_boost_path(X, y, eye, lam, nu, k))
         ip = implicit_penalty(X, y, None, lam, nu, k)
         ip_eye = implicit_penalty(X, y, eye, lam, nu, k)
-        assert ip.lam == ip_eye.lam == lam
         np.testing.assert_array_equal(ip.gamma, ip_eye.gamma)
         np.testing.assert_array_equal(ip.beta_check, ip_eye.beta_check)
         part = make_partition(X, single_block(p, lam))

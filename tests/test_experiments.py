@@ -491,6 +491,20 @@ class TestAnalyticNegativeControls:
         checks = self.checks(tmp_path, "gsq_equivalence")
         assert checks == {"greedy_boosting_equals_quadratic_norm_descent": False}
 
+    def test_equivalence_fails_for_a_one_ulp_coefficient(self, tmp_path, monkeypatch):
+        # the check is exact: a 1e-12 relative tolerance used to pass this
+        real = gbcd.gbcd_gsq
+
+        def nudged(partition, loss, y, config):
+            path = real(partition, loss, y, config)
+            j = int(np.argmax(np.abs(path.betas[-1])))
+            path.betas[-1, j] = np.nextafter(path.betas[-1, j], np.inf)
+            return path
+
+        monkeypatch.setattr(gbcd, "gbcd_gsq", nudged)
+        checks = self.checks(tmp_path, "gsq_equivalence")
+        assert checks == {"greedy_boosting_equals_quadratic_norm_descent": False}
+
 
 class TestReport:
     def test_report_lists_files_with_rows(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amboost import gbcd
 from amboost.boost import BoostConfig, run_boost
 from amboost.closedform import boost_limit
 from amboost.design import (
@@ -14,7 +15,9 @@ from amboost.design import (
     singleton_blocks,
 )
 from amboost.gbcd import GbcdConfig, equivalence_check, gbcd_gsq
-from amboost.losses import binomial, l2
+from amboost.losses import binomial, l2, poisson
+
+FAMILIES = {"l2": l2, "binomial": binomial, "poisson": poisson}
 
 
 def random_partition(rng, n, p, max_block=4):
@@ -46,14 +49,23 @@ class TestBoostingEquivalence:
         max_block=st.integers(1, 5),
         nu=st.floats(0.05, 1.0),
         n_steps=st.integers(1, 80),
+        family=st.sampled_from(sorted(FAMILIES)),
     )
     def test_greedy_boosting_is_gbcd_over_random_partitions(
-        self, seed, n, p, max_block, nu, n_steps
+        self, seed, n, p, max_block, nu, n_steps, family
     ):
         rng = np.random.default_rng(seed)
         part = random_partition(rng, n, p, max_block)
-        report = equivalence_check(part, l2(), rng.normal(size=n), nu, n_steps)
+        if family == "l2":
+            y = rng.normal(size=n)
+        else:
+            # a small step keeps the exponential-family runs from overflowing
+            nu = 0.05
+            y = (rng.binomial(1, 0.5, size=n) if family == "binomial"
+                 else rng.poisson(1.0, size=n)).astype(float)
+        report = equivalence_check(part, FAMILIES[family](), y, nu, n_steps)
         assert report.identical, report
+        assert report.n_compared == n_steps + 1
 
     def test_singleton_blocks_match(self):
         rng = np.random.default_rng(1)
@@ -62,6 +74,15 @@ class TestBoostingEquivalence:
         y = rng.normal(size=30)
         report = equivalence_check(part, l2(), y, 0.3, n_steps=200)
         assert report.identical
+
+    def test_tall_design_matches(self):
+        # X'r at n=20,000 is large enough that OpenBLAS splits it across
+        # threads; CI also runs this case with OPENBLAS_NUM_THREADS=2
+        rng = np.random.default_rng(5)
+        part = random_partition(rng, 20_000, 12)
+        report = equivalence_check(part, l2(), rng.normal(size=20_000), 0.5, 40)
+        assert report.identical, report
+        assert report.n_compared == 41
 
     def test_zero_steps_trivially_identical(self):
         rng = np.random.default_rng(2)
@@ -99,9 +120,34 @@ class TestBoostingEquivalence:
             part, binomial(), y, GbcdConfig(nu=0.2, max_iter=100)
         )
         np.testing.assert_array_equal(boost_path.selected, gbcd_path.selected)
-        np.testing.assert_allclose(
-            boost_path.betas, gbcd_path.betas, rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(boost_path.betas, gbcd_path.betas)
+
+    def test_one_ulp_is_a_difference(self, monkeypatch):
+        # a relative tolerance of 1e-12 would pass this descent path
+        real = gbcd.gbcd_gsq
+
+        def nudged(partition, loss, y, config):
+            path = real(partition, loss, y, config)
+            j = int(np.argmax(np.abs(path.betas[-1])))
+            path.betas[-1, j] = np.nextafter(path.betas[-1, j], np.inf)
+            return path
+
+        monkeypatch.setattr(gbcd, "gbcd_gsq", nudged)
+        rng = np.random.default_rng(9)
+        part = random_partition(rng, 40, 6)
+        report = equivalence_check(part, l2(), rng.normal(size=40), 0.5, 30)
+        assert not report.identical
+        assert report.first_index == 30
+        assert report.detail.startswith("max coefficient gap")
+
+    @pytest.mark.parametrize("penalty", [None, difference_penalty(2, 1)])
+    def test_penalized_partition_rejected(self, penalty):
+        rng = np.random.default_rng(11)
+        part = make_partition(rng.normal(size=(20, 3)),
+                              [BlockSpec((0,)), BlockSpec((1, 2), 5.0, penalty)])
+        with pytest.raises(ValueError, match="^the equivalence covers unpenalized "
+                                             "learners; block 1 has penalty weight 5$"):
+            equivalence_check(part, l2(), rng.normal(size=20), 0.5, 10)
 
 
 class TestPenalizedObjective:
