@@ -2,7 +2,7 @@
 
 Fits base learners against the negative functional gradient, selects
 blocks greedily, jointly or cyclically, applies damped updates and
-records the full parameter path. Also provides boosting with generic
+records the parameter path. Also provides boosting with generic
 full-rank linear smoothers and a divergence detector for the paths.
 """
 
@@ -19,6 +19,7 @@ from .design import (
     _check_count,
     _check_outcome,
     _check_step,
+    _is_integer,
     _is_penalized,
     _nonzero_singular_values,
     _psd_spectrum,
@@ -84,14 +85,18 @@ class BoostConfig:
 
 @dataclass
 class BoostPath:
-    """Full iterate history of one boosting run.
+    """Iterate history of one boosting run.
 
-    ``betas`` has one row per iterate including the start, ``losses`` and
-    ``grad_norms`` match it, ``selected`` has one entry per step taken
-    (``-1`` for joint updates). ``config`` is the configuration the run
-    was made with: a :class:`BoostConfig`, or the ``GbcdConfig`` of a
-    ``gbcd_gsq`` run. Each array holds exactly these iterates,
-    however far short of ``max_iter`` the run stopped, and owns its data.
+    ``losses`` and ``grad_norms`` have one entry per iterate including the
+    start, ``selected`` one per step taken (``-1`` for joint updates).
+    ``betas`` has one row per iterate too, unless the run kept only some
+    coefficients (``run_boost``'s ``betas_at``): then ``iterates`` lists,
+    in increasing order, the iterate each row of ``betas`` belongs to, and
+    always ends at the final one; it is ``None`` for a full path.
+    ``config`` is the configuration the run was made with: a
+    :class:`BoostConfig`, or the ``GbcdConfig`` of a ``gbcd_gsq`` run.
+    Each array holds exactly these iterates, however far short of
+    ``max_iter`` the run stopped, and owns its data.
     A run whose ``max_iter + 1`` rows fit the recorder's 16 MiB budget
     reserves them in one allocation; when it runs to ``max_iter`` the path
     holds those arrays, and one that stops early holds copies cut to its
@@ -106,30 +111,47 @@ class BoostPath:
     config: object
     offset: float = 0.0
     numeric_error: bool = False
+    iterates: np.ndarray | None = None
 
     @property
     def n_steps(self):
-        return len(self.betas) - 1
+        return len(self.losses) - 1
 
     @property
     def final(self):
         return self.betas[-1]
 
-    def table(self, index=None):
-        """``(header, rows)`` of the iterates listed in ``index`` (default all).
+    def _row(self, k):
+        """The row of ``betas`` that holds iterate ``k``; any other ``k`` is a ValueError."""
+        if not _is_integer(k) or not 0 <= k <= self.n_steps:
+            raise ValueError(f"index {k!r} is not an iterate of this {self.n_steps}-step path")
+        if self.iterates is None:
+            return k
+        row = int(np.searchsorted(self.iterates, k))
+        if self.iterates[row] != k:
+            raise ValueError(f"iterate {k} is not among the coefficients this path kept")
+        return row
 
-        Columns: k, loss, selected_block (blank at the start iterate),
-        grad_norm, beta_1..beta_p.
+    def table(self, index=None):
+        """``(header, rows)`` of the iterates listed in ``index``.
+
+        The default is every iterate whose coefficients the path holds:
+        all of them, or ``iterates`` on a thinned path. An entry that is
+        not an iterate of the path, or one whose coefficients it did not
+        keep, is a ``ValueError`` that names it. Columns: k, loss,
+        selected_block (blank at the start iterate), grad_norm,
+        beta_1..beta_p.
         """
         header = ["k", "loss", "selected_block", "grad_norm"]
         header += [f"beta_{j + 1}" for j in range(self.betas.shape[1])]
         if index is None:
-            index = range(len(self.betas))
+            index = range(len(self.betas)) if self.iterates is None else self.iterates
+        picked = [(k, self._row(k)) for k in index]
         rows = [
             [int(k), float(self.losses[k]),
              "" if k == 0 else int(self.selected[k - 1]),
-             float(self.grad_norms[k])] + [float(v) for v in self.betas[k]]
-            for k in index
+             float(self.grad_norms[k])] + [float(v) for v in self.betas[row]]
+            for k, row in picked
         ]
         return header, rows
 
@@ -156,18 +178,32 @@ class _PathRecorder:
     in 2 MiB steps, even for a run that stops after a few steps; the
     budget bounds that cost. The gradient norm is ``sqrt(grad @ grad)``,
     the same sum of squares ``np.linalg.norm`` takes for a 1-d float vector.
+
+    ``betas_at``, the checked increasing iterates of ``run_boost``, thins
+    the coefficients: ``betas`` is then ``len(betas_at) + 1`` rows
+    allocated once, never grown, and left out of the reservation rule.
+    Each iterate is written into the first row not yet kept, which it
+    keeps when listed, so the last row holds the latest iterate and the
+    path ends at the final one. ``losses``, ``grad_norms`` and ``selected``
+    are recorded at every iterate as before.
     """
 
-    def __init__(self, beta, loss, grad, config):
+    def __init__(self, beta, loss, grad, config, betas_at=None):
         self._config = config
         self._max_rows = config.max_iter + 1
+        self._keep = None
         # a row of betas, losses and grad_norms, and an entry of selected
         row_bytes = 8 * (len(beta) + 2) + np.dtype(int).itemsize
+        if betas_at is not None:
+            # the listed iterates, then one that never matches; _kept indexes it
+            self._keep, self._kept = [int(k) for k in betas_at] + [-1], 0
+            self._write = self._write_thinned
+            row_bytes -= 8 * len(beta)
         if self._max_rows * row_bytes <= _RESERVE_BYTES:
             rows = self._max_rows
         else:
             rows = min(_FIRST_ROWS, self._max_rows)
-        self.betas = np.empty((rows, len(beta)))
+        self.betas = np.empty((rows if self._keep is None else len(self._keep), len(beta)))
         self.losses = np.empty(rows)
         self.grad_norms = np.empty(rows)
         self.selected = np.empty(rows - 1, dtype=int)
@@ -179,12 +215,20 @@ class _PathRecorder:
         self.losses[k] = loss
         self.grad_norms[k] = math.sqrt(grad @ grad)
 
+    def _write_thinned(self, k, beta, loss, grad):
+        self.betas[self._kept] = beta
+        if k == self._keep[self._kept]:
+            self._kept += 1
+        self.losses[k] = loss
+        self.grad_norms[k] = math.sqrt(grad @ grad)
+
     def record(self, beta, selected, loss, grad):
         k = self.n_steps = self.n_steps + 1
         if k == len(self.losses):
-            # every array is full; each grows by the same number of rows
+            # every array of iterates is full; each grows by the same number of rows
             grow = min(k, self._max_rows - k)
-            for name in ("betas", "losses", "grad_norms", "selected"):
+            names = ("losses", "grad_norms", "selected")
+            for name in names + (("betas",) if self._keep is None else ()):
                 old = getattr(self, name)
                 new = np.empty((len(old) + grow,) + old.shape[1:], old.dtype)
                 new[: len(old)] = old
@@ -193,21 +237,29 @@ class _PathRecorder:
         self._write(k, beta, loss, grad)
 
     def path(self, terminated_by="max_iter", offset=0.0, numeric_error=False):
-        spare = len(self.losses) - (self.n_steps + 1)
-        # full arrays become the path's; partly filled ones are cut to copies
-        betas, losses, selected, grad_norms = (
-            a[: len(a) - spare].copy() if spare else a
-            for a in (self.betas, self.losses, self.selected, self.grad_norms)
-        )
+        rows = self.n_steps + 1
+        iterates = None
+        if self._keep is not None:
+            # the final iterate is kept, or sits in the first row not kept
+            iterates = self._keep[: self._kept]
+            if iterates[-1:] != [self.n_steps]:
+                iterates.append(self.n_steps)
+            iterates = np.array(iterates)
+
+        def cut(a, n):
+            # a full array becomes the path's; a partly filled one is cut to a copy
+            return a if len(a) == n else a[:n].copy()
+
         return BoostPath(
-            betas=betas,
-            losses=losses,
-            selected=selected,
-            grad_norms=grad_norms,
+            betas=cut(self.betas, rows if iterates is None else len(iterates)),
+            losses=cut(self.losses, rows),
+            selected=cut(self.selected, rows - 1),
+            grad_norms=cut(self.grad_norms, rows),
             terminated_by=terminated_by,
             config=self._config,
             offset=offset,
             numeric_error=numeric_error,
+            iterates=iterates,
         )
 
 
@@ -369,8 +421,18 @@ def select_block(partition, y_tilde):
     return int(np.argmin(sse / partition.n))
 
 
-def run_boost(partition, loss, y, config):
-    """Run the boosting algorithm and record the full path.
+def _check_betas_at(betas_at, max_iter):
+    """Reject a ``betas_at`` entry that is not an iterate after the one before it."""
+    prev = -1
+    for i, k in enumerate(betas_at):
+        if not _is_integer(k) or not prev < k <= max_iter:
+            raise ValueError(f"betas_at[{i}]={k!r} is not an integer in [{prev + 1}, "
+                             f"{max_iter}]: it lists iterates in increasing order")
+        prev = k
+
+
+def run_boost(partition, loss, y, config, *, betas_at=None):
+    """Run the boosting algorithm and record the path.
 
     Every step works in parameter space from the gradient
     ``g = X^T y_tilde``, one pass over the design that also gives the
@@ -398,12 +460,21 @@ def run_boost(partition, loss, y, config):
     y : array
         Outcome vector.
     config : BoostConfig
+    betas_at : sequence of int, optional
+        The iterates whose coefficients the path keeps, increasing, from
+        0 to ``config.max_iter``; the final iterate is always kept. By
+        default all are. A thinned path still records ``losses``,
+        ``grad_norms`` and ``selected`` at every iterate, so ``n_steps``
+        and every reader of those is unchanged; ``betas`` holds the kept
+        rows, ``iterates`` names them and ``table`` reads only them.
 
     Returns
     -------
     BoostPath
     """
     y = losses_mod.validate_outcome(loss, _check_outcome(y, partition.n))
+    if betas_at is not None:
+        _check_betas_at(betas_at, config.max_iter)
 
     X = partition.X
     mode, nu = config.mode, config.nu
@@ -438,7 +509,7 @@ def run_boost(partition, loss, y, config):
             # the start predictor is the offset alone: the outcome is too large
             _check_start(y, math.inf)
         g = X.T @ y_tilde
-        rec = _PathRecorder(beta, value, g, config)
+        rec = _PathRecorder(beta, value, g, config, betas_at)
     _check_start(y, value, rec.grad_norms[0])
     start_loss = value
 

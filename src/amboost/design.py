@@ -250,9 +250,14 @@ def _check_step(nu):
         raise ValueError(f"step size nu must be in (0, 1], got {nu!r}")
 
 
+def _is_integer(value):
+    """An int or a numpy integer; ``bool`` is an ``Integral`` but never a count or an index."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(value, what, minimum):
     """Reject a count that is not an integer ``>= minimum``; ``bool``, ``2.0`` and NaN fail."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if not _is_integer(value) or value < minimum:
         raise ValueError(f"{what}={value!r} is not an integer >= {minimum}")
 
 

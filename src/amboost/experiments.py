@@ -226,9 +226,10 @@ def _scenario_path_matching(cfg):
             for k in range(1, len(path.betas))
         ]
     )
+    # rows made as write_csv takes them, not held as 10,000 lists
     tables["ridge_mismatch"] = (
         ["k", "min_gap_over_grid"],
-        [[k + 1, float(g)] for k, g in enumerate(min_gaps)],
+        ([k + 1, float(g)] for k, g in enumerate(min_gaps)),
     )
     worst = float(min_gaps.max())
     checks.append(
@@ -296,11 +297,14 @@ def _scenario_pspline_unpenalized(cfg):
     B = bspline_basis(fit_grid, spec)
 
     summary_rows = []
+    # each path keeps only the coefficients its table writes
+    idx = _thin_indices(run["max_iter"] + 1)
     for lam in run["lams"]:
         part = make_partition(X, [pspline_block_spec(range(spec.n_basis), spec, lam)])
         path = run_boost(
             part, l2(), y,
             BoostConfig(nu=run["nu"], max_iter=run["max_iter"], mode="joint"),
+            betas_at=idx,
         )
         beta_pls = np.linalg.solve(X.T @ X + lam * P, X.T @ y)
         gbcd_path = gbcd_gsq(
@@ -314,7 +318,7 @@ def _scenario_pspline_unpenalized(cfg):
         d_gbcd = float(np.linalg.norm(gbcd_path.final - beta_pls))
         pen_size = lam * float(np.linalg.norm(P @ beta_ols))
         tag = f"lam_{lam:g}"
-        tables[f"boost_path_{tag}"] = path.table(_thin_indices(len(path.betas)))
+        tables[f"boost_path_{tag}"] = path.table()
         summary_rows.append([lam, d_unpen, d_pen, d_gbcd, pen_size])
         checks.append(
             _check(
@@ -347,8 +351,8 @@ def _scenario_pspline_unpenalized(cfg):
             xlabel="x",
             ylabel="fit",
         )
-        # the tables hold the thinned rows and the charts the final fit:
-        # free both full paths before the next penalty records its own
+        # the tables hold the kept rows and the charts the final fit:
+        # free both paths before the next penalty records its own
         del path, gbcd_path
     tables["summary"] = (
         ["lam", "dist_unpenalized", "dist_penalized", "dist_descent_penalized",

@@ -141,12 +141,17 @@ def equivalence_check(partition, loss, y, nu, n_steps):
     learners the two compute the same scores and updates in the same
     order, for every loss family. A penalized block is a ``ValueError``
     that names it, since boosting scores such a block by its fit's loss
-    decrease and descent by ``g' H^{-1} g``.
+    decrease and descent by ``g' H^{-1} g``. ``nu``, ``y`` and
+    ``n_steps`` (an integer >= 0) are checked as the engines check them,
+    also at ``n_steps=0``, where no engine runs.
     """
     for b, block in enumerate(partition.blocks):
         if _is_penalized(block.P, block.lam):
             raise ValueError(f"the equivalence covers unpenalized learners; "
                              f"block {b} has penalty weight {block.lam:g}")
+    _check_step(nu)
+    y = losses_mod.validate_outcome(loss, _check_outcome(y, partition.n))
+    _check_count(n_steps, "n_steps", 0)
     if n_steps == 0:
         return EquivalenceReport(identical=True, n_compared=0)
     boost_cfg = BoostConfig(nu=nu, max_iter=n_steps, mode="greedy")

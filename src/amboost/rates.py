@@ -217,7 +217,12 @@ def hessian_ub_check(loss, partition, path):
     positive eigenspace with a "rank deficient" warning. That is the PSD
     rule of :func:`design._nonzero_eigenvalues`, not the closed-form
     oracles' rule, which rejects a design only from about 6.7e6 at n=100.
+    A thinned path (``run_boost``'s ``betas_at``) is a ``ValueError``:
+    the check needs the coefficients of every iterate.
     """
+    if path.iterates is not None:
+        raise ValueError("hessian_ub_check needs the coefficients of every iterate; "
+                         "this path kept only some (betas_at)")
     # a loop, not a comprehension, so that stacklevel=3 names the caller
     roots = []
     for b, block in enumerate(partition.blocks):

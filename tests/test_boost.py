@@ -457,6 +457,26 @@ class TestRunBoost:
         assert full[2] == [2, path.losses[2], int(path.selected[1]),
                            path.grad_norms[2], *path.betas[2]]
 
+    def test_table_rejects_what_is_not_an_iterate(self):
+        # -1 must not wrap round to the final row, nor 5 be a bare IndexError
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(20, 3))
+        part = make_partition(X, singleton_blocks(3))
+        cfg = BoostConfig(nu=0.5, max_iter=4)
+        path = run_boost(part, l2(), rng.normal(size=20), cfg)
+        for bad in (-1, 5, 2.0, True, None):
+            with pytest.raises(ValueError, match=rf"^index {bad!r} is not an iterate of this "
+                                                 r"4-step path$"):
+                path.table([0, bad])
+        thinned = run_boost(part, l2(), rng.normal(size=20), cfg, betas_at=[1, 3])
+        assert [row[0] for row in thinned.table()[1]] == [1, 3, 4]
+        for bad in (0, 2):
+            with pytest.raises(ValueError, match=rf"^iterate {bad} is not among the "
+                                                 "coefficients this path kept$"):
+                thinned.table([bad])
+        with pytest.raises(ValueError, match="^index 5 is not an iterate"):
+            thinned.table([5])
+
 
 class TestGradNorms:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -492,7 +512,8 @@ class ListRecorder:
     ``path`` stacks them with ``np.asarray``.
     """
 
-    def __init__(self, beta, loss, grad, config):
+    def __init__(self, beta, loss, grad, config, betas_at=None):
+        assert betas_at is None
         self.config = config
         self.betas = [beta.copy()]
         self.losses = [loss]
@@ -538,6 +559,7 @@ def assert_path_bitwise(path, reference):
     assert (path.terminated_by, path.offset, path.numeric_error) == (
         reference.terminated_by, reference.offset, reference.numeric_error
     )
+    assert path.iterates is None
 
 
 def growing_recorder():
@@ -652,6 +674,113 @@ class TestPathArrays:
         assert_path_bitwise(path, run_boost(part, l2(), y, cfg))
         with growing_recorder():
             assert_path_bitwise(path, run_boost(part, l2(), y, cfg))
+
+
+def thinning_case(name):
+    """``(partition, loss, y, config)`` of one run the thinning property covers."""
+    if name in ("joint", "greedy", "cyclic"):
+        X, specs, y = mixed_design(23, ["singleton", "ridge", "singleton", "pspline"])
+        cfg = BoostConfig(nu=0.3, max_iter=60, mode=name, init="offset")
+        return make_partition(X, specs), l2(), y, cfg
+    if name == "stop_tol":  # stops on tol after 50 steps
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 4))
+        y = X @ rng.normal(size=4) + rng.normal(size=30)
+        cfg = BoostConfig(nu=0.3, max_iter=200, stop_tol=1e-2)
+        return make_partition(X, singleton_blocks(4)), l2(), y, cfg
+    if name == "loss_growth":  # the guard stops it after 8 steps
+        rng = np.random.default_rng(3)
+        x1 = rng.normal(size=40)
+        X = np.column_stack([x1, 0.5 * x1 + np.sqrt(0.75) * rng.normal(size=40)])
+        y = rng.poisson(np.exp(np.clip(X @ np.array([3.0, -2.0]), None, 15.0))).astype(float)
+        cfg = BoostConfig(nu=0.1, max_iter=300, divergence_guard=True)
+        return make_partition(X, singleton_blocks(2)), poisson(), y, cfg
+    # the data of test_divergence_guard_captures_overflow: a numeric error at step 1
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(30, 2)) * 3.0
+    y = rng.poisson(np.exp(np.clip(X @ np.array([2.0, -1.5]), None, 20.0))).astype(float)
+    cfg = BoostConfig(nu=1.0, max_iter=50, divergence_guard=True)
+    return make_partition(X, singleton_blocks(2)), poisson(), y, cfg
+
+
+class TestThinnedPaths:
+    """A path that keeps some coefficient rows against the full path of the same run."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(),
+           name=st.sampled_from(["joint", "greedy", "cyclic", "stop_tol", "loss_growth",
+                                 "numeric_error"]))
+    def test_thinned_path_matches_the_full_path(self, data, name):
+        part, loss, y, cfg = thinning_case(name)
+        betas_at = sorted(data.draw(st.sets(st.integers(0, cfg.max_iter), max_size=30)))
+        full = run_boost(part, loss, y, cfg)
+        thinned = run_boost(part, loss, y, cfg, betas_at=betas_at)
+        kept = [k for k in betas_at if k <= full.n_steps]
+        kept += [] if kept[-1:] == [full.n_steps] else [full.n_steps]
+        assert thinned.iterates.tolist() == kept
+        assert repr(thinned.table()) == repr(full.table(kept))
+        assert thinned.betas.tobytes() == full.betas[kept].tobytes()
+        assert thinned.final.tobytes() == full.final.tobytes()
+        for field in ("losses", "grad_norms", "selected"):
+            got, want = getattr(thinned, field), getattr(full, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (thinned.n_steps, thinned.terminated_by, thinned.numeric_error,
+                thinned.offset) == (full.n_steps, full.terminated_by, full.numeric_error,
+                                    full.offset)
+        assert all(getattr(thinned, f).flags.owndata
+                   for f in ("betas", "losses", "grad_norms", "selected", "iterates"))
+
+    def test_cases_stop_as_named(self):
+        stops = {name: run_boost(*thinning_case(name))
+                 for name in ("stop_tol", "loss_growth", "numeric_error")}
+        assert [(p.terminated_by, p.n_steps, p.numeric_error) for p in stops.values()] == [
+            ("tol", 50, False), ("divergence", 8, False), ("divergence", 0, True)]
+
+    @pytest.mark.parametrize("betas_at, message", [
+        ([3, 1], r"^betas_at\[1\]=1 is not an integer in \[4, 4\]"),
+        ([1, 1], r"^betas_at\[1\]=1 is not an integer in \[2, 4\]"),
+        ([-1, 2], r"^betas_at\[0\]=-1 is not an integer in \[0, 4\]"),
+        ([0, 5], r"^betas_at\[1\]=5 is not an integer in \[1, 4\]"),
+        ([0, 2.0], r"^betas_at\[1\]=2\.0 is not an integer"),
+        ([True], r"^betas_at\[0\]=True is not an integer"),
+    ], ids=["decreasing", "repeated", "negative", "beyond_max_iter", "float", "bool"])
+    def test_malformed_betas_at_rejected(self, betas_at, message):
+        rng = np.random.default_rng(18)
+        part = make_partition(rng.normal(size=(10, 2)), singleton_blocks(2))
+        with pytest.raises(ValueError, match=message):
+            run_boost(part, l2(), rng.normal(size=10), BoostConfig(max_iter=4),
+                      betas_at=betas_at)
+
+    def test_kept_rows_never_grow_while_the_rest_does(self):
+        # 1,024 rows of losses double past 2,048; the two coefficient rows stay
+        with growing_recorder():
+            rec = _PathRecorder(np.zeros(2), 0.0, np.zeros(2), BoostConfig(max_iter=2500),
+                                betas_at=[3])
+        betas = rec.betas
+        assert betas.shape == (2, 2) and len(rec.losses) == boost._FIRST_ROWS
+        for k in range(1, 2501):
+            rec.record(np.full(2, float(k)), k % 2, float(k), np.ones(2))
+        assert rec.betas is betas and len(rec.losses) == 2501
+        path = rec.path()
+        assert path.iterates.tolist() == [3, 2500] and path.n_steps == 2500
+        np.testing.assert_array_equal(path.betas, [[3.0, 3.0], [2500.0, 2500.0]])
+        np.testing.assert_array_equal(path.losses, np.arange(2501.0))
+        # the budget counts only the rows that grow: at p=2,000 a full path of
+        # 1,048 rows does not fit 16 MiB, a thinned one reserves them all
+        z = np.zeros(2000)
+        assert len(_PathRecorder(z, 0.0, z, BoostConfig(max_iter=1047), []).losses) == 1048
+
+    def test_long_thinned_run_matches_the_full_run(self):
+        X, specs, y = mixed_design(23, ["singleton", "ridge", "singleton"])
+        part = make_partition(X, specs)
+        cfg = BoostConfig(nu=0.01, max_iter=2500)
+        full = run_boost(part, l2(), y, cfg)
+        with growing_recorder():
+            thinned = run_boost(part, l2(), y, cfg, betas_at=[0, 1023, 1024, 2048, 2500])
+        assert thinned.iterates.tolist() == [0, 1023, 1024, 2048, 2500]
+        assert thinned.betas.tobytes() == full.betas[thinned.iterates].tobytes()
+        for field in ("losses", "grad_norms", "selected"):
+            assert getattr(thinned, field).tobytes() == getattr(full, field).tobytes()
 
 
 def mixed_design(seed, kinds, n=30):

@@ -209,6 +209,24 @@ class TestRunExperiment:
         artifact = run_experiment(cfg)
         assert artifact.all_passed
 
+    def test_pspline_paths_keep_only_the_written_rows(self, tmp_path, monkeypatch):
+        paths = []
+
+        def kept(*args, **kwargs):
+            paths.append(run_boost(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(experiments, "run_boost", kept)
+        cfg = ExperimentConfig(experiment="pspline_unpenalized", out_dir=str(tmp_path),
+                               data={"n": 100, "n_knots": 6},
+                               run={"max_iter": 500, "lams": (0.01, 1.0)})
+        artifact = run_experiment(cfg)
+        assert len(paths) == 2
+        for path in paths:
+            assert path.n_steps == 500 and path.betas.shape[0] == 250
+            assert path.iterates.tolist() == experiments._thin_indices(501).tolist()
+        assert artifact.manifest["files"]["boost_path_lam_1"]["rows"] == 250
+
     def test_distreg_scenario(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="distreg_divergence",
@@ -449,7 +467,8 @@ class TestAnalyticNegativeControls:
         self.assert_only_failure(checks, "poisson_fails_for_some_rate")
 
     def test_unpenalized_check_fails_for_a_capped_run(self, tmp_path, monkeypatch):
-        def capped(partition, loss, y, config):
+        def capped(partition, loss, y, config, betas_at):
+            # a run cut at 20 steps, which keeps all 21 of its iterates
             return run_boost(partition, loss, y, dataclasses.replace(config, max_iter=20))
 
         monkeypatch.setattr(experiments, "run_boost", capped)
@@ -460,8 +479,8 @@ class TestAnalyticNegativeControls:
         # the penalized solution is 1.76 from the unpenalized one, so a fit
         # at it also fails boosting_reaches_unpenalized: this check cannot
         # fail alone while the two solutions lie more than 1e-2 apart
-        def penalized(partition, loss, y, config):
-            path = run_boost(partition, loss, y, config)
+        def penalized(partition, loss, y, config, betas_at):
+            path = run_boost(partition, loss, y, config, betas_at=betas_at)
             (block,) = partition.blocks
             path.betas[-1] = np.linalg.solve(block.X.T @ block.X + block.lam * block.P,
                                              block.X.T @ y)

@@ -258,6 +258,22 @@ class TestValidation:
             with pytest.raises(ValueError, match=r"^outcome of magnitude 1e\+308 overflows"):
                 gbcd_gsq(part, l2(), np.array([1e308, 1e308, -1e308]), GbcdConfig())
 
+    @pytest.mark.parametrize("family, y, nu, n_steps, message", [
+        ("l2", None, 5.0, 0, r"^step size nu must be in \(0, 1\], got 5\.0$"),
+        ("l2", None, float("nan"), 0, r"^step size nu must be in \(0, 1\], got nan$"),
+        ("l2", np.full(20, np.nan), 0.5, 0, r"^outcome contains a non-finite value at index 0$"),
+        ("binomial", np.full(20, 2.0), 0.5, 0, r"^binomial outcomes must be 0 or 1$"),
+        ("l2", None, 0.5, 2.5, r"^n_steps=2\.5 is not an integer >= 0$"),
+    ], ids=["nu_5", "nu_nan", "nan_outcome", "binomial_not_0_1", "fractional_n_steps"])
+    def test_equivalence_check_rejects_bad_input_at_zero_steps(self, family, y, nu, n_steps,
+                                                              message):
+        # checked also at zero steps, where neither engine runs
+        rng = np.random.default_rng(2)
+        part = random_partition(rng, 20, 4)
+        y = rng.normal(size=20) if y is None else y
+        with pytest.raises(ValueError, match=message):
+            equivalence_check(part, FAMILIES[family](), y, nu, n_steps)
+
     def test_config_validation(self):
         for bad in (dict(nu=0.0), dict(nu=float("nan")), dict(nu=float("inf")),
                     dict(max_iter=-1), dict(max_iter=2.5), dict(max_iter=2.0)):

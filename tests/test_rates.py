@@ -328,6 +328,16 @@ class TestCurvatureBound:
             result = hessian_ub_check(l2(), part, path)
         assert result.ok
 
+    def test_thinned_path_rejected(self):
+        # row k of a thinned path's betas is not iterate k
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(30, 3))
+        part = make_partition(X, singleton_blocks(3))
+        cfg = BoostConfig(nu=1.0, max_iter=10)
+        path = run_boost(part, l2(), rng.normal(size=30), cfg, betas_at=[0, 5])
+        with pytest.raises(ValueError, match="needs the coefficients of every iterate"):
+            hessian_ub_check(l2(), part, path)
+
     def test_rank_deficient_warning_names_block_position(self):
         X = np.ones((10, 3))
         X[:, 0] = np.arange(10.0)  # block 0 full rank, block 1 rank 1
